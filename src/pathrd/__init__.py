@@ -1,8 +1,6 @@
 """Exact solvers for the traveling salesman problem with release dates on paths."""
 
 from .errors import (
-    DeadHandle,
-    Empty,
     Infeasible,
     MalformedDocument,
     NegativeValue,
@@ -13,7 +11,6 @@ from .errors import (
 )
 from .distance_extremity import DistDpTrace, solve_distance_heap, solve_distance_quadratic
 from .distance_general import DistDp2Trace, solve_distance_2d_cubic, solve_distance_2d_heap
-from .heaps import AddressableHeap, HeapHandle
 from .instance import (
     EMPTY_SIDE,
     CanonicalSide,
@@ -26,7 +23,6 @@ from .instance import (
     random_canonical_side,
     split_at_depot,
 )
-from .minqueue import MinQueue
 from .oracle import (
     ORACLE_MAX_CUSTOMERS,
     OracleResult,

@@ -17,18 +17,26 @@ import random
 import sys
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .distance_extremity import solve_distance_heap, solve_distance_quadratic
 from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from .errors import Infeasible, PathrdError
 from .instance import (
+    EMPTY_SIDE,
     GeneralInstance,
     generate_instance,
     parse_instance,
     random_canonical_side,
     split_at_depot,
 )
-from .oracle import ORACLE_MAX_CUSTOMERS, oracle_distance, oracle_time, validate_solution
+from .oracle import (
+    ORACLE_MAX_CUSTOMERS,
+    Violation,
+    oracle_distance,
+    oracle_time,
+    validate_solution,
+)
 from .solution import DISTANCE, LEFT, RIGHT, TIME, Route, Solution
 from .time_extremity import solve_time_linear, solve_time_quadratic
 from .time_general import solve_time_2d_cubic, solve_time_2d_minqueue
@@ -38,27 +46,42 @@ __all__ = ["main"]
 BASELINE = "baseline"
 FAST = "fast"
 
-# concrete names are accepted as synonyms so "--algo linear" does the
-# obvious thing; the report always states the algorithm actually run
-_ALGO_GROUP = {
-    "baseline": BASELINE,
-    "quadratic": BASELINE,
-    "cubic": BASELINE,
-    "fast": FAST,
-    "linear": FAST,
-    "minqueue": FAST,
-    "heap": FAST,
+
+class Solver(NamedTuple):
+    """One solver behind ``solve``, ``bench`` and ``crosscheck``.
+
+    A general solver takes the whole instance; the others take the one
+    nonempty side of an instance whose depot sits at a path end.
+    """
+
+    name: str
+    objective: str
+    general: bool
+    family: str
+    op: Callable
+
+
+# crosscheck runs the applicable solvers in this order and takes the
+# first one's value as the reference
+SOLVERS = {
+    solver.name: solver
+    for solver in (
+        Solver("time_2d_cubic", TIME, True, BASELINE, solve_time_2d_cubic),
+        Solver("time_2d_minqueue", TIME, True, FAST, solve_time_2d_minqueue),
+        Solver("distance_2d_cubic", DISTANCE, True, BASELINE, solve_distance_2d_cubic),
+        Solver("distance_2d_heap", DISTANCE, True, FAST, solve_distance_2d_heap),
+        Solver("time_quadratic", TIME, False, BASELINE, solve_time_quadratic),
+        Solver("time_linear", TIME, False, FAST, solve_time_linear),
+        Solver("distance_quadratic", DISTANCE, False, BASELINE, solve_distance_quadratic),
+        Solver("distance_heap", DISTANCE, False, FAST, solve_distance_heap),
+    )
 }
 
-_BENCH_ALGOS = {
-    "time_quadratic": (TIME, False, solve_time_quadratic),
-    "time_linear": (TIME, False, solve_time_linear),
-    "distance_quadratic": (DISTANCE, False, solve_distance_quadratic),
-    "distance_heap": (DISTANCE, False, solve_distance_heap),
-    "time_2d_cubic": (TIME, True, solve_time_2d_cubic),
-    "time_2d_minqueue": (TIME, True, solve_time_2d_minqueue),
-    "distance_2d_cubic": (DISTANCE, True, solve_distance_2d_cubic),
-    "distance_2d_heap": (DISTANCE, True, solve_distance_2d_heap),
+# "--algo" takes a family, or the last word of a solver's name as a
+# synonym for that solver's family, so "--algo linear" does the obvious
+# thing; the report always states the solver actually run
+_ALGO_FAMILY = {BASELINE: BASELINE, FAST: FAST} | {
+    solver.name.rsplit("_", 1)[1]: solver.family for solver in SOLVERS.values()
 }
 
 BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
@@ -91,26 +114,36 @@ def _read_instance(path, parser):
         parser.error(f"bad instance {path}: {exc}")
 
 
-def _pick_solver(inst, objective, group):
-    """Choose the concrete algorithm for this instance shape."""
+def _pick_solver(inst, objective, family):
+    """The solver of this family for the objective and the instance's shape."""
+    general = inst.left.n > 0 and inst.right.n > 0
+    return next(
+        solver
+        for solver in SOLVERS.values()
+        if (solver.objective, solver.general, solver.family) == (objective, general, family)
+    )
+
+
+def _applicable(inst, objective):
+    """Every solver of the objective that can run on inst, in registry order."""
     one_sided = inst.left.n == 0 or inst.right.n == 0
-    if one_sided:
-        side = inst.left if inst.right.n == 0 else inst.right
-        label = LEFT if inst.right.n == 0 else RIGHT
-        if objective == TIME:
-            op = solve_time_linear if group == FAST else solve_time_quadratic
-            name = "time_linear" if group == FAST else "time_quadratic"
-            return name, lambda deadline: op(side, label=label)
-        op = solve_distance_heap if group == FAST else solve_distance_quadratic
-        name = "distance_heap" if group == FAST else "distance_quadratic"
-        return name, lambda deadline: op(side, deadline, label=label)
-    if objective == TIME:
-        op = solve_time_2d_minqueue if group == FAST else solve_time_2d_cubic
-        name = "time_2d_minqueue" if group == FAST else "time_2d_cubic"
-        return name, lambda deadline: op(inst)
-    op = solve_distance_2d_heap if group == FAST else solve_distance_2d_cubic
-    name = "distance_2d_heap" if group == FAST else "distance_2d_cubic"
-    return name, lambda deadline: op(inst, deadline)
+    return [
+        solver
+        for solver in SOLVERS.values()
+        if solver.objective == objective and (solver.general or one_sided)
+    ]
+
+
+def _run(solver, inst, deadline=None):
+    """Call solver on inst: a general solver gets the instance, a side
+    solver the instance's nonempty side and its label; distance solvers
+    also get the deadline."""
+    extra = (deadline,) if solver.objective == DISTANCE else ()
+    if solver.general:
+        return solver.op(inst, *extra)
+    if inst.right.n == 0:
+        return solver.op(inst.left, *extra, label=LEFT)
+    return solver.op(inst.right, *extra, label=RIGHT)
 
 
 def _route_doc(route):
@@ -137,6 +170,8 @@ def _solution_from_report(report):
         )
         for item in report["routes"]
     )
+    if not all(isinstance(label, int) for route in routes for label in route.deliveries):
+        raise TypeError("deliveries must list vertex ids")
     return Solution(report["objective"], report["value"], routes)
 
 
@@ -159,11 +194,12 @@ def cmd_solve(args):
                 "the distance objective needs --deadline "
                 "(or a 'deadline' field in the instance document)"
             )
-    name, run = _pick_solver(inst, args.objective, _ALGO_GROUP[args.algo])
+    solver = _pick_solver(inst, args.objective, _ALGO_FAMILY[args.algo])
+    name = solver.name
 
     start = time.perf_counter_ns()
     try:
-        _, solution = run(deadline)
+        _, solution = _run(solver, inst, deadline)
         status = "optimal"
         value = solution.value
         routes = [_route_doc(route) for route in solution.routes]
@@ -232,15 +268,7 @@ def cmd_generate(args):
 
 def _crosscheck_time(inst):
     """Run every applicable time solver; returns (value, mismatch messages)."""
-    runs = [
-        ("time_2d_cubic", solve_time_2d_cubic(inst)),
-        ("time_2d_minqueue", solve_time_2d_minqueue(inst)),
-    ]
-    if inst.left.n == 0 or inst.right.n == 0:
-        side = inst.left if inst.right.n == 0 else inst.right
-        label = LEFT if inst.right.n == 0 else RIGHT
-        runs.append(("time_quadratic", solve_time_quadratic(side, label=label)))
-        runs.append(("time_linear", solve_time_linear(side, label=label)))
+    runs = [(solver.name, _run(solver, inst)) for solver in _applicable(inst, TIME)]
     problems = []
     reference = runs[0][1][1].value
     for name, (_, solution) in runs:
@@ -258,23 +286,14 @@ def _crosscheck_time(inst):
 def _crosscheck_distance(inst, deadline):
     verdicts = {}
     problems = []
-    runs = [
-        ("distance_2d_cubic", lambda: solve_distance_2d_cubic(inst, deadline)),
-        ("distance_2d_heap", lambda: solve_distance_2d_heap(inst, deadline)),
-    ]
-    if inst.left.n == 0 or inst.right.n == 0:
-        side = inst.left if inst.right.n == 0 else inst.right
-        label = LEFT if inst.right.n == 0 else RIGHT
-        runs.append(("distance_quadratic", lambda: solve_distance_quadratic(side, deadline, label=label)))
-        runs.append(("distance_heap", lambda: solve_distance_heap(side, deadline, label=label)))
-    for name, run in runs:
+    for solver in _applicable(inst, DISTANCE):
         try:
-            _, solution = run()
-            verdicts[name] = solution.value
+            _, solution = _run(solver, inst, deadline)
+            verdicts[solver.name] = solution.value
             bad = validate_solution(inst, solution, deadline=deadline)
-            problems.extend(f"{name} witness: {v.kind}: {v.detail}" for v in bad)
+            problems.extend(f"{solver.name} witness: {v.kind}: {v.detail}" for v in bad)
         except Infeasible:
-            verdicts[name] = None
+            verdicts[solver.name] = None
     if len(set(verdicts.values())) > 1:
         problems.append(f"deadline {deadline}: disagreement {verdicts}")
     reference = next(iter(verdicts.values()))
@@ -300,7 +319,7 @@ def cmd_crosscheck(args):
             makespan, problems = _crosscheck_time(inst)
         if args.objective in ("distance", "both"):
             if makespan is None:
-                makespan = solve_time_2d_cubic(inst)[1].value
+                makespan = _run(SOLVERS["time_2d_cubic"], inst)[1].value
             # span infeasible through slack around the optimal makespan
             for deadline in (makespan - 1, makespan, makespan + rng.randint(1, makespan + 10)):
                 problems.extend(_crosscheck_distance(inst, deadline))
@@ -314,24 +333,18 @@ def cmd_crosscheck(args):
     return 3 if mismatches else 0
 
 
-def _bench_case(algo, size, seed):
-    """Build the instance (and deadline, for distance) one bench run needs."""
-    objective, general, op = _BENCH_ALGOS[algo]
-    if general:
-        inst = GeneralInstance(
-            random_canonical_side(size, seed), random_canonical_side(size, seed + 1)
-        )
-        n_left = n_right = size
-        if objective == DISTANCE:
-            deadline = solve_time_2d_minqueue(inst)[1].value
-            return n_left, n_right, lambda: op(inst, deadline)
-        return n_left, n_right, lambda: op(inst)
-    side = random_canonical_side(size, seed)
-    n_left, n_right = 0, size
-    if objective == DISTANCE:
-        deadline = solve_time_linear(side)[1].value
-        return n_left, n_right, lambda: op(side, deadline)
-    return n_left, n_right, lambda: op(side)
+def _bench_case(solver, size, seed):
+    """Build the instance one bench run needs and a call that solves it,
+    at the fast time optimum as deadline for distance."""
+    first = random_canonical_side(size, seed)
+    if solver.general:
+        inst = GeneralInstance(first, random_canonical_side(size, seed + 1))
+    else:
+        inst = GeneralInstance(EMPTY_SIDE, first)
+    deadline = None
+    if solver.objective == DISTANCE:
+        deadline = _run(_pick_solver(inst, TIME, FAST), inst)[1].value
+    return inst, lambda: _run(solver, inst, deadline)
 
 
 def cmd_bench(args):
@@ -342,20 +355,42 @@ def cmd_bench(args):
             sizes.append(int(float(token)))
     if not sizes:
         args.parser.error("--sizes needs at least one value")
-    objective = _BENCH_ALGOS[args.algo][0]
+    solver = SOLVERS[args.algo]
     rows = [BENCH_HEADER]
     for size in sizes:
         for rep in range(args.reps):
             seed = args.seed * 1_000_003 + size * 1_009 + 2 * rep
-            n_left, n_right, run = _bench_case(args.algo, size, seed)
+            inst, run = _bench_case(solver, size, seed)
             start = time.perf_counter_ns()
             _, solution = run()
             wall_ns = time.perf_counter_ns() - start
             rows.append(
-                f"{args.algo},{objective},{n_left},{n_right},{rep},{wall_ns},{solution.value}"
+                f"{args.algo},{solver.objective},{inst.left.n},{inst.right.n},{rep},"
+                f"{wall_ns},{solution.value}"
             )
     _emit("\n".join(rows) + "\n", args.csv)
     return 0
+
+
+def _refute_infeasible(inst, objective, deadline):
+    """Violations of a report's claim that no plan exists: the fast
+    solver re-solves at the deadline and any plan it finds refutes it."""
+    if objective != DISTANCE or deadline is None:
+        return [
+            Violation("infeasible", "only the distance objective with a deadline can be infeasible")
+        ]
+    solver = _pick_solver(inst, DISTANCE, FAST)
+    try:
+        _, solution = _run(solver, inst, deadline)
+    except Infeasible:
+        print(f"infeasible at deadline {deadline}, confirmed by {solver.name}")
+        return []
+    return [
+        Violation(
+            "infeasible",
+            f"{solver.name} finds a plan of value {solution.value} by deadline {deadline}",
+        )
+    ]
 
 
 def cmd_validate(args):
@@ -364,18 +399,22 @@ def cmd_validate(args):
     try:
         with open(args.solution) as fh:
             report = json.load(fh)
-        if report.get("status") == "infeasible":
-            print("report declares the instance infeasible; nothing to check")
-            return 0
-        solution = _solution_from_report(report)
+        infeasible = report.get("status") == "infeasible"
+        objective = report.get("objective")
+        solution = None if infeasible else _solution_from_report(report)
+        deadline = report.get("deadline")
+        if not isinstance(deadline, (int, float, type(None))):
+            raise TypeError(f"deadline {deadline!r} is not a number")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         args.parser.error(f"bad solution file {args.solution}: {exc!r}")
-    deadline = args.deadline
-    if deadline is None:
-        deadline = report.get("deadline")
-    if deadline is None and solution.objective == DISTANCE:
+    if args.deadline is not None:
+        deadline = args.deadline
+    if deadline is None and objective == DISTANCE:
         deadline = raw.deadline
-    violations = validate_solution(inst, solution, deadline=deadline)
+    if infeasible:
+        violations = _refute_infeasible(inst, objective, deadline)
+    else:
+        violations = validate_solution(inst, solution, deadline=deadline)
     for violation in violations:
         print(f"{violation.kind}: {violation.detail}", file=sys.stderr)
     print(f"{len(violations)} violations")
@@ -392,7 +431,7 @@ def _build_parser():
     p = subs.add_parser("solve", help="solve one instance and write a JSON report")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
     p.add_argument("--objective", choices=(TIME, DISTANCE), required=True)
-    p.add_argument("--algo", choices=sorted(_ALGO_GROUP), default=FAST,
+    p.add_argument("--algo", choices=sorted(_ALGO_FAMILY), default=FAST,
                    help="solver family; concrete names map to their family")
     p.add_argument("--deadline", type=_number, default=None,
                    help="deadline for the distance objective (overrides the document)")
@@ -419,7 +458,7 @@ def _build_parser():
     p.set_defaults(func=cmd_crosscheck, parser=p)
 
     p = subs.add_parser("bench", help="time one algorithm across instance sizes, CSV out")
-    p.add_argument("--algo", choices=sorted(_BENCH_ALGOS), required=True)
+    p.add_argument("--algo", choices=sorted(SOLVERS), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated, e.g. 1e3,1e4,1e5")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

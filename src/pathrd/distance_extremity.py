@@ -92,10 +92,10 @@ def solve_distance_heap(side, deadline, label=RIGHT, check=False):
     """Heap solver; lam table matches solve_distance_quadratic exactly.
 
     The two heaps hold raw (key, state) pairs keyed by the shared state
-    index instead of going through AddressableHeap: an eviction pops the
-    slack heap and flags the state dead, and the lam heap discards dead
-    tops lazily.  Same pairing, but no per-entry handle objects, which
-    is what keeps million-customer instances inside the time budget.
+    index: an eviction pops the slack heap and flags the state dead, and
+    the lam heap discards dead tops lazily.  There are no per-entry
+    handle objects, which is what keeps million-customer instances
+    inside the time budget.
 
     With check=True every eviction is asserted sound: the dropped state
     really misses the current release threshold, and thresholds never

@@ -14,18 +14,20 @@ absent when both terms come up empty; infeasible iff lam[0][0] is
 absent.  Ties prefer the left term, then the smallest w.
 
 The fast solver mirrors the 1-D heap solver per line: each column
-carries a max-heap on lam paired with a min-heap on lam - release, and
-each row likewise.  Scanning p (and q within a row) downward only
-raises the release thresholds 2 taul[p] and 2 taur[q], so entries that
-fail one are evicted from both heaps permanently.
+carries a raw max-heap of (-lam, w) paired with a min-heap of
+(lam - release, w) and a dead flag per w, and each row likewise.
+Scanning p (and q within a row) downward only raises the release
+thresholds 2 taul[p] and 2 taur[q], so an entry that fails one is
+popped from the slack heap and flagged dead, which drops it from the
+lam heap permanently.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .errors import Infeasible
-from .heaps import AddressableHeap
 from .solution import DISTANCE, LEFT, RIGHT, Route, Solution
 
 __all__ = ["DistDp2Trace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
@@ -128,6 +130,12 @@ def solve_distance_2d_cubic(inst, deadline):
 def solve_distance_2d_heap(inst, deadline, check=False):
     """Paired-heap solver; lam table matches solve_distance_2d_cubic.
 
+    Each column and each row keeps raw (-lam, w) and (lam - release, w)
+    heaps, as the 1-D heap solver does: an eviction pops the slack heap
+    and flags w dead, and the lam heap discards dead tops lazily.  A
+    state evicted from its column may still be live in its row, so
+    every column and every row has its own dead flags.
+
     check=True asserts every eviction misses the current threshold,
     thresholds never decrease along a column or row, and heap contents
     only ever reference states computed earlier in the sweep.
@@ -146,19 +154,21 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     lam[nl][nr] = deadline
     # column heaps serve the left term and live for the whole sweep
-    col_lam = [AddressableHeap(mode="max") for _ in range(nr + 1)]
-    col_slack = [AddressableHeap(mode="min") for _ in range(nr + 1)]
+    col_lam = [[] for _ in range(nr + 1)]
+    col_slack = [[] for _ in range(nr + 1)]
+    col_dead = [bytearray(nl + 1) for _ in range(nr + 1)]
     if nl >= 1:
-        partner = col_lam[nr].insert(deadline, nl)
-        col_slack[nr].insert(deadline - rl[nl - 1], partner)
+        col_lam[nr].append((-deadline, nl))
+        col_slack[nr].append((deadline - rl[nl - 1], nl))
     col_thr = [None] * (nr + 1) if check else None
     for p in range(nl, -1, -1):
         # row heaps serve the right term and last for this row only
-        row_lam = AddressableHeap(mode="max")
-        row_slack = AddressableHeap(mode="min")
+        row_lam = []
+        row_slack = []
+        row_dead = bytearray(nr + 1)
         if p == nl and nr >= 1:
-            partner = row_lam.insert(deadline, nr)
-            row_slack.insert(deadline - rr[nr - 1], partner)
+            row_lam.append((-deadline, nr))
+            row_slack.append((deadline - rr[nr - 1], nr))
         row_thr = None
         for q in range(nr, -1, -1):
             if p == nl and q == nr:
@@ -170,39 +180,39 @@ def solve_distance_2d_heap(inst, deadline, check=False):
                 if check:
                     assert col_thr[q] is None or threshold >= col_thr[q]
                     col_thr[q] = threshold
-                heap = col_slack[q]
-                while len(heap):
-                    slack, stale, handle = heap.peek()
-                    if slack >= threshold:
-                        break
+                by_lam = col_lam[q]
+                by_slack = col_slack[q]
+                dead = col_dead[q]
+                while by_slack and by_slack[0][0] < threshold:
+                    slack, w = heappop(by_slack)
                     if check:
-                        assert slack < threshold
-                    heap.remove(handle)
-                    col_lam[q].remove(stale)
-                if len(col_lam[q]):
-                    top, w, _ = col_lam[q].peek()
+                        assert w > p and not dead[w] and slack < threshold
+                    dead[w] = 1
+                while by_lam and dead[by_lam[0][1]]:
+                    heappop(by_lam)
+                if by_lam:
+                    top, w = by_lam[0]
                     if check:
                         assert w > p
-                    best = top - threshold
+                    best = -top - threshold
                     take = (LEFT, w)
             if q < nr:
                 threshold = 2 * taur[q]
                 if check:
                     assert row_thr is None or threshold >= row_thr
                     row_thr = threshold
-                while len(row_slack):
-                    slack, stale, handle = row_slack.peek()
-                    if slack >= threshold:
-                        break
+                while row_slack and row_slack[0][0] < threshold:
+                    slack, w = heappop(row_slack)
                     if check:
-                        assert slack < threshold
-                    row_slack.remove(handle)
-                    row_lam.remove(stale)
-                if len(row_lam):
-                    top, w, _ = row_lam.peek()
+                        assert w > q and not row_dead[w] and slack < threshold
+                    row_dead[w] = 1
+                while row_lam and row_dead[row_lam[0][1]]:
+                    heappop(row_lam)
+                if row_lam:
+                    top, w = row_lam[0]
                     if check:
                         assert w > q
-                    cand = top - threshold
+                    cand = -top - threshold
                     if best is None or cand > best:
                         best = cand
                         take = (RIGHT, w)
@@ -211,11 +221,11 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             lam[p][q] = best
             succ[p][q] = take
             if p >= 1:
-                partner = col_lam[q].insert(best, p)
-                col_slack[q].insert(best - rl[p - 1], partner)
+                heappush(col_lam[q], (-best, p))
+                heappush(col_slack[q], (best - rl[p - 1], p))
             if q >= 1:
-                partner = row_lam.insert(best, q)
-                row_slack.insert(best - rr[q - 1], partner)
+                heappush(row_lam, (-best, q))
+                heappush(row_slack, (best - rr[q - 1], q))
     if lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}")
     trace = DistDp2Trace(lam, succ)

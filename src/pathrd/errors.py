@@ -21,14 +21,6 @@ class NegativeValue(PathrdError):
     """A release date, edge length, or deadline is negative."""
 
 
-class Empty(PathrdError):
-    """Query on an empty queue or heap."""
-
-
-class DeadHandle(PathrdError):
-    """A heap handle was used after its entry was removed."""
-
-
 class Infeasible(PathrdError):
     """No dispatch plan completes by the deadline."""
 

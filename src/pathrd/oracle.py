@@ -7,6 +7,7 @@ the best.  Cost is exponential, so a hard size guard applies; the point
 is trustworthy answers on small instances, not speed.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import TooLarge
@@ -146,10 +147,12 @@ def oracle_distance(inst, deadline):
 def validate_solution(inst, solution, deadline=None):
     """Check a plan against its instance; returns a list of Violations.
 
-    Verifies that blocks partition each side, dispatches respect
+    Verifies that blocks partition each side, each route delivers its
+    block's labels and riders (in any order), dispatches respect
     releases, routes are serialized in order, durations match the
     blocks, the deadline (when given) is met, and the stated value
-    agrees with the routes.
+    agrees with the routes.  Partition plus deliveries means every raw
+    customer is served exactly once.
     """
     out = []
     sides = {LEFT: inst.left, RIGHT: inst.right}
@@ -165,6 +168,17 @@ def validate_solution(inst, solution, deadline=None):
             )
             continue
         covered[route.side].extend(range(route.lo, route.hi + 1))
+        served = side.deliveries(route.lo, route.hi)
+        if sorted(route.deliveries) != sorted(served):
+            claimed, served = Counter(route.deliveries), Counter(served)
+            out.append(
+                Violation(
+                    "deliveries",
+                    f"{route.side} block {route.lo}..{route.hi} misses "
+                    f"{(served - claimed).total()} and adds "
+                    f"{(claimed - served).total()} deliveries",
+                )
+            )
         ready = max(side.r[route.lo : route.hi + 1])
         if route.dispatch < ready:
             out.append(

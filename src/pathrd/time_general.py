@@ -12,18 +12,20 @@ route covered a suffix of one side's served prefix,
 and the smallest w.  The cubic baseline scans both terms per state.
 
 The fast solver plays the 1-D trick once per line: for the left term a
-cursor and min-queue per column j (advanced as i grows), for the right
-term one per row i.  States released at or before r split off a prefix
-whose best candidate is the cursor itself; the queue serves the rest.
-Each entry is enqueued and dequeued once, so states cost O(1) amortized
-and the whole table O(n_l * n_r).
+cursor and a deque of (a, w) per column j (advanced as i grows), for
+the right term one per row i.  States released at or before r split off
+a prefix whose best candidate is the cursor itself; the deque is a
+monotone window over the rest, its back popped while larger than a new
+entry and its front popped once the cursor passes it.  Each entry is
+pushed and popped at most once, so states cost O(1) amortized and the
+whole table O(n_l * n_r).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .minqueue import MinQueue
 from .solution import LEFT, RIGHT, TIME, Route, Solution
 
 __all__ = ["TimeDp2Trace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
@@ -103,12 +105,24 @@ def solve_time_2d_cubic(inst):
     return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)
 
 
-def solve_time_2d_minqueue(inst, check=False):
-    """Queue-and-cursor solver; output matches solve_time_2d_cubic.
+def _check_line(line, two_tau, release, k, window):
+    """Assert one row's or column's invariants: states 0..k are
+    released, the rest are not, and the window front is the smallest
+    (line[w] + two_tau[w], w) over the unreleased states."""
+    assert all(v <= release for v in line[: k + 1])
+    assert all(v > release for v in line[k + 1 :])
+    assert all(w > k for _, w in window)
+    front = min(((v + two_tau[w], w) for w, v in enumerate(line) if w > k), default=None)
+    assert (window[0] if window else None) == front
 
-    check=True re-verifies every cursor against its definition (the
-    released states really form a prefix of the column or row), which
-    is what the amortized advance silently relies on.
+
+def solve_time_2d_minqueue(inst, check=False):
+    """Window-and-cursor solver; output matches solve_time_2d_cubic.
+
+    check=True re-verifies every cursor and window against its
+    definition (the released states really form a prefix of the column
+    or row, and the window front is the minimum over the rest), which
+    is what the amortized updates silently rely on.
     """
     nl = inst.left.n
     nr = inst.right.n
@@ -118,33 +132,36 @@ def solve_time_2d_minqueue(inst, check=False):
     taur = inst.right.tau
     c = [[0] * (nr + 1) for _ in range(nl + 1)]
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
-    # per-column state for the left term; -1 means no released candidate
+    # per column, for the left term: a cursor over the released rows
+    # (-1: none yet) and a window of (a, w), a = c[w][j] + 2 taul[w], over
+    # rows past the cursor; a is nondecreasing front to back and equal
+    # values all stay, so the front is the smallest w among minima
     kl = [-1] * (nr + 1)
-    ql = [MinQueue() for _ in range(nr + 1)]
+    wl = [deque() for _ in range(nr + 1)]
     for i in range(nl + 1):
+        # the same per row, for the right term
         kr = -1
-        qr = MinQueue()
+        wr = deque()
         ci = c[i]
         for j in range(nr + 1):
             best = None
             take = None
             if i >= 1:
                 ri = rl[i - 1]
-                q = ql[j]
+                win = wl[j]
                 k = kl[j]
                 while k < i - 1 and c[k + 1][j] <= ri:
                     k += 1
-                    q.dequeue()
+                    if win and win[0][1] <= k:
+                        win.popleft()
                 kl[j] = k
                 if check:
-                    assert all(c[w][j] <= ri for w in range(k + 1))
-                    assert all(c[w][j] > ri for w in range(k + 1, i))
-                    assert len(q) == (i - 1) - k
+                    _check_line([c[w][j] for w in range(i)], [2 * t for t in taul], ri, k, win)
                 if k >= 0:
                     best = ri + 2 * taul[k]
                     take = (LEFT, k)
-                if len(q):
-                    a, w = q.find_min()
+                if win:
+                    a, w = win[0]
                     if best is None or a < best:
                         best = a
                         take = (LEFT, w)
@@ -152,17 +169,17 @@ def solve_time_2d_minqueue(inst, check=False):
                 rj = rr[j - 1]
                 while kr < j - 1 and ci[kr + 1] <= rj:
                     kr += 1
-                    qr.dequeue()
+                    if wr and wr[0][1] <= kr:
+                        wr.popleft()
                 if check:
-                    assert all(ci[w] <= rj for w in range(kr + 1))
-                    assert all(ci[w] > rj for w in range(kr + 1, j))
+                    _check_line(ci[:j], [2 * t for t in taur], rj, kr, wr)
                 if kr >= 0:
                     cand = rj + 2 * taur[kr]
                     if best is None or cand < best:
                         best = cand
                         take = (RIGHT, kr)
-                if len(qr):
-                    a, w = qr.find_min()
+                if wr:
+                    a, w = wr[0]
                     if best is None or a < best:
                         best = a
                         take = (RIGHT, w)
@@ -170,7 +187,14 @@ def solve_time_2d_minqueue(inst, check=False):
                 ci[j] = best
                 pred[i][j] = take
             if i < nl:
-                ql[j].enqueue((ci[j] + 2 * taul[i], i))
+                a = ci[j] + 2 * taul[i]
+                win = wl[j]
+                while win and win[-1][0] > a:
+                    win.pop()
+                win.append((a, i))
             if j < nr:
-                qr.enqueue((ci[j] + 2 * taur[j], j))
+                a = ci[j] + 2 * taur[j]
+                while wr and wr[-1][0] > a:
+                    wr.pop()
+                wr.append((a, j))
     return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)

@@ -9,22 +9,20 @@ and on the CLI round trip.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import random
 import time
-from collections import deque
 
 import pytest
 
 import pathrd.cli as cli
 from pathrd import (
     EMPTY_SIDE,
-    AddressableHeap,
-    DeadHandle,
+    CanonicalSide,
     GeneralInstance,
     Infeasible,
-    MinQueue,
     canonicalize_side,
     oracle_distance,
     oracle_time,
@@ -195,6 +193,7 @@ def test_fast_matches_baseline_tables_at_scale(capsys):
                 dq, _ = solve_distance_quadratic(side, deadline)
                 dh, _ = solve_distance_heap(side, deadline)
                 assert dh.lam == dq.lam
+                assert dh.succ == dq.succ
 
         for run, n in enumerate(_log_uniform_sizes(rng, 200, 2, 150, forced=3)):
             inst = GeneralInstance(
@@ -212,6 +211,7 @@ def test_fast_matches_baseline_tables_at_scale(capsys):
                 dc, _ = solve_distance_2d_cubic(inst, deadline)
                 dh, _ = solve_distance_2d_heap(inst, deadline)
                 assert dh.lam == dc.lam
+                assert dh.succ == dc.succ
 
 
 def test_completion_profiles_are_monotone(capsys):
@@ -305,49 +305,57 @@ def test_scaling_smoke(capsys):
         assert t_full / t_half < 3.5, f"doubling ratio {t_full / t_half:.2f}"
 
 
+def _tie_heavy_side(rng, n):
+    """A canonical side whose releases and depot distances move in steps
+    of 0-2 and 1-2, so many DP candidates tie; the nearest customer may
+    sit at the depot."""
+    if n == 0:
+        return EMPTY_SIDE
+    wait = rng.choice((0, 1, 2))
+    r = itertools.accumulate([rng.randint(0, 3)] + [rng.randint(0, wait) for _ in range(n - 1)])
+    tau = itertools.accumulate([rng.randint(0, 1)] + [rng.randint(1, 2) for _ in range(n - 1)])
+    return CanonicalSide(
+        r=tuple(r), tau=tuple(tau)[::-1], labels=tuple(range(1, n + 1)), riders=((),) * n
+    )
+
+
 def test_structure_fuzz_against_naive_models(capsys):
     with reported(
-        capsys, 7, "100000-operation random workouts of the sliding-window "
-        "queue and the addressable heap match naive reference models"
+        capsys, 7, "tie-heavy two-sided instances with 1e5 DP states in total: "
+        "the per-line windows and heap pairs pass their invariant checks and "
+        "give the cubic baselines' tables and plans at deadlines T*-1, T* and T*+slack"
     ):
         rng = random.Random(707)
-        queue = MinQueue()
-        model = deque()
-        for _ in range(100_000):
-            if model and rng.random() < 0.52:
-                assert queue.dequeue() == model.popleft()
-            else:
-                value = rng.randint(-1000, 1000)
-                queue.enqueue(value)
-                model.append(value)
-            assert len(queue) == len(model)
-            if model:
-                assert queue.find_min() == min(model)
+        states = feasible = infeasible = 0
+        while states < 100_000:
+            inst = GeneralInstance(
+                _tie_heavy_side(rng, rng.choice((0, rng.randint(1, 20), rng.randint(1, 20)))),
+                _tie_heavy_side(rng, rng.choice((0, rng.randint(1, 20), rng.randint(1, 20)))),
+            )
+            states += (inst.left.n + 1) * (inst.right.n + 1)
 
-        rng = random.Random(708)
-        for mode in ("min", "max"):
-            heap = AddressableHeap(mode)
-            live = {}
-            pick = min if mode == "min" else max
-            for _ in range(50_000):
-                roll = rng.random()
-                if live and roll < 0.30:
-                    handle = rng.choice(list(live))
-                    key, payload = heap.remove(handle)
-                    assert (key, payload) == live.pop(handle)
-                    with pytest.raises(DeadHandle):
-                        heap.remove(handle)
-                elif live and (roll < 0.45 or len(live) > 300):
-                    key, payload, handle = heap.peek()
-                    assert key == pick(k for k, _ in live.values())
-                    assert live[handle] == (key, payload)
-                    heap.remove(handle)
-                    del live[handle]
-                else:
-                    key = rng.randint(-500, 500)
-                    payload = rng.randrange(10**6)
-                    live[heap.insert(key, payload)] = (key, payload)
-                assert len(heap) == len(live)
+            ct, cs = solve_time_2d_cubic(inst)
+            mt, ms = solve_time_2d_minqueue(inst, check=True)
+            assert mt.c == ct.c
+            assert mt.pred == ct.pred
+            assert ms == cs
+
+            optimum = cs.value
+            slack = rng.randint(1, 2 * sum(s.tau[0] for s in (inst.left, inst.right) if s.n) + 3)
+            for deadline in (optimum - 1, optimum, optimum + slack):
+                try:
+                    dc, dcs = solve_distance_2d_cubic(inst, deadline)
+                except Infeasible:
+                    with pytest.raises(Infeasible):
+                        solve_distance_2d_heap(inst, deadline, check=True)
+                    infeasible += 1
+                    continue
+                dh, dhs = solve_distance_2d_heap(inst, deadline, check=True)
+                assert dh.lam == dc.lam
+                assert dh.succ == dc.succ
+                assert dhs == dcs
+                feasible += 1
+        assert feasible and infeasible
 
 
 def test_window_feeds_before_cursor_moves(capsys):

@@ -227,11 +227,36 @@ def test_validate_infeasible_report_passes(x1_path, tmp_path, capsys):
     assert "infeasible" in out
 
 
+def test_validate_refutes_false_infeasible_claim(x1_path, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    for claim in (
+        {"status": "infeasible", "objective": "distance", "deadline": 1000},
+        {"status": "infeasible", "objective": "time"},
+        {"status": "infeasible"},
+    ):
+        report_path.write_text(json.dumps(claim))
+        code, out, err = run(
+            ["validate", "--instance", x1_path, "--solution", str(report_path),
+             "--deadline", "1000"],
+            capsys,
+        )
+        assert code == 1
+        assert "1 violations" in out
+        assert "infeasible" in err
+
+
 def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2, 3]")
-    code, _, _ = run(["validate", "--instance", x1_path, "--solution", str(bad)], capsys)
-    assert code == 2
+    route = {"side": "right", "lo": 0, "hi": 2, "dispatch": 21, "duration": 20}
+    for text in (
+        "[1, 2, 3]",
+        json.dumps({"status": "infeasible", "objective": "distance", "deadline": "soon"}),
+        json.dumps({"status": "optimal", "objective": "time", "value": 41,
+                    "routes": [dict(route, deliveries=[[1], 2, 3])]}),
+    ):
+        bad.write_text(text)
+        code, _, _ = run(["validate", "--instance", x1_path, "--solution", str(bad)], capsys)
+        assert code == 2
 
 
 def test_crosscheck_clean(capsys):
@@ -241,13 +266,13 @@ def test_crosscheck_clean(capsys):
 
 
 def test_crosscheck_reports_mismatch(capsys, monkeypatch):
-    real = cli.solve_time_2d_minqueue
+    entry = cli.SOLVERS["time_2d_minqueue"]
 
     def broken(inst, check=False):
-        trace, solution = real(inst, check=check)
+        trace, solution = entry.op(inst, check=check)
         return trace, dataclasses.replace(solution, value=solution.value + 1)
 
-    monkeypatch.setattr(cli, "solve_time_2d_minqueue", broken)
+    monkeypatch.setitem(cli.SOLVERS, "time_2d_minqueue", entry._replace(op=broken))
     code, out, err = run(
         ["crosscheck", "--count", "3", "--seed", "2", "--objective", "time"], capsys
     )

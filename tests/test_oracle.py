@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -217,3 +218,9 @@ def test_validate_flags_each_violation_kind():
     # stated value disagrees with the routes
     bad = Solution("time", 99, good.routes)
     assert "value" in kinds(bad)
+    # deliveries are checked against the block, in any order
+    for claim in ((999,), (1,), (1, 2, 2), (2, 1, 999)):
+        bad = Solution("time", 31, (replace(good.routes[0], deliveries=claim), good.routes[1]))
+        assert kinds(bad) == {"deliveries"}
+    swapped = replace(good.routes[0], deliveries=good.routes[0].deliveries[::-1])
+    assert kinds(Solution("time", 31, (swapped, good.routes[1]))) == set()
