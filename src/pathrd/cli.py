@@ -12,6 +12,7 @@ report fails validation, 2 on usage errors, 3 on crosscheck mismatches.
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -94,9 +95,12 @@ def _number(text):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _read_instance(path, parser):

@@ -13,10 +13,12 @@ A state with no workable q is absent; the instance is infeasible
 exactly when lam[0] is absent, and otherwise routes pack gapless so the
 total distance is D - lam[0].
 
-The fast solver keeps live states in a max-heap ordered by lam paired
-with a min-heap ordered by lam[q] - r[q-1].  While scanning p downward
-the release threshold 2 tau[p] only grows, so states failing it now
-fail it forever and both heap entries can be dropped for good.
+The fast kernel, _distance_line, keeps live states in a max-heap
+ordered by lam paired with a min-heap ordered by lam[q] - r[q-1].
+While scanning p downward the release threshold 2 tau[p] only grows,
+so states failing it now fail it forever and both heap entries can be
+dropped for good.  solve_distance_heap is one call of it, and the
+interior-depot solver runs it once per row.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .errors import Infeasible
-from .solution import DISTANCE, RIGHT, Route, Solution
+from .solution import DISTANCE, RIGHT, Solution, make_route
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
 
@@ -45,9 +47,7 @@ def _build_solution(side, label, lam, succ):
     n = side.n
     while p < n:
         q = succ[p]
-        routes.append(
-            Route(label, p, q - 1, lam[p], 2 * side.tau[p], side.deliveries(p, q - 1))
-        )
+        routes.append(make_route(label, side, p, q - 1, lam[p]))
         p = q
     # equals deadline - lam[0] exactly on integer data; summing the
     # durations keeps the value consistent with the routes on floats too
@@ -88,31 +88,24 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
     return trace, _build_solution(side, label, lam_list, succ)
 
 
-def solve_distance_heap(side, deadline, label=RIGHT, check=False):
-    """Heap solver; lam table matches solve_distance_quadratic exactly.
+def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
+    """Fill lam[0..n-1] and succ[0..n-1] of one line from the given
+    lam[n], n = len(r) >= 1; None marks an absent state, and succ[p] is
+    the raw q the maximum came from.
 
-    The two heaps hold raw (key, state) pairs keyed by the shared state
-    index: an eviction pops the slack heap and flags the state dead, and
-    the lam heap discards dead tops lazily.  There are no per-entry
-    handle objects, which is what keeps million-customer instances
-    inside the time budget.
-
-    With check=True every eviction is asserted sound: the dropped state
-    really misses the current release threshold, and thresholds never
+    The heaps hold raw (key, state) pairs and one dead flag per state,
+    with no per-entry handle objects: that keeps million-customer lines
+    inside the time budget.  ext[p], when given and not None, is the
+    other side's candidate; it wins ties and then stores ext_pred[p].
+    It is read before lam[p] is written, so the line itself may serve
+    as ext.  check=True asserts every eviction is sound: the dropped
+    state misses the current release threshold, and thresholds never
     decrease, so dropping from both heaps permanently is safe.
     """
-    n = side.n
-    if n == 0:
-        if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero")
-        return DistDpTrace([deadline], [None]), Solution(DISTANCE, 0, ())
-    r = side.r
-    tau = side.tau
-    lam = [None] * (n + 1)
-    succ = [None] * (n + 1)
-    lam[n] = deadline
-    by_lam = [(-deadline, n)]
-    by_slack = [(deadline - r[n - 1], n)]
+    n = len(r)
+    top = lam[n]
+    by_lam = [] if top is None else [(-top, n)]
+    by_slack = [] if top is None else [(top - r[n - 1], n)]
     dead = bytearray(n + 1)
     last_threshold = None
     for p in range(n - 1, -1, -1):
@@ -127,15 +120,36 @@ def solve_distance_heap(side, deadline, label=RIGHT, check=False):
             dead[q] = 1
         while by_lam and dead[by_lam[0][1]]:
             heappop(by_lam)
+        value = None
         if by_lam:
             top, q = by_lam[0]
+            if check:
+                assert q > p
             value = -top - threshold
+        if ext is not None:
+            other = ext[p]
+            if other is not None and (value is None or other >= value):
+                value = other
+                q = ext_pred[p]
+        if value is not None:
             lam[p] = value
             succ[p] = q
             if p >= 1:
                 heappush(by_lam, (-value, p))
                 heappush(by_slack, (value - r[p - 1], p))
+
+
+def solve_distance_heap(side, deadline, label=RIGHT, check=False):
+    """Heap solver; lam table matches solve_distance_quadratic exactly.
+    check=True asserts every eviction sound (see _distance_line)."""
+    if side.n == 0:
+        if deadline < 0:
+            raise Infeasible(f"deadline {deadline} is before time zero")
+        return DistDpTrace([deadline], [None]), Solution(DISTANCE, 0, ())
+    lam = [None] * (side.n + 1)
+    lam[-1] = deadline
+    succ = [None] * (side.n + 1)
+    _distance_line(side.r, side.tau, lam, succ, check=check)
     if lam[0] is None:
         raise Infeasible(f"no plan finishes by {deadline}")
-    trace = DistDpTrace(lam, succ)
-    return trace, _build_solution(side, label, lam, succ)
+    return DistDpTrace(lam, succ), _build_solution(side, label, lam, succ)

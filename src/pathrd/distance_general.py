@@ -13,13 +13,17 @@ of 2 taul[p] whose dispatch must also cover the block's last release:
 absent when both terms come up empty; infeasible iff lam[0][0] is
 absent.  Ties prefer the left term, then the smallest w.
 
-The fast solver mirrors the 1-D heap solver per line: each column
-carries a raw max-heap of (-lam, w) paired with a min-heap of
-(lam - release, w) and a dead flag per w, and each row likewise.
-Scanning p (and q within a row) downward only raises the release
-thresholds 2 taul[p] and 2 taur[q], so an entry that fails one is
-popped from the slack heap and flagged dead, which drops it from the
-lam heap permanently.
+The fast solver is a kernel plus a column step.  Row by row from the
+bottom, the column step first advances every column's raw max-heap of
+(-lam, w), min-heap of (lam - release, w) and dead flags by one row
+and takes the left term; then one call of the 1-D kernel
+_distance_line fills the row's right term, with the left term as the
+other side's candidate.  Scanning p (and q within a row) downward only
+raises the release thresholds 2 taul[p] and 2 taur[q], so an entry
+that fails one is popped from the slack heap and flagged dead, which
+drops it from the lam heap permanently.  The column step advances
+n_r + 1 lines by one state each, so it is written inline rather than
+as a per-state call of the kernel.
 """
 
 from dataclasses import dataclass
@@ -27,8 +31,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from .distance_extremity import _distance_line
 from .errors import Infeasible
-from .solution import DISTANCE, LEFT, RIGHT, Route, Solution
+from .solution import DISTANCE, LEFT, RIGHT, Solution, make_route
 
 __all__ = ["DistDp2Trace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
@@ -49,19 +54,13 @@ def _build_solution(inst, lam, succ):
     nr = inst.right.n
     routes = []
     while p < nl or q < nr:
-        side_name, w = succ[p][q]
-        if side_name == LEFT:
-            side = inst.left
-            routes.append(
-                Route(LEFT, p, w - 1, lam[p][q], 2 * side.tau[p], side.deliveries(p, w - 1))
-            )
-            p = w
+        label, w = succ[p][q]
+        dispatch = lam[p][q]
+        if label == LEFT:
+            side, lo, p = inst.left, p, w
         else:
-            side = inst.right
-            routes.append(
-                Route(RIGHT, q, w - 1, lam[p][q], 2 * side.tau[q], side.deliveries(q, w - 1))
-            )
-            q = w
+            side, lo, q = inst.right, q, w
+        routes.append(make_route(label, side, lo, w - 1, dispatch))
     value = sum(route.duration for route in routes)
     return Solution(DISTANCE, value, tuple(routes))
 
@@ -130,10 +129,7 @@ def solve_distance_2d_cubic(inst, deadline):
 def solve_distance_2d_heap(inst, deadline, check=False):
     """Paired-heap solver; lam table matches solve_distance_2d_cubic.
 
-    Each column and each row keeps raw (-lam, w) and (lam - release, w)
-    heaps, as the 1-D heap solver does: an eviction pops the slack heap
-    and flags w dead, and the lam heap discards dead tops lazily.  A
-    state evicted from its column may still be live in its row, so
+    A state evicted from its column may still be live in its row, so
     every column and every row has its own dead flags.
 
     check=True asserts every eviction misses the current threshold,
@@ -150,39 +146,38 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     taul = inst.left.tau
     rr = inst.right.r
     taur = inst.right.tau
+    # shared labels: the column step stores left_of[w], and the row
+    # kernel's raw right successor w becomes right_of[w]
+    left_of = [(LEFT, w) for w in range(nl + 1)]
+    right_of = [(RIGHT, w) for w in range(nr + 1)]
     lam = [[None] * (nr + 1) for _ in range(nl + 1)]
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     lam[nl][nr] = deadline
-    # column heaps serve the left term and live for the whole sweep
-    col_lam = [[] for _ in range(nr + 1)]
-    col_slack = [[] for _ in range(nr + 1)]
-    col_dead = [bytearray(nl + 1) for _ in range(nr + 1)]
-    if nl >= 1:
-        col_lam[nr].append((-deadline, nl))
-        col_slack[nr].append((deadline - rl[nl - 1], nl))
-    col_thr = [None] * (nr + 1) if check else None
+    # column heaps serve the left term and live for the whole sweep; an
+    # empty left side steps no column
+    cols = range(nr + 1) if nl else ()
+    col_lam = [[] for _ in cols]
+    col_slack = [[] for _ in cols]
+    col_dead = [bytearray(nl + 1) for _ in cols]
     for p in range(nl, -1, -1):
-        # row heaps serve the right term and last for this row only
-        row_lam = []
-        row_slack = []
-        row_dead = bytearray(nr + 1)
-        if p == nl and nr >= 1:
-            row_lam.append((-deadline, nr))
-            row_slack.append((deadline - rr[nr - 1], nr))
-        row_thr = None
-        for q in range(nr, -1, -1):
-            if p == nl and q == nr:
-                continue
-            best = None
-            take = None
-            if p < nl:
-                threshold = 2 * taul[p]
-                if check:
-                    assert col_thr[q] is None or threshold >= col_thr[q]
-                    col_thr[q] = threshold
+        lp = lam[p]
+        sp = succ[p]
+        if p < nl:
+            # column step: each column's line gains state p + 1 and
+            # yields its left term at row p
+            threshold = 2 * taul[p]
+            if check:
+                assert p == nl - 1 or threshold >= 2 * taul[p + 1]
+            release = rl[p]
+            below = lam[p + 1]
+            for q in range(nr + 1):
                 by_lam = col_lam[q]
                 by_slack = col_slack[q]
                 dead = col_dead[q]
+                v = below[q]
+                if v is not None:
+                    heappush(by_lam, (-v, p + 1))
+                    heappush(by_slack, (v - release, p + 1))
                 while by_slack and by_slack[0][0] < threshold:
                     slack, w = heappop(by_slack)
                     if check:
@@ -194,38 +189,12 @@ def solve_distance_2d_heap(inst, deadline, check=False):
                     top, w = by_lam[0]
                     if check:
                         assert w > p
-                    best = -top - threshold
-                    take = (LEFT, w)
-            if q < nr:
-                threshold = 2 * taur[q]
-                if check:
-                    assert row_thr is None or threshold >= row_thr
-                    row_thr = threshold
-                while row_slack and row_slack[0][0] < threshold:
-                    slack, w = heappop(row_slack)
-                    if check:
-                        assert w > q and not row_dead[w] and slack < threshold
-                    row_dead[w] = 1
-                while row_lam and row_dead[row_lam[0][1]]:
-                    heappop(row_lam)
-                if row_lam:
-                    top, w = row_lam[0]
-                    if check:
-                        assert w > q
-                    cand = -top - threshold
-                    if best is None or cand > best:
-                        best = cand
-                        take = (RIGHT, w)
-            if take is None:
-                continue
-            lam[p][q] = best
-            succ[p][q] = take
-            if p >= 1:
-                heappush(col_lam[q], (-best, p))
-                heappush(col_slack[q], (best - rl[p - 1], p))
-            if q >= 1:
-                heappush(row_lam, (-best, q))
-                heappush(row_slack, (best - rr[q - 1], q))
+                    lp[q] = -top - threshold
+                    sp[q] = left_of[w]
+        if nr:
+            # the right term along the row; the left term wins ties
+            _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)
+            sp[:] = [right_of[w] if w.__class__ is int else w for w in sp]
     if lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}")
     trace = DistDp2Trace(lam, succ)

@@ -10,6 +10,7 @@ depot distances strictly decreasing.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -125,7 +126,8 @@ def _is_int(x):
 
 
 def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON has no NaN or Infinity, though Python's decoder accepts them
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 def parse_instance(doc):

@@ -33,6 +33,14 @@ class Route:
         return self.dispatch + self.duration
 
 
+def make_route(label, side, lo, hi, dispatch):
+    """The route that serves canonical positions lo..hi of side, leaving
+    at dispatch: a round trip to its farthest customer, tau[lo].  A
+    nonempty block is also what makes every plan reconstruction end."""
+    assert lo <= hi, f"empty block {lo}..{hi}"
+    return Route(label, lo, hi, dispatch, 2 * side.tau[lo], side.deliveries(lo, hi))
+
+
 @dataclass(frozen=True)
 class Solution:
     """A full plan: routes in dispatch order plus the objective value."""

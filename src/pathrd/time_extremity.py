@@ -10,9 +10,10 @@ i is released, and drives to the farthest passenger and back,
 Since tau strictly decreases along the canonical order, candidates with
 c[j] <= r[i] are dominated by the largest such j; the rest enter a
 sliding window whose minimum a monotone deque serves in O(1) amortized.
-That replaces the quadratic scan with one linear pass.  Both solvers
-return the same tables; the quadratic one exists as the baseline the
-fast one is checked against.
+That replaces the quadratic scan with one linear pass, the kernel
+_time_line: solve_time_linear is one call of it, and the interior-depot
+solver runs it once per row.  The quadratic solver is the baseline the
+fast one is checked against; both return the same tables.
 """
 
 from collections import deque
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solution import RIGHT, TIME, Route, Solution
+from .solution import RIGHT, TIME, Solution, make_route
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 
@@ -42,12 +43,7 @@ def _build_solution(side, label, c, pred):
         blocks.append((j, i - 1))
         i = j
     blocks.reverse()
-    routes = []
-    for lo, hi in blocks:
-        dispatch = max(c[lo], side.r[hi])
-        routes.append(
-            Route(label, lo, hi, dispatch, 2 * side.tau[lo], side.deliveries(lo, hi))
-        )
+    routes = [make_route(label, side, lo, hi, max(c[lo], side.r[hi])) for lo, hi in blocks]
     return Solution(TIME, c[side.n], tuple(routes))
 
 
@@ -69,38 +65,65 @@ def solve_time_quadratic(side, label=RIGHT):
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)
 
 
-def solve_time_linear(side, label=RIGHT):
-    """One-pass solver; output matches solve_time_quadratic exactly."""
-    n = side.n
-    r = side.r
-    tau = side.tau
-    c = [0] * (n + 1)
-    pred = [0] * (n + 1)
+def _check_line(line, tau, release, k, window):
+    """Assert one line's invariants: states 0..k are released, the rest
+    are not, and the window front is the smallest (line[w] + 2 tau[w], w)
+    over the unreleased states."""
+    assert all(v <= release for v in line[: k + 1])
+    assert all(v > release for v in line[k + 1 :])
+    assert all(w > k for _, w in window)
+    front = min(((v + 2 * tau[w], w) for w, v in enumerate(line) if w > k), default=None)
+    assert (window[0] if window else None) == front
+
+
+def _time_line(r, tau, c, pred, ext=None, ext_pred=None, check=False):
+    """Fill c[1..n] and pred[1..n] of one line from the given c[0],
+    n = len(r); pred[i] is the raw j the minimum was taken at.
+
+    ext[i], when given and not None, is the other side's candidate; it
+    wins ties and then stores ext_pred[i].  It is read before c[i] is
+    written, so the line itself may serve as ext.  c[0] may exceed the
+    first releases, so the cursor starts at -1 and state 0 enters the
+    window like any other.  check=True asserts _check_line per state.
+    """
     # cand holds (a_j, j) with a_j = c[j] + 2 tau[j+1] for j in (k, i-1],
     # values nondecreasing front to back; equal values all stay so the
     # front is always the smallest j among minima
     cand = deque()
-    k = 0
-    for i in range(1, n + 1):
+    k = -1
+    for i in range(1, len(r) + 1):
         ri = r[i - 1]
-        if i >= 2:
-            a = c[i - 1] + 2 * tau[i - 1]
-            while cand and cand[-1][0] > a:
-                cand.pop()
-            cand.append((a, i - 1))
+        a = c[i - 1] + 2 * tau[i - 1]
+        while cand and cand[-1][0] > a:
+            cand.pop()
+        cand.append((a, i - 1))
         # grow the released region; its best candidate is always j = k
         # because tau strictly decreases
         while k < i - 1 and c[k + 1] <= ri:
             k += 1
-            if cand and cand[0][1] <= k:
+            if cand[0][1] <= k:
                 cand.popleft()
-        best = ri + 2 * tau[k]
-        bj = k
-        if cand:
-            a, j = cand[0]
-            if a < best:
-                best = a
-                bj = j
+        if check:
+            _check_line(c[:i], tau, ri, k, cand)
+        if k >= 0:
+            best = ri + 2 * tau[k]
+            bj = k
+            if cand and cand[0][0] < best:
+                best, bj = cand[0]
+        else:
+            best, bj = cand[0]
+        if ext is not None:
+            other = ext[i]
+            if other is not None and other <= best:
+                best = other
+                bj = ext_pred[i]
         c[i] = best
         pred[i] = bj
+
+
+def solve_time_linear(side, label=RIGHT):
+    """One-pass solver; output matches solve_time_quadratic exactly."""
+    c = [0] * (side.n + 1)
+    pred = [0] * (side.n + 1)
+    _time_line(side.r, side.tau, c, pred)
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)

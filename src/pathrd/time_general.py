@@ -11,14 +11,18 @@ route covered a suffix of one side's served prefix,
 1-based on the right-hand sides, with ties broken toward the left term
 and the smallest w.  The cubic baseline scans both terms per state.
 
-The fast solver plays the 1-D trick once per line: for the left term a
-cursor and a deque of (a, w) per column j (advanced as i grows), for
-the right term one per row i.  States released at or before r split off
-a prefix whose best candidate is the cursor itself; the deque is a
-monotone window over the rest, its back popped while larger than a new
-entry and its front popped once the cursor passes it.  Each entry is
-pushed and popped at most once, so states cost O(1) amortized and the
-whole table O(n_l * n_r).
+The fast solver is a kernel plus a column step.  Row by row, the
+column step first advances every column's cursor and deque of (a, w)
+by one row and takes the left term; then one call of the 1-D kernel
+_time_line fills the row's right term, with the left term as the
+other side's candidate.  In both, the states released at or before r
+form a prefix whose best candidate is the cursor itself, and the
+deque is a monotone window over the rest, its back popped while
+larger than a new entry and its front popped once the cursor passes
+it.  Each entry is pushed and popped at most once, so states cost
+O(1) amortized and the whole table O(n_l * n_r).  The column step
+advances n_r + 1 lines by one state each, so it is written inline
+rather than as a per-state call of the kernel.
 """
 
 from collections import deque
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solution import LEFT, RIGHT, TIME, Route, Solution
+from .solution import LEFT, RIGHT, TIME, Solution, make_route
+from .time_extremity import _check_line, _time_line
 
 __all__ = ["TimeDp2Trace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
@@ -45,21 +50,14 @@ def _build_solution(inst, c, pred):
     j = inst.right.n
     rev = []
     while i or j:
-        side_name, w = pred[i][j]
-        if side_name == LEFT:
-            side = inst.left
-            dispatch = max(c[w][j], side.r[i - 1])
-            rev.append(
-                Route(LEFT, w, i - 1, dispatch, 2 * side.tau[w], side.deliveries(w, i - 1))
-            )
+        label, w = pred[i][j]
+        if label == LEFT:
+            side, hi, prev = inst.left, i - 1, c[w][j]
             i = w
         else:
-            side = inst.right
-            dispatch = max(c[i][w], side.r[j - 1])
-            rev.append(
-                Route(RIGHT, w, j - 1, dispatch, 2 * side.tau[w], side.deliveries(w, j - 1))
-            )
+            side, hi, prev = inst.right, j - 1, c[i][w]
             j = w
+        rev.append(make_route(label, side, w, hi, max(prev, side.r[hi])))
     value = c[inst.left.n][inst.right.n]
     return Solution(TIME, value, tuple(rev[::-1]))
 
@@ -105,17 +103,6 @@ def solve_time_2d_cubic(inst):
     return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)
 
 
-def _check_line(line, two_tau, release, k, window):
-    """Assert one row's or column's invariants: states 0..k are
-    released, the rest are not, and the window front is the smallest
-    (line[w] + two_tau[w], w) over the unreleased states."""
-    assert all(v <= release for v in line[: k + 1])
-    assert all(v > release for v in line[k + 1 :])
-    assert all(w > k for _, w in window)
-    front = min(((v + two_tau[w], w) for w, v in enumerate(line) if w > k), default=None)
-    assert (window[0] if window else None) == front
-
-
 def solve_time_2d_minqueue(inst, check=False):
     """Window-and-cursor solver; output matches solve_time_2d_cubic.
 
@@ -130,71 +117,52 @@ def solve_time_2d_minqueue(inst, check=False):
     taul = inst.left.tau
     rr = inst.right.r
     taur = inst.right.tau
+    # shared labels: the column step stores left_of[w], and the row
+    # kernel's raw right winner w becomes right_of[w]
+    left_of = [(LEFT, w) for w in range(nl + 1)]
+    right_of = [(RIGHT, w) for w in range(nr + 1)]
     c = [[0] * (nr + 1) for _ in range(nl + 1)]
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     # per column, for the left term: a cursor over the released rows
-    # (-1: none yet) and a window of (a, w), a = c[w][j] + 2 taul[w], over
-    # rows past the cursor; a is nondecreasing front to back and equal
-    # values all stay, so the front is the smallest w among minima
-    kl = [-1] * (nr + 1)
-    wl = [deque() for _ in range(nr + 1)]
+    # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
+    # _time_line; an empty left side steps no column
+    cols = range(nr + 1) if nl else ()
+    kl = [-1 for _ in cols]
+    wl = [deque() for _ in cols]
     for i in range(nl + 1):
-        # the same per row, for the right term
-        kr = -1
-        wr = deque()
         ci = c[i]
-        for j in range(nr + 1):
-            best = None
-            take = None
-            if i >= 1:
-                ri = rl[i - 1]
+        pi = pred[i]
+        if i:
+            # column step: each column's line gains state i - 1 and
+            # yields its left term at row i
+            ri = rl[i - 1]
+            up = c[i - 1]
+            two = 2 * taul[i - 1]
+            for j in range(nr + 1):
                 win = wl[j]
+                a = up[j] + two
+                while win and win[-1][0] > a:
+                    win.pop()
+                win.append((a, i - 1))
                 k = kl[j]
                 while k < i - 1 and c[k + 1][j] <= ri:
                     k += 1
-                    if win and win[0][1] <= k:
+                    if win[0][1] <= k:
                         win.popleft()
                 kl[j] = k
                 if check:
-                    _check_line([c[w][j] for w in range(i)], [2 * t for t in taul], ri, k, win)
+                    _check_line([c[w][j] for w in range(i)], taul, ri, k, win)
                 if k >= 0:
                     best = ri + 2 * taul[k]
-                    take = (LEFT, k)
-                if win:
-                    a, w = win[0]
-                    if best is None or a < best:
-                        best = a
-                        take = (LEFT, w)
-            if j >= 1:
-                rj = rr[j - 1]
-                while kr < j - 1 and ci[kr + 1] <= rj:
-                    kr += 1
-                    if wr and wr[0][1] <= kr:
-                        wr.popleft()
-                if check:
-                    _check_line(ci[:j], [2 * t for t in taur], rj, kr, wr)
-                if kr >= 0:
-                    cand = rj + 2 * taur[kr]
-                    if best is None or cand < best:
-                        best = cand
-                        take = (RIGHT, kr)
-                if wr:
-                    a, w = wr[0]
-                    if best is None or a < best:
-                        best = a
-                        take = (RIGHT, w)
-            if take is not None:
+                    w = k
+                    if win and win[0][0] < best:
+                        best, w = win[0]
+                else:
+                    best, w = win[0]
                 ci[j] = best
-                pred[i][j] = take
-            if i < nl:
-                a = ci[j] + 2 * taul[i]
-                win = wl[j]
-                while win and win[-1][0] > a:
-                    win.pop()
-                win.append((a, i))
-            if j < nr:
-                a = ci[j] + 2 * taur[j]
-                while wr and wr[-1][0] > a:
-                    wr.pop()
-                wr.append((a, j))
+                pi[j] = left_of[w]
+        if nr:
+            # the right term along the row; the left term wins ties
+            _time_line(rr, taur, ci, pi, ci if i else None, pi, check)
+            pi[:] = [right_of[p] if p.__class__ is int else p for p in pi]
     return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)

@@ -319,11 +319,33 @@ def _tie_heavy_side(rng, n):
     )
 
 
+def _assert_side_matches_baselines(side, slack):
+    """The 1-D fast solvers give the quadratic baselines' tables, plans
+    and infeasibility on one side, at deadlines T*-1, T* and T*+slack."""
+    qt, qs = solve_time_quadratic(side)
+    lt, ls = solve_time_linear(side)
+    assert lt.c == qt.c
+    assert lt.pred == qt.pred
+    assert ls == qs
+    for deadline in (ls.value - 1, ls.value, ls.value + slack):
+        try:
+            dq, dqs = solve_distance_quadratic(side, deadline)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve_distance_heap(side, deadline, check=True)
+            continue
+        dh, dhs = solve_distance_heap(side, deadline, check=True)
+        assert dh.lam == dq.lam
+        assert dh.succ == dq.succ
+        assert dhs == dqs
+
+
 def test_structure_fuzz_against_naive_models(capsys):
     with reported(
         capsys, 7, "tie-heavy two-sided instances with 1e5 DP states in total: "
         "the per-line windows and heap pairs pass their invariant checks and "
-        "give the cubic baselines' tables and plans at deadlines T*-1, T* and T*+slack"
+        "give the cubic baselines' tables and plans at deadlines T*-1, T* and "
+        "T*+slack, as the 1-D solvers give the quadratic ones' on each nonempty side"
     ):
         rng = random.Random(707)
         states = feasible = infeasible = 0
@@ -355,6 +377,9 @@ def test_structure_fuzz_against_naive_models(capsys):
                 assert dh.succ == dc.succ
                 assert dhs == dcs
                 feasible += 1
+            for side in (inst.left, inst.right):
+                if side.n:
+                    _assert_side_matches_baselines(side, slack)
         assert feasible and infeasible
 
 

@@ -90,6 +90,15 @@ def test_solve_distance_without_deadline_is_usage_error(x1_path, capsys):
     assert "--deadline" in err
 
 
+def test_deadline_flag_rejects_non_finite_numbers(x1_path, capsys):
+    for text in ("nan", "inf", "1e400", "-inf"):
+        code, _, err = run(
+            ["solve", x1_path, "--objective", "distance", f"--deadline={text}"], capsys
+        )
+        assert code == 2
+        assert "not a finite number" in err
+
+
 def test_deadline_flag_overrides_document(tmp_path, capsys):
     doc = dict(EX1_DOC, deadline=20)
     path = tmp_path / "tight.json"

@@ -14,6 +14,7 @@ from pathrd import (
 )
 from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
+from pathrd.solution import LEFT, RIGHT
 from pathrd.time_general import solve_time_2d_cubic
 
 from helpers import EX2_GENERAL
@@ -68,10 +69,12 @@ def test_one_sided_reduction_matches_extremity_solver():
             for solve in SOLVERS:
                 t2, s2 = solve(inst, deadline)
                 assert t2.lam[0] == t1.lam
+                assert t2.succ[0] == [q if q is None else (RIGHT, q) for q in t1.succ]
                 assert s2.value == s1.value
             flipped = GeneralInstance(inst.right, EMPTY_SIDE)
             t3, s3 = solve_distance_2d_heap(flipped, deadline, check=True)
             assert [row[0] for row in t3.lam] == t1.lam
+            assert [row[0] for row in t3.succ] == [q if q is None else (LEFT, q) for q in t1.succ]
             assert s3.value == s1.value
         with pytest.raises(Infeasible):
             solve_distance_2d_heap(inst, tbest - 1, check=True)

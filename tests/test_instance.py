@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,23 @@ def test_parse_rejections(mangle, error):
     mangle(doc)
     with pytest.raises(error):
         parse_instance(doc)
+
+
+@pytest.mark.parametrize("place", ["release", "edge", "deadline"])
+def test_parse_rejects_non_finite_numbers(place):
+    for value in (math.nan, math.inf, -math.inf):
+        doc = copy.deepcopy(EX1_DOC)
+        if place == "release":
+            doc["vertices"][1]["release"] = value
+        elif place == "edge":
+            doc["edges"][0]["d"] = value
+        else:
+            doc["deadline"] = value
+        with pytest.raises(MalformedDocument):
+            parse_instance(doc)
+        # json.dumps writes NaN / Infinity, which json.loads reads back
+        with pytest.raises(MalformedDocument):
+            parse_instance(json.dumps(doc))
 
 
 def test_parse_rejects_invalid_json_text():

@@ -9,6 +9,7 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
+from pathrd.solution import LEFT, RIGHT
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
@@ -48,10 +49,12 @@ def test_one_sided_reduction_matches_extremity_solver():
         for solve in SOLVERS:
             t2, s2 = solve(inst)
             assert t2.c[0] == t1.c
+            assert t2.pred[0] == [None] + [(RIGHT, j) for j in t1.pred[1:]]
             assert s2.value == s1.value
         flipped = GeneralInstance(inst.right, EMPTY_SIDE)
         t3, s3 = solve_time_2d_minqueue(flipped, check=True)
         assert [row[0] for row in t3.c] == t1.c
+        assert [row[0] for row in t3.pred] == [None] + [(LEFT, j) for j in t1.pred[1:]]
         assert s3.value == s1.value
 
 
