@@ -92,14 +92,15 @@ def _time_line(r, tau, c, pred, ext=None, ext_pred=None, check=False):
     cand = deque()
     k = -1
     for i in range(1, len(r) + 1):
-        ri = r[i - 1]
-        a = c[i - 1] + 2 * tau[i - 1]
+        last = i - 1
+        ri = r[last]
+        a = c[last] + 2 * tau[last]
         while cand and cand[-1][0] > a:
             cand.pop()
-        cand.append((a, i - 1))
+        cand.append((a, last))
         # grow the released region; its best candidate is always j = k
         # because tau strictly decreases
-        while k < i - 1 and c[k + 1] <= ri:
+        while k < last and c[k + 1] <= ri:
             k += 1
             if cand[0][1] <= k:
                 cand.popleft()

@@ -135,17 +135,18 @@ def solve_time_2d_minqueue(inst, check=False):
         if i:
             # column step: each column's line gains state i - 1 and
             # yields its left term at row i
-            ri = rl[i - 1]
-            up = c[i - 1]
-            two = 2 * taul[i - 1]
+            last = i - 1
+            ri = rl[last]
+            up = c[last]
+            two = 2 * taul[last]
             for j in range(nr + 1):
                 win = wl[j]
                 a = up[j] + two
                 while win and win[-1][0] > a:
                     win.pop()
-                win.append((a, i - 1))
+                win.append((a, last))
                 k = kl[j]
-                while k < i - 1 and c[k + 1][j] <= ri:
+                while k < last and c[k + 1][j] <= ri:
                     k += 1
                     if win[0][1] <= k:
                         win.popleft()
