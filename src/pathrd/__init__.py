@@ -5,6 +5,7 @@ from .errors import (
     MalformedDocument,
     NegativeValue,
     NotAPath,
+    OutOfRange,
     PathrdError,
     TooLarge,
     UnknownDepot,
@@ -13,6 +14,7 @@ from .distance_extremity import DistDpTrace, solve_distance_heap, solve_distance
 from .distance_general import DistDp2Trace, solve_distance_2d_cubic, solve_distance_2d_heap
 from .instance import (
     EMPTY_SIDE,
+    MAX_MAGNITUDE,
     CanonicalSide,
     GeneralInstance,
     RawPathInstance,

@@ -25,7 +25,10 @@ from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from .errors import Infeasible, PathrdError
 from .instance import (
     EMPTY_SIDE,
+    MAX_MAGNITUDE,
     GeneralInstance,
+    _is_int,
+    _is_num,
     generate_instance,
     parse_instance,
     random_canonical_side,
@@ -89,17 +92,19 @@ BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
 
 
 def _number(text):
-    """Parse a CLI number, keeping integers exact."""
+    """Parse a CLI number, keeping integers exact; it must be finite and
+    at most MAX_MAGNITUDE in size, like every number of an instance."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise argparse.ArgumentTypeError(f"above the bound 2**53: {text!r}")
     return value
 
 
@@ -162,21 +167,31 @@ def _route_doc(route):
     }
 
 
+def _report_int(value, what):
+    if not _is_int(value):
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _report_number(value, what):
+    if not _is_num(value):
+        raise TypeError(f"{what} {value!r} is not a finite number")
+    return value
+
+
 def _solution_from_report(report):
     routes = tuple(
         Route(
             side=item["side"],
-            lo=item["lo"],
-            hi=item["hi"],
-            dispatch=item["dispatch"],
-            duration=item["duration"],
-            deliveries=tuple(item["deliveries"]),
+            lo=_report_int(item["lo"], "lo"),
+            hi=_report_int(item["hi"], "hi"),
+            dispatch=_report_number(item["dispatch"], "dispatch"),
+            duration=_report_number(item["duration"], "duration"),
+            deliveries=tuple(_report_int(label, "delivery") for label in item["deliveries"]),
         )
         for item in report["routes"]
     )
-    if not all(isinstance(label, int) for route in routes for label in route.deliveries):
-        raise TypeError("deliveries must list vertex ids")
-    return Solution(report["objective"], report["value"], routes)
+    return Solution(report["objective"], _report_number(report["value"], "value"), routes)
 
 
 def _emit(text, out_path):
@@ -407,8 +422,8 @@ def cmd_validate(args):
         objective = report.get("objective")
         solution = None if infeasible else _solution_from_report(report)
         deadline = report.get("deadline")
-        if not isinstance(deadline, (int, float, type(None))):
-            raise TypeError(f"deadline {deadline!r} is not a number")
+        if deadline is not None:
+            _report_number(deadline, "deadline")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         args.parser.error(f"bad solution file {args.solution}: {exc!r}")
     if args.deadline is not None:

@@ -21,6 +21,10 @@ class NegativeValue(PathrdError):
     """A release date, edge length, or deadline is negative."""
 
 
+class OutOfRange(PathrdError):
+    """A number of the instance exceeds the admissible magnitude."""
+
+
 class Infeasible(PathrdError):
     """No dispatch plan completes by the deadline."""
 

@@ -7,12 +7,18 @@ each side is sorted by release date and purged of dominated customers
 (anyone who can ride along with a later, farther customer), yielding
 the canonical form every solver works on: releases nondecreasing,
 depot distances strictly decreasing.
+
+Both work over whole lists: validation is a handful of list-wide
+predicates, orientation one walk over flat integer arrays, and the
+reduction a sort plus a running maximum in numpy.  numpy only computes
+positions; every number in the result is the document's own object.
 """
 
 import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -20,10 +26,12 @@ from .errors import (
     MalformedDocument,
     NegativeValue,
     NotAPath,
+    OutOfRange,
     UnknownDepot,
 )
 
 __all__ = [
+    "MAX_MAGNITUDE",
     "RawPathInstance",
     "CanonicalSide",
     "GeneralInstance",
@@ -74,7 +82,9 @@ class CanonicalSide:
 
     r[i] and tau[i] are the release date and depot distance of the i-th
     surviving customer; labels[i] is its original vertex label and
-    riders[i] the labels of dominated customers it carries along.
+    riders[i] the labels of dominated customers it carries along.  r and
+    tau are tuples of the document's own numbers (tau summed from its
+    edge lengths), so an int stays an int and a float a float.
     """
 
     r: tuple
@@ -116,6 +126,13 @@ class GeneralInstance:
     right: CanonicalSide
 
 
+# Every number a solver computes on a parsed instance is at most the
+# largest release plus 2 * customers * total edge length; parse_instance
+# keeps that, and the deadline, within 2**53, where float64 holds every
+# integer exactly and int64 arithmetic has room to spare.
+MAX_MAGNITUDE = 2**53
+
+
 def _require(cond, message):
     if not cond:
         raise MalformedDocument(message)
@@ -130,10 +147,152 @@ def _is_num(x):
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
+def _only(values, *kinds):
+    """True when the exact type of every value is one of kinds; bool
+    and other subclasses fail it."""
+    return set(map(type, values)) <= set(kinds)
+
+
+def _plain_numbers(values):
+    """True when every value is an int or a finite float, none negative."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return False
+    if float in kinds and not all(math.isfinite(x) for x in values if type(x) is float):
+        return False
+    return min(values, default=0) >= 0
+
+
+# The bulk checks below are fast sufficient conditions.  When one fails,
+# the per-item scan raises what an item-by-item parse raises first; if
+# it finds nothing (say, an int subclass in a decoded dict), parsing
+# goes on with the bulk results.
+
+
+def _scan_vertices(verts):
+    seen = set()
+    for item in verts:
+        _require(isinstance(item, dict) and "id" in item, "each vertex needs an 'id'")
+        vid = item["id"]
+        _require(_is_int(vid), f"vertex id must be an integer, got {vid!r}")
+        _require(vid not in seen, f"duplicate vertex id {vid}")
+        seen.add(vid)
+        if "release" in item:
+            rel = item["release"]
+            _require(_is_num(rel), f"release of vertex {vid} must be a number")
+            if rel < 0:
+                raise NegativeValue(f"release of vertex {vid} is negative")
+
+
+def _scan_edges(edges, index):
+    for item in edges:
+        _require(isinstance(item, dict) and {"u", "v", "d"} <= item.keys(), "each edge needs u, v, d")
+        u, v, d = item["u"], item["v"], item["d"]
+        _require(_is_int(u) and _is_int(v), "edge endpoints must be integer ids")
+        _require(_is_num(d), "edge length must be a number")
+        if d < 0:
+            raise NegativeValue(f"edge {u}-{v} has negative length")
+        if u == v:
+            raise NotAPath(f"self-loop at vertex {u}")
+        if u not in index or v not in index:
+            raise NotAPath(f"edge {u}-{v} references an unknown vertex")
+
+
+def _vertex_table(verts):
+    """Vertex ids, each id's position, and the releases given by id."""
+    try:
+        ids = [item["id"] for item in verts]
+        index = dict(zip(ids, range(len(ids))))
+        release = {item["id"]: item["release"] for item in verts if "release" in item}
+        clean = (
+            _only(verts, dict)
+            and _only(ids, int)
+            and len(index) == len(ids)
+            and _plain_numbers(release.values())
+        )
+    except (KeyError, TypeError):
+        # only a vertex that is not an object, or whose id is missing or
+        # unhashable, gets here, and the scan rejects it
+        clean = False
+    if not clean:
+        _scan_vertices(verts)
+    return ids, index, release
+
+
+def _edge_table(edges, index):
+    """Endpoint positions a, b (numpy) and lengths d of the edges."""
+    try:
+        us = [item["u"] for item in edges]
+        vs = [item["v"] for item in edges]
+        ds = [item["d"] for item in edges]
+        clean = _only(edges, dict) and _only(us, int) and _only(vs, int) and _plain_numbers(ds)
+    except (KeyError, TypeError):
+        clean = False
+    if not clean:
+        _scan_edges(edges, index)
+    m = len(edges)
+    a = np.fromiter(map(index.get, us, repeat(-1)), np.intp, m)
+    b = np.fromiter(map(index.get, vs, repeat(-1)), np.intp, m)
+    if (a < 0).any() or (b < 0).any() or (a == b).any():
+        _scan_edges(edges, index)
+    return a, b, ds
+
+
+def _walk(ids, depot_at, a, b, ds, deg):
+    """Labels and edge lengths in path order: from the depot when it is
+    an endpoint, otherwise from the smaller-labeled endpoint."""
+    n = len(ids)
+    ends = np.flatnonzero(deg == 1)
+    if len(ends) != 2:
+        raise NotAPath("graph is not a single simple path")
+    start = depot_at if deg[depot_at] == 1 else min(ends.tolist(), key=ids.__getitem__)
+    # one flat slot per vertex holds the XOR of its two neighbours, an
+    # endpoint's missing one being -1: XOR with where a walk came from
+    # gives where it goes
+    link = np.zeros(n, dtype=np.intp)
+    np.bitwise_xor.at(link, a, b)
+    np.bitwise_xor.at(link, b, a)
+    link[ends] ^= -1
+    link = link.tolist()
+    path = [start]
+    prev, cur = -1, start
+    for _ in range(n - 1):
+        prev, cur = cur, link[cur] ^ prev
+        if cur < 0:
+            break
+        path.append(cur)
+    # degrees are at most 2 and the start has degree 1, so the walk
+    # never turns back and stops at the other endpoint
+    if len(path) != n:
+        raise NotAPath("graph is disconnected")
+    # edge e joins path positions k and k + 1, k the nearer of its ends
+    pos = np.empty(n, dtype=np.intp)
+    pos[path] = np.arange(n)
+    steps = np.empty(n - 1, dtype=np.intp)
+    steps[np.minimum(pos[a], pos[b])] = np.arange(n - 1)
+    return tuple(map(ids.__getitem__, path)), tuple(map(ds.__getitem__, steps.tolist()))
+
+
+def _check_magnitude(releases, lengths, customers, deadline):
+    """Raise OutOfRange unless largest release + 2 * customers * total
+    edge length, and the deadline, are at most MAX_MAGNITUDE."""
+    top = max(releases, default=0)
+    # compared on its own first: the sum rounds once a float takes part
+    if top <= MAX_MAGNITUDE:
+        top += 2 * customers * sum(lengths)
+    if top > MAX_MAGNITUDE:
+        raise OutOfRange("largest release + 2 * customers * total edge length exceeds 2**53")
+    if deadline is not None and deadline > MAX_MAGNITUDE:
+        raise OutOfRange(f"deadline {deadline} exceeds 2**53")
+
+
 def parse_instance(doc):
     """Parse a JSON document (text or decoded dict) into a RawPathInstance.
 
-    Raises MalformedDocument, NotAPath, UnknownDepot, or NegativeValue.
+    Raises MalformedDocument, NotAPath, UnknownDepot, NegativeValue, or
+    OutOfRange when the numbers exceed MAX_MAGNITUDE (see
+    _check_magnitude).  Each check runs over a whole list at once; the
+    first offending item is named in the message.
     """
     if isinstance(doc, (str, bytes, bytearray)):
         try:
@@ -144,57 +303,33 @@ def parse_instance(doc):
     for key in ("vertices", "edges", "depot"):
         _require(key in doc, f"missing {key!r}")
 
-    _require(isinstance(doc["vertices"], list) and doc["vertices"], "vertices must be a nonempty array")
-    release = {}
-    ids = []
-    seen_ids = set()
-    for item in doc["vertices"]:
-        _require(isinstance(item, dict) and "id" in item, "each vertex needs an 'id'")
-        vid = item["id"]
-        _require(_is_int(vid), f"vertex id must be an integer, got {vid!r}")
-        _require(vid not in seen_ids, f"duplicate vertex id {vid}")
-        ids.append(vid)
-        seen_ids.add(vid)
-        if "release" in item:
-            rel = item["release"]
-            _require(_is_num(rel), f"release of vertex {vid} must be a number")
-            if rel < 0:
-                raise NegativeValue(f"release of vertex {vid} is negative")
-            release[vid] = rel
+    verts = doc["vertices"]
+    _require(isinstance(verts, list) and verts, "vertices must be a nonempty array")
+    ids, index, release = _vertex_table(verts)
+    n = len(ids)
 
     depot = doc["depot"]
     _require(_is_int(depot), "depot must be an integer id")
-    if depot not in ids:
+    if depot not in index:
         raise UnknownDepot(f"depot {depot} is not a vertex")
     release.pop(depot, None)
-    for vid in ids:
-        if vid != depot and vid not in release:
-            raise MalformedDocument(f"customer {vid} has no release date")
+    if len(release) != n - 1:
+        vid = next(v for v in ids if v != depot and v not in release)
+        raise MalformedDocument(f"customer {vid} has no release date")
 
-    _require(isinstance(doc["edges"], list), "edges must be an array")
-    adj = {v: [] for v in ids}
-    for item in doc["edges"]:
-        _require(isinstance(item, dict) and {"u", "v", "d"} <= item.keys(), "each edge needs u, v, d")
-        u, v, d = item["u"], item["v"], item["d"]
-        _require(_is_int(u) and _is_int(v), "edge endpoints must be integer ids")
-        _require(_is_num(d), "edge length must be a number")
-        if d < 0:
-            raise NegativeValue(f"edge {u}-{v} has negative length")
-        if u == v:
-            raise NotAPath(f"self-loop at vertex {u}")
-        if u not in adj or v not in adj:
-            raise NotAPath(f"edge {u}-{v} references an unknown vertex")
-        adj[u].append((v, d))
-        adj[v].append((u, d))
-
-    n = len(ids)
-    if len(doc["edges"]) != n - 1:
-        raise NotAPath(f"a path on {n} vertices needs {n - 1} edges, got {len(doc['edges'])}")
-    for v, nbrs in adj.items():
-        if n > 1 and not nbrs:
-            raise NotAPath(f"vertex {v} is isolated")
-        if len(nbrs) > 2:
-            raise NotAPath(f"vertex {v} has degree {len(nbrs)}")
+    edges = doc["edges"]
+    _require(isinstance(edges, list), "edges must be an array")
+    a, b, ds = _edge_table(edges, index)
+    if len(edges) != n - 1:
+        raise NotAPath(f"a path on {n} vertices needs {n - 1} edges, got {len(edges)}")
+    deg = np.bincount(np.concatenate((a, b)), minlength=n)
+    if n > 1:
+        bad = np.flatnonzero((deg == 0) | (deg > 2))
+        if len(bad):
+            k = int(bad[0])
+            if deg[k] == 0:
+                raise NotAPath(f"vertex {ids[k]} is isolated")
+            raise NotAPath(f"vertex {ids[k]} has degree {deg[k]}")
 
     deadline = None
     if doc.get("deadline") is not None:
@@ -204,48 +339,73 @@ def parse_instance(doc):
             raise NegativeValue("deadline is negative")
 
     if n == 1:
-        return RawPathInstance((depot,), (), depot, release, deadline)
+        order, lengths = (depot,), ()
+    else:
+        order, lengths = _walk(ids, index[depot], a, b, ds, deg)
+    _check_magnitude(release.values(), ds, n - 1, deadline)
+    return RawPathInstance(order, lengths, depot, release, deadline)
 
-    endpoints = sorted(v for v in ids if len(adj[v]) == 1)
-    if len(endpoints) != 2:
-        raise NotAPath("graph is not a single simple path")
-    # orient customers to the right of an extremity depot, otherwise
-    # start from the smaller-labeled endpoint
-    start = depot if depot in endpoints else endpoints[0]
-    order = [start]
-    lengths = []
-    prev = None
-    cur = start
-    seen = {start}
-    while True:
-        steps = [(w, d) for (w, d) in adj[cur] if w != prev]
-        if not steps:
-            break
-        nxt, d = steps[0]
-        if nxt in seen:
-            raise NotAPath("graph contains a cycle")
-        order.append(nxt)
-        lengths.append(d)
-        seen.add(nxt)
-        prev, cur = cur, nxt
-    if len(order) != n:
-        raise NotAPath("graph is disconnected")
-    return RawPathInstance(tuple(order), tuple(lengths), depot, release, deadline)
+
+def _depths(lengths):
+    """Depot distances of the vertices reached over the given edge
+    lengths, summed left to right from 0 as the walk goes out."""
+    return list(islice(accumulate(lengths, initial=0), 1, None))
 
 
 def distances_from_depot(raw):
     """Map each vertex label to its distance from the depot."""
     pos = raw.order.index(raw.depot)
     dist = {raw.depot: 0}
-    acc = 0
-    for i in range(pos - 1, -1, -1):
-        acc += raw.lengths[i]
-        dist[raw.order[i]] = acc
-    acc = 0
-    for i in range(pos + 1, len(raw.order)):
-        acc += raw.lengths[i - 1]
-        dist[raw.order[i]] = acc
+    dist.update(zip(reversed(raw.order[:pos]), _depths(reversed(raw.lengths[:pos]))))
+    dist.update(zip(raw.order[pos + 1 :], _depths(raw.lengths[pos:])))
     return dist
+
+
+def _sort_key(values):
+    """values as a numpy array that orders them as Python compares them."""
+    key = np.asarray(values)
+    # numpy keeps ints mixed with floats, or beyond int64, as float64,
+    # which rounds them above 2**53
+    if key.dtype == np.float64 and np.abs(key).max() >= MAX_MAGNITUDE:
+        key = np.asarray(values, dtype=object)
+    return key
+
+
+def _canonical(labels, r, tau):
+    """The canonical side of customers labels[k], released at r[k] at
+    depot distance tau[k].
+
+    numpy only finds indices: r, tau and labels of the result are
+    gathered from the given sequences, so each number keeps its type.
+    """
+    n = len(labels)
+    if n == 0:
+        return EMPTY_SIDE
+    tau_key = _sort_key(tau)
+    # by release, farther first on ties, input order on full ties
+    perm = np.lexsort((-tau_key, _sort_key(r)))
+    far = tau_key[perm]
+    # a customer survives when everyone after it in that order is nearer
+    later = np.maximum.accumulate(far[::-1])[::-1]
+    keep = np.ones(n, dtype=bool)
+    keep[:-1] = far[:-1] > later[1:]
+    kept = np.flatnonzero(keep)
+    surv = perm[kept].tolist()
+    # the customers between two survivors in that order ride on the later one
+    gap = np.diff(kept, prepend=-1) - 1
+    riders = [()] * len(surv)
+    if len(surv) < n:
+        rider_labels = list(map(labels.__getitem__, perm[~keep].tolist()))
+        start = 0
+        for j, count in zip(np.flatnonzero(gap).tolist(), gap[gap > 0].tolist()):
+            riders[j] = tuple(rider_labels[start : start + count])
+            start += count
+    return CanonicalSide(
+        r=tuple(map(r.__getitem__, surv)),
+        tau=tuple(map(tau.__getitem__, surv)),
+        labels=tuple(map(labels.__getitem__, surv)),
+        riders=tuple(riders),
+    )
 
 
 def canonicalize_side(members):
@@ -255,34 +415,26 @@ def canonicalize_side(members):
     is dropped when someone at least as far is released no earlier, and
     rides along with the nearest such survivor.
     """
-    ordered = sorted(members, key=lambda m: (m[1], -m[2]))
-    surv_rev = []
-    packs_rev = []
-    far = None
-    for label, rel, tau in reversed(ordered):
-        if far is None or tau > far:
-            surv_rev.append((label, rel, tau))
-            packs_rev.append([])
-            far = tau
-        else:
-            packs_rev[-1].append(label)
-    surv = surv_rev[::-1]
-    riders = tuple(tuple(reversed(p)) for p in reversed(packs_rev))
-    return CanonicalSide(
-        r=tuple(m[1] for m in surv),
-        tau=tuple(m[2] for m in surv),
-        labels=tuple(m[0] for m in surv),
-        riders=riders,
-    )
+    members = list(members)
+    if not members:
+        return EMPTY_SIDE
+    labels, r, tau = zip(*members)
+    return _canonical(labels, r, tau)
 
 
 def split_at_depot(raw):
-    """Split a parsed instance into canonical left and right sides."""
-    dist = distances_from_depot(raw)
+    """Split a parsed instance into canonical left and right sides.
+
+    Each side lists its customers in path order, so ties in release and
+    distance keep that order.
+    """
     pos = raw.order.index(raw.depot)
-    left = [(v, raw.release[v], dist[v]) for v in raw.order[:pos]]
-    right = [(v, raw.release[v], dist[v]) for v in raw.order[pos + 1 :]]
-    return GeneralInstance(canonicalize_side(left), canonicalize_side(right))
+    left, right = raw.order[:pos], raw.order[pos + 1 :]
+    release = raw.release.__getitem__
+    return GeneralInstance(
+        _canonical(left, list(map(release, left)), _depths(reversed(raw.lengths[:pos]))[::-1]),
+        _canonical(right, list(map(release, right)), _depths(raw.lengths[pos:])),
+    )
 
 
 def generate_instance(n_left, n_right, max_edge, max_release, seed):

@@ -1,11 +1,29 @@
-"""Shared fixtures: two small instances worked out by hand.
+"""Shared fixtures: two small instances worked out by hand, and the
+item-by-item ingest that the bulk one in pathrd.instance must match.
 
 EX1 is a one-sided path (depot at an extremity), EX2 has the depot in
 the middle.  The canonical forms and optimal values below were derived
 manually and double-checked against exhaustive enumeration.
+
+ref_parse_instance, ref_distances_from_depot, ref_canonicalize_side and
+ref_split_at_depot are the per-item loops pathrd.instance used before
+it validated, oriented and canonicalized over flat arrays, kept here
+unchanged (apart from their names) as the reference for equivalence
+tests.  They know nothing of MAX_MAGNITUDE.
 """
 
-from pathrd import CanonicalSide, GeneralInstance
+import json
+import math
+
+from pathrd import (
+    CanonicalSide,
+    GeneralInstance,
+    MalformedDocument,
+    NegativeValue,
+    NotAPath,
+    RawPathInstance,
+    UnknownDepot,
+)
 
 EX1_DOC = {
     "vertices": [
@@ -47,3 +65,172 @@ EX2_DOC = {
 EX2_LEFT = CanonicalSide(r=(3,), tau=(4,), labels=(1,), riders=((),))
 EX2_RIGHT = CanonicalSide(r=(0, 6), tau=(5, 2), labels=(3, 2), riders=((), ()))
 EX2_GENERAL = GeneralInstance(EX2_LEFT, EX2_RIGHT)
+
+
+def _require(cond, message):
+    if not cond:
+        raise MalformedDocument(message)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x):
+    # JSON has no NaN or Infinity, though Python's decoder accepts them
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+def ref_parse_instance(doc):
+    """Parse a JSON document (text or decoded dict) into a RawPathInstance.
+
+    Raises MalformedDocument, NotAPath, UnknownDepot, or NegativeValue.
+    """
+    if isinstance(doc, (str, bytes, bytearray)):
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise MalformedDocument(f"invalid JSON: {exc}") from None
+    _require(isinstance(doc, dict), "document must be a JSON object")
+    for key in ("vertices", "edges", "depot"):
+        _require(key in doc, f"missing {key!r}")
+
+    _require(isinstance(doc["vertices"], list) and doc["vertices"], "vertices must be a nonempty array")
+    release = {}
+    ids = []
+    seen_ids = set()
+    for item in doc["vertices"]:
+        _require(isinstance(item, dict) and "id" in item, "each vertex needs an 'id'")
+        vid = item["id"]
+        _require(_is_int(vid), f"vertex id must be an integer, got {vid!r}")
+        _require(vid not in seen_ids, f"duplicate vertex id {vid}")
+        ids.append(vid)
+        seen_ids.add(vid)
+        if "release" in item:
+            rel = item["release"]
+            _require(_is_num(rel), f"release of vertex {vid} must be a number")
+            if rel < 0:
+                raise NegativeValue(f"release of vertex {vid} is negative")
+            release[vid] = rel
+
+    depot = doc["depot"]
+    _require(_is_int(depot), "depot must be an integer id")
+    if depot not in ids:
+        raise UnknownDepot(f"depot {depot} is not a vertex")
+    release.pop(depot, None)
+    for vid in ids:
+        if vid != depot and vid not in release:
+            raise MalformedDocument(f"customer {vid} has no release date")
+
+    _require(isinstance(doc["edges"], list), "edges must be an array")
+    adj = {v: [] for v in ids}
+    for item in doc["edges"]:
+        _require(isinstance(item, dict) and {"u", "v", "d"} <= item.keys(), "each edge needs u, v, d")
+        u, v, d = item["u"], item["v"], item["d"]
+        _require(_is_int(u) and _is_int(v), "edge endpoints must be integer ids")
+        _require(_is_num(d), "edge length must be a number")
+        if d < 0:
+            raise NegativeValue(f"edge {u}-{v} has negative length")
+        if u == v:
+            raise NotAPath(f"self-loop at vertex {u}")
+        if u not in adj or v not in adj:
+            raise NotAPath(f"edge {u}-{v} references an unknown vertex")
+        adj[u].append((v, d))
+        adj[v].append((u, d))
+
+    n = len(ids)
+    if len(doc["edges"]) != n - 1:
+        raise NotAPath(f"a path on {n} vertices needs {n - 1} edges, got {len(doc['edges'])}")
+    for v, nbrs in adj.items():
+        if n > 1 and not nbrs:
+            raise NotAPath(f"vertex {v} is isolated")
+        if len(nbrs) > 2:
+            raise NotAPath(f"vertex {v} has degree {len(nbrs)}")
+
+    deadline = None
+    if doc.get("deadline") is not None:
+        deadline = doc["deadline"]
+        _require(_is_num(deadline), "deadline must be a number")
+        if deadline < 0:
+            raise NegativeValue("deadline is negative")
+
+    if n == 1:
+        return RawPathInstance((depot,), (), depot, release, deadline)
+
+    endpoints = sorted(v for v in ids if len(adj[v]) == 1)
+    if len(endpoints) != 2:
+        raise NotAPath("graph is not a single simple path")
+    # orient customers to the right of an extremity depot, otherwise
+    # start from the smaller-labeled endpoint
+    start = depot if depot in endpoints else endpoints[0]
+    order = [start]
+    lengths = []
+    prev = None
+    cur = start
+    seen = {start}
+    while True:
+        steps = [(w, d) for (w, d) in adj[cur] if w != prev]
+        if not steps:
+            break
+        nxt, d = steps[0]
+        if nxt in seen:
+            raise NotAPath("graph contains a cycle")
+        order.append(nxt)
+        lengths.append(d)
+        seen.add(nxt)
+        prev, cur = cur, nxt
+    if len(order) != n:
+        raise NotAPath("graph is disconnected")
+    return RawPathInstance(tuple(order), tuple(lengths), depot, release, deadline)
+
+
+def ref_distances_from_depot(raw):
+    """Map each vertex label to its distance from the depot."""
+    pos = raw.order.index(raw.depot)
+    dist = {raw.depot: 0}
+    acc = 0
+    for i in range(pos - 1, -1, -1):
+        acc += raw.lengths[i]
+        dist[raw.order[i]] = acc
+    acc = 0
+    for i in range(pos + 1, len(raw.order)):
+        acc += raw.lengths[i - 1]
+        dist[raw.order[i]] = acc
+    return dist
+
+
+def ref_canonicalize_side(members):
+    """Reduce (label, release, tau) triples on one side to canonical form.
+
+    Customers are sorted by release (farther first on ties); a customer
+    is dropped when someone at least as far is released no earlier, and
+    rides along with the nearest such survivor.
+    """
+    ordered = sorted(members, key=lambda m: (m[1], -m[2]))
+    surv_rev = []
+    packs_rev = []
+    far = None
+    for label, rel, tau in reversed(ordered):
+        if far is None or tau > far:
+            surv_rev.append((label, rel, tau))
+            packs_rev.append([])
+            far = tau
+        else:
+            packs_rev[-1].append(label)
+    surv = surv_rev[::-1]
+    riders = tuple(tuple(reversed(p)) for p in reversed(packs_rev))
+    return CanonicalSide(
+        r=tuple(m[1] for m in surv),
+        tau=tuple(m[2] for m in surv),
+        labels=tuple(m[0] for m in surv),
+        riders=riders,
+    )
+
+
+def ref_split_at_depot(raw):
+    """Split a parsed instance into canonical left and right sides."""
+    dist = ref_distances_from_depot(raw)
+    pos = raw.order.index(raw.depot)
+    left = [(v, raw.release[v], dist[v]) for v in raw.order[:pos]]
+    right = [(v, raw.release[v], dist[v]) for v in raw.order[pos + 1 :]]
+    return GeneralInstance(ref_canonicalize_side(left), ref_canonicalize_side(right))

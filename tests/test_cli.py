@@ -99,6 +99,25 @@ def test_deadline_flag_rejects_non_finite_numbers(x1_path, capsys):
         assert "not a finite number" in err
 
 
+def test_deadline_flag_rejects_numbers_above_the_bound(x1_path, capsys):
+    for text in (str(2**53 + 1), "1e17", str(-(2**54))):
+        code, _, err = run(
+            ["solve", x1_path, "--objective", "distance", f"--deadline={text}"], capsys
+        )
+        assert code == 2
+        assert "2**53" in err
+    code, _, _ = run(["solve", x1_path, "--objective", "distance", f"--deadline={2**53}"], capsys)
+    assert code == 0
+
+
+def test_solve_rejects_document_above_the_bound(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(EX1_DOC, deadline=2**53 + 1)))
+    code, _, err = run(["solve", str(path), "--objective", "time"], capsys)
+    assert code == 2
+    assert "exceeds 2**53" in err
+
+
 def test_deadline_flag_overrides_document(tmp_path, capsys):
     doc = dict(EX1_DOC, deadline=20)
     path = tmp_path / "tight.json"
@@ -266,6 +285,50 @@ def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
         bad.write_text(text)
         code, _, _ = run(["validate", "--instance", x1_path, "--solution", str(bad)], capsys)
         assert code == 2
+
+
+def _first_route(report):
+    return report["routes"][0]
+
+
+@pytest.mark.parametrize(
+    "objective, mangle",
+    [
+        ("time", lambda r: _first_route(r)["deliveries"].__setitem__(0, True)),
+        ("time", lambda r: _first_route(r).update(lo=False)),
+        ("time", lambda r: _first_route(r).update(hi=0.0)),
+        ("time", lambda r: _first_route(r).update(dispatch=float("nan"))),
+        ("time", lambda r: _first_route(r).update(dispatch=True)),
+        ("time", lambda r: _first_route(r).update(duration=float("inf"))),
+        ("time", lambda r: r.update(value=float("nan"))),
+        ("distance", lambda r: _first_route(r).update(dispatch=float("nan"))),
+        ("distance", lambda r: r.update(deadline=float("nan"))),
+        ("distance", lambda r: r.update(deadline=True)),
+        ("infeasible", lambda r: r.update(deadline=float("nan"))),
+    ],
+    ids=[
+        "true-label", "false-lo", "float-hi", "nan-dispatch", "true-dispatch",
+        "inf-duration", "nan-value", "nan-dispatch-distance", "nan-deadline",
+        "true-deadline", "nan-deadline-infeasible",
+    ],
+)
+def test_validate_rejects_bad_report_numbers(x1_path, tmp_path, capsys, objective, mangle):
+    report_path = tmp_path / "report.json"
+    if objective == "infeasible":
+        argv = ["--objective", "distance", "--deadline", "20"]
+    elif objective == "distance":
+        argv = ["--objective", "distance", "--deadline", "40"]
+    else:
+        argv = ["--objective", "time"]
+    run(["solve", x1_path, *argv, "--out", str(report_path)], capsys)
+    report = json.loads(report_path.read_text())
+    mangle(report)
+    report_path.write_text(json.dumps(report))
+    code, _, err = run(
+        ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+    )
+    assert code == 2
+    assert "bad solution file" in err
 
 
 def test_crosscheck_clean(capsys):

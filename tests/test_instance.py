@@ -10,12 +10,15 @@ from pathrd import (
     MalformedDocument,
     NegativeValue,
     NotAPath,
+    OutOfRange,
     UnknownDepot,
     canonicalize_side,
     distances_from_depot,
     generate_instance,
     parse_instance,
     random_canonical_side,
+    solve_time_linear,
+    solve_time_quadratic,
     split_at_depot,
 )
 
@@ -140,6 +143,21 @@ def test_parse_rejects_non_finite_numbers(place):
         # json.dumps writes NaN / Infinity, which json.loads reads back
         with pytest.raises(MalformedDocument):
             parse_instance(json.dumps(doc))
+
+
+def test_document_that_wraps_the_int64_baseline_is_rejected():
+    # one customer released at 2**62, 2**61 from the depot: the time
+    # optimum is 2**63, one past int64, so the baseline's table wraps
+    doc = {
+        "vertices": [{"id": 0}, {"id": 1, "release": 2**62}],
+        "edges": [{"u": 0, "v": 1, "d": 2**61}],
+        "depot": 0,
+    }
+    side = canonicalize_side([(1, 2**62, 2**61)])
+    assert solve_time_linear(side)[0].c == [0, 2**63]
+    assert solve_time_quadratic(side)[0].c == [0, -(2**63)]
+    with pytest.raises(OutOfRange):
+        parse_instance(doc)
 
 
 def test_parse_rejects_invalid_json_text():
