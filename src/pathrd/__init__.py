@@ -19,7 +19,6 @@ from .instance import (
     GeneralInstance,
     RawPathInstance,
     canonicalize_side,
-    distances_from_depot,
     generate_instance,
     parse_instance,
     random_canonical_side,

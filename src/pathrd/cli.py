@@ -92,8 +92,9 @@ BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
 
 
 def _number(text):
-    """Parse a CLI number, keeping integers exact; it must be finite and
-    at most MAX_MAGNITUDE in size, like every number of an instance."""
+    """Parse a CLI number, keeping integers exact; it must be finite,
+    at most MAX_MAGNITUDE in size and not negative, like every number
+    of an instance."""
     try:
         value = int(text)
     except ValueError:
@@ -105,6 +106,8 @@ def _number(text):
             raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if abs(value) > MAX_MAGNITUDE:
         raise argparse.ArgumentTypeError(f"above the bound 2**53: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative: {text!r}")
     return value
 
 

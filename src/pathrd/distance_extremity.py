@@ -13,12 +13,12 @@ A state with no workable q is absent; the instance is infeasible
 exactly when lam[0] is absent, and otherwise routes pack gapless so the
 total distance is D - lam[0].
 
-The fast kernel, _distance_line, keeps live states in a max-heap
-ordered by lam paired with a min-heap ordered by lam[q] - r[q-1].
-While scanning p downward the release threshold 2 tau[p] only grows,
-so states failing it now fail it forever and both heap entries can be
-dropped for good.  solve_distance_heap is one call of it, and the
-interior-depot solver runs it once per row.
+The fast kernel, _distance_line, keeps the states in a max-heap
+ordered by lam.  While scanning p downward the release threshold
+2 tau[p] only grows, so a state whose slack lam[q] - r[q-1] fails it
+now fails it forever: a top that fails it is popped for good, and the
+first top that passes is the maximum.  solve_distance_heap is one call
+of it, and the interior-depot solver runs it once per row.
 """
 
 from dataclasses import dataclass
@@ -88,44 +88,52 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
     return trace, _build_solution(side, label, lam_list, succ)
 
 
+def _check_top(line, r, tau, p, heap):
+    """Assert one line's heap after eviction at state p: thresholds never
+    decrease along the line, the heap holds only states after p, and its
+    top is the smallest (-line[w], w) over the present states w > p
+    whose slack line[w] - r[w-1] meets the threshold 2 tau[p]."""
+    threshold = 2 * tau[p]
+    assert p == len(r) - 1 or threshold >= 2 * tau[p + 1]
+    assert all(w > p for _, w in heap)
+    best = min(
+        (
+            (-v, w)
+            for w, v in enumerate(line)
+            if w > p and v is not None and v - r[w - 1] >= threshold
+        ),
+        default=None,
+    )
+    assert (heap[0] if heap else None) == best
+
+
 def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
     """Fill lam[0..n-1] and succ[0..n-1] of one line from the given
     lam[n], n = len(r) >= 1; None marks an absent state, and succ[p] is
     the raw q the maximum came from.
 
-    The heaps hold raw (key, state) pairs and one dead flag per state,
-    with no per-entry handle objects: that keeps million-customer lines
-    inside the time budget.  ext[p], when given and not None, is the
-    other side's candidate; it wins ties and then stores ext_pred[p].
-    It is read before lam[p] is written, so the line itself may serve
-    as ext.  check=True asserts every eviction is sound: the dropped
-    state misses the current release threshold, and thresholds never
-    decrease, so dropping from both heaps permanently is safe.
+    The heap holds raw (-lam[q], q) pairs, with no per-entry handle
+    objects: that keeps million-customer lines inside the time budget.
+    A top whose slack misses the threshold is popped before the top is
+    read.  ext[p], when given and not None, is the other side's
+    candidate; it wins ties and then stores ext_pred[p].  It is read
+    before lam[p] is written, so the line itself may serve as ext.
+    check=True asserts _check_top per state.
     """
     n = len(r)
     top = lam[n]
-    by_lam = [] if top is None else [(-top, n)]
-    by_slack = [] if top is None else [(top - r[n - 1], n)]
-    dead = bytearray(n + 1)
-    last_threshold = None
+    heap = [] if top is None else [(-top, n)]
     for p in range(n - 1, -1, -1):
         threshold = 2 * tau[p]
-        if check:
-            assert last_threshold is None or threshold >= last_threshold
-            last_threshold = threshold
-        while by_slack and by_slack[0][0] < threshold:
-            slack, q = heappop(by_slack)
-            if check:
-                assert q > p and not dead[q] and slack < threshold
-            dead[q] = 1
-        while by_lam and dead[by_lam[0][1]]:
-            heappop(by_lam)
         value = None
-        if by_lam:
-            top, q = by_lam[0]
-            if check:
-                assert q > p
-            value = -top - threshold
+        while heap:
+            key, q = heap[0]
+            if -key - r[q - 1] >= threshold:
+                value = -key - threshold
+                break
+            heappop(heap)
+        if check:
+            _check_top(lam, r, tau, p, heap)
         if ext is not None:
             other = ext[p]
             if other is not None and (value is None or other >= value):
@@ -135,13 +143,13 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
             lam[p] = value
             succ[p] = q
             if p >= 1:
-                heappush(by_lam, (-value, p))
-                heappush(by_slack, (value - r[p - 1], p))
+                heappush(heap, (-value, p))
 
 
 def solve_distance_heap(side, deadline, label=RIGHT, check=False):
     """Heap solver; lam table matches solve_distance_quadratic exactly.
-    check=True asserts every eviction sound (see _distance_line)."""
+    check=True asserts every heap top against its definition (see
+    _check_top)."""
     if side.n == 0:
         if deadline < 0:
             raise Infeasible(f"deadline {deadline} is before time zero")

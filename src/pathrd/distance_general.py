@@ -15,15 +15,13 @@ absent.  Ties prefer the left term, then the smallest w.
 
 The fast solver is a kernel plus a column step.  Row by row from the
 bottom, the column step first advances every column's raw max-heap of
-(-lam, w), min-heap of (lam - release, w) and dead flags by one row
-and takes the left term; then one call of the 1-D kernel
-_distance_line fills the row's right term, with the left term as the
-other side's candidate.  Scanning p (and q within a row) downward only
-raises the release thresholds 2 taul[p] and 2 taur[q], so an entry
-that fails one is popped from the slack heap and flagged dead, which
-drops it from the lam heap permanently.  The column step advances
-n_r + 1 lines by one state each, so it is written inline rather than
-as a per-state call of the kernel.
+(-lam, w) by one row and takes the left term; then one call of the 1-D
+kernel _distance_line fills the row's right term, with the left term
+as the other side's candidate.  Scanning p (and q within a row)
+downward only raises the release thresholds 2 taul[p] and 2 taur[q],
+so a top whose slack lam - rl[w-1] fails one is popped permanently.
+The column step advances n_r + 1 lines by one state each, so it is
+written inline rather than as a per-state call of the kernel.
 """
 
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .distance_extremity import _distance_line
+from .distance_extremity import _check_top, _distance_line
 from .errors import Infeasible
 from .solution import DISTANCE, LEFT, RIGHT, Solution, make_route
 
@@ -127,14 +125,11 @@ def solve_distance_2d_cubic(inst, deadline):
 
 
 def solve_distance_2d_heap(inst, deadline, check=False):
-    """Paired-heap solver; lam table matches solve_distance_2d_cubic.
+    """Heap solver; lam table matches solve_distance_2d_cubic.
 
-    A state evicted from its column may still be live in its row, so
-    every column and every row has its own dead flags.
-
-    check=True asserts every eviction misses the current threshold,
-    thresholds never decrease along a column or row, and heap contents
-    only ever reference states computed earlier in the sweep.
+    check=True asserts _check_top for every column and row heap at
+    every state: the top is the best state whose slack meets the
+    current threshold, which is what the permanent pops rely on.
     """
     nl = inst.left.n
     nr = inst.right.n
@@ -155,10 +150,7 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     lam[nl][nr] = deadline
     # column heaps serve the left term and live for the whole sweep; an
     # empty left side steps no column
-    cols = range(nr + 1) if nl else ()
-    col_lam = [[] for _ in cols]
-    col_slack = [[] for _ in cols]
-    col_dead = [bytearray(nl + 1) for _ in cols]
+    col_heaps = [[] for _ in (range(nr + 1) if nl else ())]
     for p in range(nl, -1, -1):
         lp = lam[p]
         sp = succ[p]
@@ -166,31 +158,21 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             # column step: each column's line gains state p + 1 and
             # yields its left term at row p
             threshold = 2 * taul[p]
-            if check:
-                assert p == nl - 1 or threshold >= 2 * taul[p + 1]
-            release = rl[p]
             below = lam[p + 1]
             for q in range(nr + 1):
-                by_lam = col_lam[q]
-                by_slack = col_slack[q]
-                dead = col_dead[q]
+                heap = col_heaps[q]
                 v = below[q]
                 if v is not None:
-                    heappush(by_lam, (-v, p + 1))
-                    heappush(by_slack, (v - release, p + 1))
-                while by_slack and by_slack[0][0] < threshold:
-                    slack, w = heappop(by_slack)
-                    if check:
-                        assert w > p and not dead[w] and slack < threshold
-                    dead[w] = 1
-                while by_lam and dead[by_lam[0][1]]:
-                    heappop(by_lam)
-                if by_lam:
-                    top, w = by_lam[0]
-                    if check:
-                        assert w > p
-                    lp[q] = -top - threshold
-                    sp[q] = left_of[w]
+                    heappush(heap, (-v, p + 1))
+                while heap:
+                    key, w = heap[0]
+                    if -key - rl[w - 1] >= threshold:
+                        lp[q] = -key - threshold
+                        sp[q] = left_of[w]
+                        break
+                    heappop(heap)
+                if check:
+                    _check_top([row[q] for row in lam], rl, taul, p, heap)
         if nr:
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)

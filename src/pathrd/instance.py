@@ -36,7 +36,6 @@ __all__ = [
     "CanonicalSide",
     "GeneralInstance",
     "parse_instance",
-    "distances_from_depot",
     "canonicalize_side",
     "split_at_depot",
     "generate_instance",
@@ -350,15 +349,6 @@ def _depths(lengths):
     """Depot distances of the vertices reached over the given edge
     lengths, summed left to right from 0 as the walk goes out."""
     return list(islice(accumulate(lengths, initial=0), 1, None))
-
-
-def distances_from_depot(raw):
-    """Map each vertex label to its distance from the depot."""
-    pos = raw.order.index(raw.depot)
-    dist = {raw.depot: 0}
-    dist.update(zip(reversed(raw.order[:pos]), _depths(reversed(raw.lengths[:pos]))))
-    dist.update(zip(raw.order[pos + 1 :], _depths(raw.lengths[pos:])))
-    return dist
 
 
 def _sort_key(values):

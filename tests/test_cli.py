@@ -110,6 +110,30 @@ def test_deadline_flag_rejects_numbers_above_the_bound(x1_path, capsys):
     assert code == 0
 
 
+def test_deadline_flag_rejects_negative_numbers(x1_path, tmp_path, capsys):
+    # a document deadline of -1 raises NegativeValue; the flag must agree
+    # rather than report the instance infeasible
+    report_path = tmp_path / "report.json"
+    run(["solve", x1_path, "--objective", "distance", "--deadline", "45",
+         "--out", str(report_path)], capsys)
+    code, out, err = run(["solve", x1_path, "--objective", "distance", "--deadline", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "negative" in err
+    for text in ("-1", "-0.5", "-1e-300"):
+        code, out, err = run(
+            ["solve", x1_path, "--objective", "distance", f"--deadline={text}"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "negative" in err
+        code, out, err = run(
+            ["validate", "--instance", x1_path, "--solution", str(report_path),
+             f"--deadline={text}"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "negative" in err
+
+
 def test_solve_rejects_document_above_the_bound(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(dict(EX1_DOC, deadline=2**53 + 1)))

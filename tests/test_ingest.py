@@ -1,6 +1,7 @@
 """The bulk ingest in pathrd.instance against the item-by-item reference
 in helpers: equal instances, element types included, on valid
-documents, and the same error, type and message, on broken ones."""
+documents, and the same error, type and message, on broken ones.  Then
+raw documents end to end, through every solver and the oracle."""
 
 import copy
 import json
@@ -12,14 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrd import (
+    DISTANCE,
     MAX_MAGNITUDE,
+    TIME,
+    Infeasible,
     OutOfRange,
     PathrdError,
     canonicalize_side,
     generate_instance,
+    oracle_distance,
+    oracle_time,
     parse_instance,
     split_at_depot,
+    validate_solution,
 )
+from pathrd.cli import BASELINE, FAST, _applicable, _run
 
 from helpers import ref_canonicalize_side, ref_parse_instance, ref_split_at_depot
 
@@ -312,3 +320,50 @@ def test_magnitude_bound_is_inclusive():
     with pytest.raises(OutOfRange):
         parse_instance({"vertices": [{"id": 0}], "edges": [], "depot": 0,
                         "deadline": float(2 * MAX_MAGNITUDE)})
+
+
+def _solve_all(inst, objective, deadline=None):
+    """(general, family) -> (trace, solution) of every applicable solver
+    of the objective, or None where it finds the deadline infeasible."""
+    out = {}
+    for solver in _applicable(inst, objective):
+        try:
+            out[solver.general, solver.family] = _run(solver, inst, deadline)
+        except Infeasible:
+            out[solver.general, solver.family] = None
+    return out
+
+
+def _assert_fast_matches_baseline(runs):
+    # tables and plans: a fast solver's trace and Solution equal its
+    # baseline's, infeasibility included
+    for general in (True, False):
+        if (general, FAST) in runs:
+            assert runs[general, FAST] == runs[general, BASELINE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path_documents(max_customers=12),
+    st.one_of(st.integers(1, 40), st.integers(1, 80).map(lambda x: x / 2)),
+)
+def test_raw_documents_end_to_end(case, slack):
+    doc, _ = case
+    inst = split_at_depot(parse_instance(doc))
+    runs = _solve_all(inst, TIME)
+    _assert_fast_matches_baseline(runs)
+    best = oracle_time(inst).value
+    for _, solution in runs.values():
+        assert solution.value == best
+        assert validate_solution(inst, solution) == []
+    for deadline in (best - 1, best, best + slack):
+        runs = _solve_all(inst, DISTANCE, deadline)
+        _assert_fast_matches_baseline(runs)
+        expect = oracle_distance(inst, deadline).value
+        for result in runs.values():
+            if result is None:
+                assert expect is None
+                continue
+            solution = result[1]
+            assert solution.value == expect
+            assert validate_solution(inst, solution, deadline) == []

@@ -13,7 +13,6 @@ from pathrd import (
     OutOfRange,
     UnknownDepot,
     canonicalize_side,
-    distances_from_depot,
     generate_instance,
     parse_instance,
     random_canonical_side,
@@ -22,7 +21,7 @@ from pathrd import (
     split_at_depot,
 )
 
-from helpers import EX1_DOC, EX1_SIDE, EX2_DOC, EX2_LEFT, EX2_RIGHT
+from helpers import EX1_DOC, EX1_SIDE, EX2_DOC, EX2_LEFT, EX2_RIGHT, ref_distances_from_depot
 
 
 def test_parse_orients_from_extremity_depot():
@@ -31,7 +30,7 @@ def test_parse_orients_from_extremity_depot():
     assert raw.lengths == (3, 3, 4)
     assert raw.depot == 0
     assert raw.n_customers == 3
-    assert distances_from_depot(raw) == {0: 0, 3: 3, 2: 6, 1: 10}
+    assert ref_distances_from_depot(raw) == {0: 0, 3: 3, 2: 6, 1: 10}
 
 
 def test_split_extremity_depot_is_one_sided():
@@ -45,7 +44,7 @@ def test_parse_orients_from_smaller_endpoint():
     raw = parse_instance(EX2_DOC)
     assert raw.order == (1, 0, 2, 3)
     assert raw.lengths == (4, 2, 3)
-    assert distances_from_depot(raw) == {1: 4, 0: 0, 2: 2, 3: 5}
+    assert ref_distances_from_depot(raw) == {1: 4, 0: 0, 2: 2, 3: 5}
 
 
 def test_split_internal_depot():
