@@ -425,8 +425,8 @@ def cmd_validate(args):
         objective = report.get("objective")
         solution = None if infeasible else _solution_from_report(report)
         deadline = report.get("deadline")
-        if deadline is not None:
-            _report_number(deadline, "deadline")
+        if deadline is not None and _report_number(deadline, "deadline") < 0:
+            raise ValueError(f"negative: {deadline!r}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         args.parser.error(f"bad solution file {args.solution}: {exc!r}")
     if args.deadline is not None:

@@ -13,16 +13,19 @@ A state with no workable q is absent; the instance is infeasible
 exactly when lam[0] is absent, and otherwise routes pack gapless so the
 total distance is D - lam[0].
 
-The fast kernel, _distance_line, keeps the states in a max-heap
-ordered by lam.  While scanning p downward the release threshold
-2 tau[p] only grows, so a state whose slack lam[q] - r[q-1] fails it
-now fails it forever: a top that fails it is popped for good, and the
-first top that passes is the maximum.  solve_distance_heap is one call
-of it, and the interior-depot solver runs it once per row.
+The fast kernel, _distance_line, rests on a lemma: lam is nondecreasing
+in p, as dropping a suffix's first customer keeps its plan's dispatch.
+So a deque of bare state indices keeps lam strictly decreasing front to
+back, a new state replacing the back states of equal lam: the smaller
+index has more slack.  The threshold 2 tau[p] only grows as p falls, so
+a front whose slack lam[q] - r[q-1] misses it is popped for good, and
+the first front that passes is the maximum.  Each state enters and
+leaves once: O(n).  solve_distance_heap is one call of it, and the
+interior-depot solver runs it once per row.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -72,7 +75,7 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
     succ = [None] * (n + 1)
     two_tau = 2 * tau
     for p in range(n - 1, -1, -1):
-        # the slack comparison is written exactly as the heap solver
+        # the slack comparison is written exactly as the fast kernel
         # tests it, so float rounding cannot split the two
         ok = present[p + 1 :] & (lam[p + 1 :] - r[p:] >= two_tau[p])
         if ok.any():
@@ -88,14 +91,16 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
     return trace, _build_solution(side, label, lam_list, succ)
 
 
-def _check_top(line, r, tau, p, heap):
-    """Assert one line's heap after eviction at state p: thresholds never
-    decrease along the line, the heap holds only states after p, and its
-    top is the smallest (-line[w], w) over the present states w > p
+def _check_top(line, r, tau, p, live):
+    """Assert one line's deque of state indices after eviction at state
+    p: thresholds never decrease along the line, the deque holds only
+    states after p with line strictly decreasing front to back, and its
+    front is the smallest (-line[w], w) over the present states w > p
     whose slack line[w] - r[w-1] meets the threshold 2 tau[p]."""
     threshold = 2 * tau[p]
     assert p == len(r) - 1 or threshold >= 2 * tau[p + 1]
-    assert all(w > p for _, w in heap)
+    assert all(w > p for w in live)
+    assert all(line[a] > line[b] for a, b in zip(live, list(live)[1:]))
     best = min(
         (
             (-v, w)
@@ -104,7 +109,7 @@ def _check_top(line, r, tau, p, heap):
         ),
         default=None,
     )
-    assert (heap[0] if heap else None) == best
+    assert ((-line[live[0]], live[0]) if live else None) == best
 
 
 def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
@@ -112,28 +117,25 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
     lam[n], n = len(r) >= 1; None marks an absent state, and succ[p] is
     the raw q the maximum came from.
 
-    The heap holds raw (-lam[q], q) pairs, with no per-entry handle
-    objects: that keeps million-customer lines inside the time budget.
-    A top whose slack misses the threshold is popped before the top is
-    read.  ext[p], when given and not None, is the other side's
-    candidate; it wins ties and then stores ext_pred[p].  It is read
-    before lam[p] is written, so the line itself may serve as ext.
-    check=True asserts _check_top per state.
+    The deque holds bare indices, keyed by lam.  ext[p], when given and
+    not None, is the other side's candidate; it wins ties and then
+    stores ext_pred[p].  It is read before lam[p] is written, so the
+    line itself may serve as ext.  check=True asserts _check_top.
     """
     n = len(r)
-    top = lam[n]
-    heap = [] if top is None else [(-top, n)]
+    live = deque() if lam[n] is None else deque((n,))
     for p in range(n - 1, -1, -1):
         threshold = 2 * tau[p]
         value = None
-        while heap:
-            key, q = heap[0]
-            if -key - r[q - 1] >= threshold:
-                value = -key - threshold
+        while live:
+            q = live[0]
+            top = lam[q]
+            if top - r[q - 1] >= threshold:
+                value = top - threshold
                 break
-            heappop(heap)
+            live.popleft()
         if check:
-            _check_top(lam, r, tau, p, heap)
+            _check_top(lam, r, tau, p, live)
         if ext is not None:
             other = ext[p]
             if other is not None and (value is None or other >= value):
@@ -143,19 +145,19 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
             lam[p] = value
             succ[p] = q
             if p >= 1:
-                heappush(heap, (-value, p))
+                while live and lam[live[-1]] == value:
+                    live.pop()
+                live.append(p)
 
 
 def solve_distance_heap(side, deadline, label=RIGHT, check=False):
-    """Heap solver; lam table matches solve_distance_quadratic exactly.
-    check=True asserts every heap top against its definition (see
-    _check_top)."""
+    """Linear-time solver; lam matches solve_distance_quadratic exactly.
+    check=True asserts _check_top at every state."""
     if side.n == 0:
         if deadline < 0:
             raise Infeasible(f"deadline {deadline} is before time zero")
         return DistDpTrace([deadline], [None]), Solution(DISTANCE, 0, ())
-    lam = [None] * (side.n + 1)
-    lam[-1] = deadline
+    lam = [None] * side.n + [deadline]
     succ = [None] * (side.n + 1)
     _distance_line(side.r, side.tau, lam, succ, check=check)
     if lam[0] is None:

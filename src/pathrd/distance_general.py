@@ -13,19 +13,19 @@ of 2 taul[p] whose dispatch must also cover the block's last release:
 absent when both terms come up empty; infeasible iff lam[0][0] is
 absent.  Ties prefer the left term, then the smallest w.
 
-The fast solver is a kernel plus a column step.  Row by row from the
-bottom, the column step first advances every column's raw max-heap of
-(-lam, w) by one row and takes the left term; then one call of the 1-D
-kernel _distance_line fills the row's right term, with the left term
-as the other side's candidate.  Scanning p (and q within a row)
-downward only raises the release thresholds 2 taul[p] and 2 taur[q],
-so a top whose slack lam - rl[w-1] fails one is popped permanently.
-The column step advances n_r + 1 lines by one state each, so it is
-written inline rather than as a per-state call of the kernel.
+The fast solver is a kernel plus a column step.  lam is nondecreasing
+along rows and columns, so each line is served as in distance_extremity:
+a deque of bare indices, lam strictly decreasing, whose front is popped
+for good once its slack lam - rl[w-1] misses the threshold.  Row by row
+from the bottom, the column step first advances every column's deque by
+one row and takes the left term; then one call of _distance_line fills
+the row's right term, with the left term as the other side's candidate.
+Each state enters and leaves two deques once: O(n_l n_r).  The column
+step moves n_r + 1 lines by one state each, so it is written inline.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -125,22 +125,17 @@ def solve_distance_2d_cubic(inst, deadline):
 
 
 def solve_distance_2d_heap(inst, deadline, check=False):
-    """Heap solver; lam table matches solve_distance_2d_cubic.
-
-    check=True asserts _check_top for every column and row heap at
-    every state: the top is the best state whose slack meets the
-    current threshold, which is what the permanent pops rely on.
-    """
+    """Deque solver in O(n_l n_r); lam matches solve_distance_2d_cubic.
+    check=True asserts _check_top for every column and row deque at
+    every state."""
     nl = inst.left.n
     nr = inst.right.n
     if nl == 0 and nr == 0:
         if deadline < 0:
             raise Infeasible(f"deadline {deadline} is before time zero")
         return DistDp2Trace([[deadline]], [[None]]), Solution(DISTANCE, 0, ())
-    rl = inst.left.r
-    taul = inst.left.tau
-    rr = inst.right.r
-    taur = inst.right.tau
+    rl, taul = inst.left.r, inst.left.tau
+    rr, taur = inst.right.r, inst.right.tau
     # shared labels: the column step stores left_of[w], and the row
     # kernel's raw right successor w becomes right_of[w]
     left_of = [(LEFT, w) for w in range(nl + 1)]
@@ -148,9 +143,9 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     lam = [[None] * (nr + 1) for _ in range(nl + 1)]
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     lam[nl][nr] = deadline
-    # column heaps serve the left term and live for the whole sweep; an
+    # column deques serve the left term and live for the whole sweep; an
     # empty left side steps no column
-    col_heaps = [[] for _ in (range(nr + 1) if nl else ())]
+    cols = [deque() for _ in (range(nr + 1) if nl else ())]
     for p in range(nl, -1, -1):
         lp = lam[p]
         sp = succ[p]
@@ -160,19 +155,22 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             threshold = 2 * taul[p]
             below = lam[p + 1]
             for q in range(nr + 1):
-                heap = col_heaps[q]
+                live = cols[q]
                 v = below[q]
                 if v is not None:
-                    heappush(heap, (-v, p + 1))
-                while heap:
-                    key, w = heap[0]
-                    if -key - rl[w - 1] >= threshold:
-                        lp[q] = -key - threshold
+                    while live and lam[live[-1]][q] == v:
+                        live.pop()
+                    live.append(p + 1)
+                while live:
+                    w = live[0]
+                    top = lam[w][q]
+                    if top - rl[w - 1] >= threshold:
+                        lp[q] = top - threshold
                         sp[q] = left_of[w]
                         break
-                    heappop(heap)
+                    live.popleft()
                 if check:
-                    _check_top([row[q] for row in lam], rl, taul, p, heap)
+                    _check_top([row[q] for row in lam], rl, taul, p, live)
         if nr:
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)

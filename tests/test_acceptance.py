@@ -9,6 +9,7 @@ and on the CLI round trip.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -235,6 +236,76 @@ def test_completion_profiles_are_monotone(capsys):
             _assert_monotone_table(trace2.c)
 
 
+def _half_integer_side(rng, n):
+    """_bounded_side with releases and depot distances in steps of 0.5."""
+    members = [(i + 1, rng.randint(0, 400) / 2, rng.randint(1, 100) / 2) for i in range(n)]
+    return canonicalize_side(members)
+
+
+def _tie_heavy_side_at_depot(rng, n):
+    """_tie_heavy_side with its nearest customer at the depot, tau = 0."""
+    side = _tie_heavy_side(rng, n)
+    return dataclasses.replace(side, tau=tuple(t - side.tau[-1] for t in side.tau))
+
+
+def _baseline_lam(op, *args):
+    """The baseline's lam table, None where absent.  An infeasible solve
+    raises before it returns the table, so then the table is read from
+    the raising frame's lam and present arrays."""
+    try:
+        return op(*args)[0].lam
+    except Infeasible as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        local = tb.tb_frame.f_locals
+        lam = local["lam"].tolist()
+        present = local["present"].tolist()
+    if local["lam"].ndim == 1:
+        return [v if here else None for v, here in zip(lam, present)]
+    return [[v if here else None for v, here in zip(*rows)] for rows in zip(lam, present)]
+
+
+def _assert_line_lemma(line, seen):
+    """Along a distance line, a present state's successor is present and
+    lam never decreases; seen counts lines, ties and absent states."""
+    seen["lines"] += 1
+    seen["absent"] += line.count(None)
+    for a, b in zip(line, line[1:]):
+        if a is not None:
+            assert b is not None and a <= b
+            seen["ties"] += a == b
+
+
+def test_distance_lines_are_monotone(capsys):
+    with reported(
+        capsys, 10, "baseline distance tables: along every line (1-D, and each row "
+        "and column in 2-D) a present state's successor is present and lam never "
+        "decreases, at deadlines T*-1, T* and T*+slack"
+    ):
+        rng = random.Random(1010)
+        makers = (_bounded_side, _tie_heavy_side_at_depot, _half_integer_side)
+        seen = {"lines": 0, "ties": 0, "absent": 0}
+        for idx in range(600):
+            make = makers[idx % 3]
+            side = make(rng, rng.randint(1, 40))
+            optimum = solve_time_quadratic(side)[1].value
+            slack = rng.randint(1, int(2 * side.tau[0]) + 3)
+            for deadline in (optimum - 1, optimum, optimum + slack):
+                _assert_line_lemma(_baseline_lam(solve_distance_quadratic, side, deadline), seen)
+
+            if idx % 4:
+                continue
+            inst = GeneralInstance(make(rng, rng.randint(1, 12)), make(rng, rng.randint(1, 12)))
+            optimum = solve_time_2d_cubic(inst)[1].value
+            slack = rng.randint(1, int(2 * (inst.left.tau[0] + inst.right.tau[0])) + 3)
+            for deadline in (optimum - 1, optimum, optimum + slack):
+                lam = _baseline_lam(solve_distance_2d_cubic, inst, deadline)
+                for line in itertools.chain(lam, zip(*lam)):
+                    _assert_line_lemma(line, seen)
+        assert seen["lines"] > 5000 and seen["ties"] and seen["absent"]
+
+
 def test_closed_forms(capsys):
     with reported(
         capsys, 5, "closed forms: equal releases R give makespan R plus one "
@@ -305,6 +376,20 @@ def test_scaling_smoke(capsys):
         assert t_full / t_half < 3.5, f"doubling ratio {t_full / t_half:.2f}"
 
 
+def test_two_sided_distance_scaling(capsys):
+    with reported(
+        capsys, 11, "scaling: two-sided distance solver handles a many-route "
+        "1000 x 1000 instance at its time optimum under 3 s"
+    ):
+        inst = GeneralInstance(
+            random_canonical_side(1000, seed=611, max_wait=50, max_step=2),
+            random_canonical_side(1000, seed=612, max_wait=50, max_step=2),
+        )
+        deadline = solve_time_2d_minqueue(inst)[1].value
+        t_full = _best_wall(lambda: solve_distance_2d_heap(inst, deadline))
+        assert t_full < 3.0, f"1000 x 1000 took {t_full:.2f}s"
+
+
 def _tie_heavy_side(rng, n):
     """A canonical side whose releases and depot distances move in steps
     of 0-2 and 1-2, so many DP candidates tie; the nearest customer may
@@ -343,7 +428,7 @@ def _assert_side_matches_baselines(side, slack):
 def test_structure_fuzz_against_naive_models(capsys):
     with reported(
         capsys, 7, "tie-heavy two-sided instances with 1e5 DP states in total: "
-        "the per-line windows and heap pairs pass their invariant checks and "
+        "the per-line windows and deques pass their invariant checks and "
         "give the cubic baselines' tables and plans at deadlines T*-1, T* and "
         "T*+slack, as the 1-D solvers give the quadratic ones' on each nonempty side"
     ):

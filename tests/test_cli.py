@@ -297,6 +297,24 @@ def test_validate_refutes_false_infeasible_claim(x1_path, tmp_path, capsys):
         assert "infeasible" in err
 
 
+def test_validate_rejects_negative_report_deadline(x1_path, tmp_path, capsys):
+    # the same number as --deadline or in the instance document exits 2,
+    # so a report's deadline must not confirm an infeasible claim either
+    report_path = tmp_path / "report.json"
+    for deadline in (-1, -0.5):
+        for claim in (
+            {"status": "infeasible", "objective": "distance", "deadline": deadline},
+            {"status": "optimal", "objective": "distance", "deadline": deadline,
+             "value": 0, "routes": []},
+        ):
+            report_path.write_text(json.dumps(claim))
+            code, out, err = run(
+                ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+            )
+            assert (code, out) == (2, "")
+            assert f"negative: {deadline!r}" in err
+
+
 def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     route = {"side": "right", "lo": 0, "hi": 2, "dispatch": 21, "duration": 20}
