@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .solution import DISTANCE, RIGHT, Solution, make_route
+from .instance import EMPTY_SIDE
+from .solution import DISTANCE, RIGHT, Solution, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
 
@@ -38,33 +39,26 @@ __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
 @dataclass(frozen=True)
 class DistDpTrace:
     """lam[p]: latest feasible dispatch for the suffix from p (None when
-    absent), lam[n] = deadline; succ[p]: the q the maximum came from."""
+    absent), lam[n] = deadline; succ[p]: the q the maximum came from.
+    DistDp2Trace is this class, holding distance_general's lam[p][q] and
+    succ[p][q] = (side, w)."""
 
     lam: list
     succ: list
 
 
 def _build_solution(side, label, lam, succ):
-    routes = []
-    p = 0
-    n = side.n
-    while p < n:
-        q = succ[p]
-        routes.append(make_route(label, side, p, q - 1, lam[p]))
-        p = q
-    # equals deadline - lam[0] exactly on integer data; summing the
-    # durations keeps the value consistent with the routes on floats too
-    value = sum(route.duration for route in routes)
-    return Solution(DISTANCE, value, tuple(routes))
+    return distance_solution(EMPTY_SIDE, side, [lam], [succ], label)
 
 
 def solve_distance_quadratic(side, deadline, label=RIGHT):
     """Reference solver: scan every successor of every state."""
     n = side.n
     if n == 0:
+        trace = DistDpTrace([deadline], [None])
         if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero")
-        return DistDpTrace([deadline], [None]), Solution(DISTANCE, 0, ())
+            raise Infeasible(f"deadline {deadline} is before time zero", trace)
+        return trace, Solution(DISTANCE, 0, ())
     r = np.asarray(side.r)
     tau = np.asarray(side.tau)
     dt = np.result_type(r, tau, np.asarray(deadline))
@@ -84,10 +78,10 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
             succ[p] = p + 1 + int(np.flatnonzero(ok & (vals == best))[0])
             lam[p] = best
             present[p] = True
-    if not present[0]:
-        raise Infeasible(f"no plan finishes by {deadline}")
     lam_list = [v if here else None for v, here in zip(lam.tolist(), present)]
     trace = DistDpTrace(lam_list, succ)
+    if not present[0]:
+        raise Infeasible(f"no plan finishes by {deadline}", trace)
     return trace, _build_solution(side, label, lam_list, succ)
 
 
@@ -114,8 +108,8 @@ def _check_top(line, r, tau, p, live):
 
 def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
     """Fill lam[0..n-1] and succ[0..n-1] of one line from the given
-    lam[n], n = len(r) >= 1; None marks an absent state, and succ[p] is
-    the raw q the maximum came from.
+    lam[n], n = len(r), which may be 0; None marks an absent state, and
+    succ[p] is the raw q the maximum came from.
 
     The deque holds bare indices, keyed by lam.  ext[p], when given and
     not None, is the other side's candidate; it wins ties and then
@@ -151,15 +145,12 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
 
 
 def solve_distance_heap(side, deadline, label=RIGHT, check=False):
-    """Linear-time solver; lam matches solve_distance_quadratic exactly.
-    check=True asserts _check_top at every state."""
-    if side.n == 0:
-        if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero")
-        return DistDpTrace([deadline], [None]), Solution(DISTANCE, 0, ())
+    """Linear-time solver; lam matches solve_distance_quadratic exactly,
+    the empty side included.  check=True asserts _check_top at every state."""
     lam = [None] * side.n + [deadline]
     succ = [None] * (side.n + 1)
     _distance_line(side.r, side.tau, lam, succ, check=check)
-    if lam[0] is None:
-        raise Infeasible(f"no plan finishes by {deadline}")
-    return DistDpTrace(lam, succ), _build_solution(side, label, lam, succ)
+    trace = DistDpTrace(lam, succ)
+    if deadline < 0 or lam[0] is None:
+        raise Infeasible(f"no plan finishes by {deadline}", trace)
+    return trace, _build_solution(side, label, lam, succ)

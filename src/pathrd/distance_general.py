@@ -25,42 +25,21 @@ step moves n_r + 1 lines by one state each, so it is written inline.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distance_extremity import _check_top, _distance_line
+from .distance_extremity import DistDpTrace, _check_top, _distance_line
 from .errors import Infeasible
-from .solution import DISTANCE, LEFT, RIGHT, Solution, make_route
+from .solution import DISTANCE, LEFT, RIGHT, Solution, distance_solution
 
 __all__ = ["DistDp2Trace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
 
-@dataclass(frozen=True)
-class DistDp2Trace:
-    """lam[p][q]: latest feasible dispatch for the suffix pair (None when
-    absent), lam[n_l][n_r] = deadline; succ[p][q]: (side, w) it came from."""
-
-    lam: list
-    succ: list
+DistDp2Trace = DistDpTrace
 
 
 def _build_solution(inst, lam, succ):
-    p = 0
-    q = 0
-    nl = inst.left.n
-    nr = inst.right.n
-    routes = []
-    while p < nl or q < nr:
-        label, w = succ[p][q]
-        dispatch = lam[p][q]
-        if label == LEFT:
-            side, lo, p = inst.left, p, w
-        else:
-            side, lo, q = inst.right, q, w
-        routes.append(make_route(label, side, lo, w - 1, dispatch))
-    value = sum(route.duration for route in routes)
-    return Solution(DISTANCE, value, tuple(routes))
+    return distance_solution(inst.left, inst.right, lam, succ)
 
 
 def solve_distance_2d_cubic(inst, deadline):
@@ -68,9 +47,10 @@ def solve_distance_2d_cubic(inst, deadline):
     nl = inst.left.n
     nr = inst.right.n
     if nl == 0 and nr == 0:
+        trace = DistDp2Trace([[deadline]], [[None]])
         if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero")
-        return DistDp2Trace([[deadline]], [[None]]), Solution(DISTANCE, 0, ())
+            raise Infeasible(f"deadline {deadline} is before time zero", trace)
+        return trace, Solution(DISTANCE, 0, ())
     arrays = [np.asarray(deadline)]
     if nl:
         arrays += [np.asarray(inst.left.r), np.asarray(inst.left.tau)]
@@ -114,13 +94,13 @@ def solve_distance_2d_cubic(inst, deadline):
                 lam[p, q] = best
                 present[p, q] = True
                 succ[p][q] = take
-    if not present[0, 0]:
-        raise Infeasible(f"no plan finishes by {deadline}")
     lam_list = [
         [v if here else None for v, here in zip(vrow, hrow)]
         for vrow, hrow in zip(lam.tolist(), present)
     ]
     trace = DistDp2Trace(lam_list, succ)
+    if not present[0, 0]:
+        raise Infeasible(f"no plan finishes by {deadline}", trace)
     return trace, _build_solution(inst, lam_list, succ)
 
 
@@ -130,10 +110,6 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     every state."""
     nl = inst.left.n
     nr = inst.right.n
-    if nl == 0 and nr == 0:
-        if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero")
-        return DistDp2Trace([[deadline]], [[None]]), Solution(DISTANCE, 0, ())
     rl, taul = inst.left.r, inst.left.tau
     rr, taur = inst.right.r, inst.right.tau
     # shared labels: the column step stores left_of[w], and the row
@@ -175,7 +151,7 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)
             sp[:] = [right_of[w] if w.__class__ is int else w for w in sp]
-    if lam[0][0] is None:
-        raise Infeasible(f"no plan finishes by {deadline}")
     trace = DistDp2Trace(lam, succ)
+    if deadline < 0 or lam[0][0] is None:
+        raise Infeasible(f"no plan finishes by {deadline}", trace)
     return trace, _build_solution(inst, lam, succ)

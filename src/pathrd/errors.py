@@ -26,7 +26,12 @@ class OutOfRange(PathrdError):
 
 
 class Infeasible(PathrdError):
-    """No dispatch plan completes by the deadline."""
+    """No dispatch plan completes by the deadline.  trace is the distance
+    solver's table, as a feasible solve returns it: the suffixes that could."""
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class TooLarge(PathrdError):

@@ -1,4 +1,4 @@
-"""Containers for dispatch plans."""
+"""Dispatch plans: the Route and Solution containers, and the two plan walks."""
 
 from dataclasses import dataclass
 
@@ -48,3 +48,54 @@ class Solution:
     objective: str
     value: int | float
     routes: tuple[Route, ...]
+
+
+def time_solution(left, right, c, pred, label=RIGHT):
+    """The plan of a completion-time table c[i][j], walking pred back
+    from the full state; the value is c[n_l][n_r].  A move is (side, w),
+    or a bare w on the right side, which the routes then name label: a
+    1-D solver passes its table as the one row of an EMPTY_SIDE left.
+    A route leaves once the vehicle is back and its block is released,
+    max(prev, r) written out, as the walk runs once per route."""
+    i = left.n
+    j = right.n
+    rev = []
+    while i or j:
+        w = pred[i][j]
+        if w.__class__ is tuple:
+            name, w = w
+            if name == LEFT:
+                prev, r = c[w][j], left.r[i - 1]
+                rev.append(make_route(LEFT, left, w, i - 1, prev if prev >= r else r))
+                i = w
+                continue
+        prev, r = c[i][w], right.r[j - 1]
+        rev.append(make_route(label, right, w, j - 1, prev if prev >= r else r))
+        j = w
+    rev.reverse()
+    return Solution(TIME, c[left.n][right.n], tuple(rev))
+
+
+def distance_solution(left, right, lam, succ, label=RIGHT):
+    """The plan of a latest-dispatch table lam[p][q], walking succ
+    forward from the origin, with moves as in time_solution.  The value
+    sums the durations: deadline - lam[0][0] exactly on integer data,
+    and consistent with the routes on floats too."""
+    p = 0
+    q = 0
+    nl = left.n
+    nr = right.n
+    routes = []
+    while p < nl or q < nr:
+        w = succ[p][q]
+        dispatch = lam[p][q]
+        if w.__class__ is tuple:
+            name, w = w
+            if name == LEFT:
+                routes.append(make_route(LEFT, left, p, w - 1, dispatch))
+                p = w
+                continue
+        routes.append(make_route(label, right, q, w - 1, dispatch))
+        q = w
+    value = sum(route.duration for route in routes)
+    return Solution(DISTANCE, value, tuple(routes))

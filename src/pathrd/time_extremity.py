@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solution import RIGHT, TIME, Solution, make_route
+from .instance import EMPTY_SIDE
+from .solution import RIGHT, TIME, Solution, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 
@@ -29,22 +30,16 @@ __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 @dataclass(frozen=True)
 class TimeDpTrace:
     """c[i]: best completion for the first i customers; pred[i]: the j
-    the minimum was taken at, ties to the smallest j."""
+    the minimum was taken at, ties to the smallest j.  TimeDp2Trace is
+    this class, holding time_general's c[i][j] and pred[i][j] = (side, w),
+    None at the origin."""
 
     c: list
     pred: list
 
 
 def _build_solution(side, label, c, pred):
-    blocks = []
-    i = side.n
-    while i > 0:
-        j = pred[i]
-        blocks.append((j, i - 1))
-        i = j
-    blocks.reverse()
-    routes = [make_route(label, side, lo, hi, max(c[lo], side.r[hi])) for lo, hi in blocks]
-    return Solution(TIME, c[side.n], tuple(routes))
+    return time_solution(EMPTY_SIDE, side, [c], [pred], label)
 
 
 def solve_time_quadratic(side, label=RIGHT):

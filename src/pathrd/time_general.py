@@ -26,40 +26,20 @@ rather than as a per-state call of the kernel.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .solution import LEFT, RIGHT, TIME, Solution, make_route
-from .time_extremity import _check_line, _time_line
+from .solution import LEFT, RIGHT, TIME, Solution, time_solution
+from .time_extremity import TimeDpTrace, _check_line, _time_line
 
 __all__ = ["TimeDp2Trace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
 
-@dataclass(frozen=True)
-class TimeDp2Trace:
-    """c[i][j]: best completion serving i left / j right customers;
-    pred[i][j]: (side, w) the minimum was taken at, None at the origin."""
-
-    c: list
-    pred: list
+TimeDp2Trace = TimeDpTrace
 
 
 def _build_solution(inst, c, pred):
-    i = inst.left.n
-    j = inst.right.n
-    rev = []
-    while i or j:
-        label, w = pred[i][j]
-        if label == LEFT:
-            side, hi, prev = inst.left, i - 1, c[w][j]
-            i = w
-        else:
-            side, hi, prev = inst.right, j - 1, c[i][w]
-            j = w
-        rev.append(make_route(label, side, w, hi, max(prev, side.r[hi])))
-    value = c[inst.left.n][inst.right.n]
-    return Solution(TIME, value, tuple(rev[::-1]))
+    return time_solution(inst.left, inst.right, c, pred)
 
 
 def solve_time_2d_cubic(inst):

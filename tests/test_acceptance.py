@@ -174,45 +174,65 @@ def _log_uniform_sizes(rng, count, lo, hi, forced):
     return sizes
 
 
+def _assert_side_tables(side, rng):
+    """Fast and baseline 1-D tables agree at T* and T*+slack."""
+    qt, _ = solve_time_quadratic(side)
+    lt, ls = solve_time_linear(side)
+    assert lt.c == qt.c
+    assert lt.pred == qt.pred
+    _assert_monotone_side(lt.c)
+
+    for deadline in (ls.value, ls.value + rng.randint(1, 4 * side.tau[0])):
+        dq, _ = solve_distance_quadratic(side, deadline)
+        dh, _ = solve_distance_heap(side, deadline)
+        assert dh.lam == dq.lam
+        assert dh.succ == dq.succ
+
+
+def _assert_pair_tables(inst, rng):
+    """Fast and baseline 2-D tables agree at T* and T*+slack."""
+    ct, cs = solve_time_2d_cubic(inst)
+    mt, _ = solve_time_2d_minqueue(inst)
+    assert mt.c == ct.c
+    assert mt.pred == ct.pred
+    _assert_monotone_table(mt.c)
+
+    slack = 2 * (inst.left.tau[0] + inst.right.tau[0])
+    for deadline in (cs.value, cs.value + rng.randint(1, slack)):
+        dc, _ = solve_distance_2d_cubic(inst, deadline)
+        dh, _ = solve_distance_2d_heap(inst, deadline)
+        assert dh.lam == dc.lam
+        assert dh.succ == dc.succ
+
+
 def test_fast_matches_baseline_tables_at_scale(capsys):
     with reported(
         capsys, 3, "full dynamic-programming tables of fast and baseline solvers "
         "are identical on 200 one-sided (n <= 2000) and 200 two-sided "
-        "(up to 150 x 150) instances"
+        "(up to 150 x 150) instances, and on 40 tie-heavy one-sided "
+        "(n <= 2000) and 12 tie-heavy two-sided (up to 60 x 60) ones"
     ):
         rng = random.Random(303)
 
         for run, n in enumerate(_log_uniform_sizes(rng, 200, 2, 2000, forced=3)):
-            side = random_canonical_side(n, seed=30_000 + run)
-            qt, _ = solve_time_quadratic(side)
-            lt, ls = solve_time_linear(side)
-            assert lt.c == qt.c
-            assert lt.pred == qt.pred
-            _assert_monotone_side(lt.c)
-
-            for deadline in (ls.value, ls.value + rng.randint(1, 4 * side.tau[0])):
-                dq, _ = solve_distance_quadratic(side, deadline)
-                dh, _ = solve_distance_heap(side, deadline)
-                assert dh.lam == dq.lam
-                assert dh.succ == dq.succ
+            _assert_side_tables(random_canonical_side(n, seed=30_000 + run), rng)
 
         for run, n in enumerate(_log_uniform_sizes(rng, 200, 2, 150, forced=3)):
             inst = GeneralInstance(
                 random_canonical_side(n, seed=60_000 + run),
                 random_canonical_side(n, seed=90_000 + run),
             )
-            ct, cs = solve_time_2d_cubic(inst)
-            mt, _ = solve_time_2d_minqueue(inst)
-            assert mt.c == ct.c
-            assert mt.pred == ct.pred
-            _assert_monotone_table(mt.c)
+            _assert_pair_tables(inst, rng)
 
-            slack = 2 * (inst.left.tau[0] + inst.right.tau[0])
-            for deadline in (cs.value, cs.value + rng.randint(1, slack)):
-                dc, _ = solve_distance_2d_cubic(inst, deadline)
-                dh, _ = solve_distance_2d_heap(inst, deadline)
-                assert dh.lam == dc.lam
-                assert dh.succ == dc.succ
+        # equal lam values meet at the deque fronts on these, and only the
+        # smallest index among them may win
+        ties = random.Random(313)
+        for n in _log_uniform_sizes(ties, 40, 50, 2000, forced=3):
+            _assert_side_tables(_tie_heavy_side(ties, n), ties)
+
+        for n in _log_uniform_sizes(ties, 12, 2, 60, forced=2):
+            inst = GeneralInstance(_tie_heavy_side(ties, n), _tie_heavy_side(ties, n))
+            _assert_pair_tables(inst, ties)
 
 
 def test_completion_profiles_are_monotone(capsys):
@@ -249,21 +269,12 @@ def _tie_heavy_side_at_depot(rng, n):
 
 
 def _baseline_lam(op, *args):
-    """The baseline's lam table, None where absent.  An infeasible solve
-    raises before it returns the table, so then the table is read from
-    the raising frame's lam and present arrays."""
+    """The baseline's lam table, None where absent; an infeasible solve
+    attaches it to the exception."""
     try:
         return op(*args)[0].lam
     except Infeasible as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        local = tb.tb_frame.f_locals
-        lam = local["lam"].tolist()
-        present = local["present"].tolist()
-    if local["lam"].ndim == 1:
-        return [v if here else None for v, here in zip(lam, present)]
-    return [[v if here else None for v, here in zip(*rows)] for rows in zip(lam, present)]
+        return exc.trace.lam
 
 
 def _assert_line_lemma(line, seen):
@@ -415,9 +426,10 @@ def _assert_side_matches_baselines(side, slack):
     for deadline in (ls.value - 1, ls.value, ls.value + slack):
         try:
             dq, dqs = solve_distance_quadratic(side, deadline)
-        except Infeasible:
-            with pytest.raises(Infeasible):
+        except Infeasible as exc:
+            with pytest.raises(Infeasible) as fast:
                 solve_distance_heap(side, deadline, check=True)
+            assert fast.value.trace == exc.trace
             continue
         dh, dhs = solve_distance_heap(side, deadline, check=True)
         assert dh.lam == dq.lam
@@ -452,9 +464,10 @@ def test_structure_fuzz_against_naive_models(capsys):
             for deadline in (optimum - 1, optimum, optimum + slack):
                 try:
                     dc, dcs = solve_distance_2d_cubic(inst, deadline)
-                except Infeasible:
-                    with pytest.raises(Infeasible):
+                except Infeasible as exc:
+                    with pytest.raises(Infeasible) as fast:
                         solve_distance_2d_heap(inst, deadline, check=True)
+                    assert fast.value.trace == exc.trace
                     infeasible += 1
                     continue
                 dh, dhs = solve_distance_2d_heap(inst, deadline, check=True)

@@ -52,14 +52,20 @@ def test_worked_example_infeasible():
     for solve in SOLVERS:
         with pytest.raises(Infeasible):
             solve(EX1_SIDE, 20)
+        # one short of T* = 31: the table still shows the feasible suffixes
+        with pytest.raises(Infeasible) as exc:
+            solve(EX1_SIDE, 30)
+        assert exc.value.trace.lam == [None, 12, 24, 30]
+        assert exc.value.trace.succ == [None, 2, 3, None]
 
 
 def test_empty_side():
     for solve in SOLVERS:
         trace, sol = solve(EMPTY_SIDE, 5)
         assert trace.lam == [5] and sol.value == 0 and sol.routes == ()
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible) as exc:
             solve(EMPTY_SIDE, -1)
+        assert exc.value.trace.lam == [-1] and exc.value.trace.succ == [None]
 
 
 def test_single_customer():

@@ -44,8 +44,10 @@ def test_worked_example_slack_deadline():
 
 def test_worked_example_infeasible():
     for solve in SOLVERS:
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible) as exc:
             solve(EX2_GENERAL, 17)
+        assert exc.value.trace.lam == [[None, 5, 9], [7, 13, 17]]
+        assert exc.value.trace.succ[0] == [None, (LEFT, 1), (LEFT, 1)]
 
 
 def test_empty_instance():
@@ -53,8 +55,9 @@ def test_empty_instance():
     for solve in SOLVERS:
         trace, sol = solve(inst, 7)
         assert trace.lam == [[7]] and sol.value == 0
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible) as exc:
             solve(inst, -2)
+        assert exc.value.trace.lam == [[-2]] and exc.value.trace.succ == [[None]]
 
 
 def test_one_sided_reduction_matches_extremity_solver():
