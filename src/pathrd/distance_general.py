@@ -14,17 +14,14 @@ absent when both terms come up empty; infeasible iff lam[0][0] is
 absent.  Ties prefer the left term, then the smallest w.
 
 The fast solver is a kernel plus a column step.  lam is nondecreasing
-along rows and columns, so each line is served as in distance_extremity:
-a deque of bare indices, lam strictly decreasing, whose front is popped
-for good once its slack lam - rl[w-1] misses the threshold.  Row by row
-from the bottom, the column step first advances every column's deque by
-one row and takes the left term; then one call of _distance_line fills
-the row's right term, with the left term as the other side's candidate.
-Each state enters and leaves two deques once: O(n_l n_r).  The column
-step moves n_r + 1 lines by one state each, so it is written inline.
+along rows and columns, so each line is served as in distance_extremity,
+by one front index that only moves down.  Row by row from the bottom,
+the column step first moves every column's front by one row and takes
+the left term; then one call of _distance_line fills the row's right
+term, with the left term as the other side's candidate.  Each state is
+passed over once per line: O(n_l n_r).  The column step moves n_r + 1
+lines by one state each, so it is written inline.
 """
-
-from collections import deque
 
 import numpy as np
 
@@ -105,9 +102,9 @@ def solve_distance_2d_cubic(inst, deadline):
 
 
 def solve_distance_2d_heap(inst, deadline, check=False):
-    """Deque solver in O(n_l n_r); lam matches solve_distance_2d_cubic.
-    check=True asserts _check_top for every column and row deque at
-    every state."""
+    """Front-index solver in O(n_l n_r); lam matches
+    solve_distance_2d_cubic.  check=True asserts _check_top for every
+    column and row front at every state."""
     nl = inst.left.n
     nr = inst.right.n
     rl, taul = inst.left.r, inst.left.tau
@@ -119,9 +116,9 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     lam = [[None] * (nr + 1) for _ in range(nl + 1)]
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     lam[nl][nr] = deadline
-    # column deques serve the left term and live for the whole sweep; an
+    # column fronts serve the left term and live for the whole sweep; an
     # empty left side steps no column
-    cols = [deque() for _ in (range(nr + 1) if nl else ())]
+    fronts = [-1] * (nr + 1) if nl else []
     for p in range(nl, -1, -1):
         lp = lam[p]
         sp = succ[p]
@@ -131,22 +128,26 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             threshold = 2 * taul[p]
             below = lam[p + 1]
             for q in range(nr + 1):
-                live = cols[q]
+                f = fronts[q]
                 v = below[q]
-                if v is not None:
-                    while live and lam[live[-1]][q] == v:
-                        live.pop()
-                    live.append(p + 1)
-                while live:
-                    w = live[0]
-                    top = lam[w][q]
-                    if top - rl[w - 1] >= threshold:
+                if v is not None and (f < 0 or lam[f][q] == v):
+                    f = p + 1
+                while f >= 0:
+                    top = lam[f][q]
+                    if top - rl[f - 1] >= threshold:
                         lp[q] = top - threshold
-                        sp[q] = left_of[w]
+                        sp[q] = left_of[f]
                         break
-                    live.popleft()
+                    f -= 1
+                    if f == p:
+                        f = -1
+                        break
+                    low = lam[f][q]
+                    while f - 1 > p and lam[f - 1][q] == low:
+                        f -= 1
+                fronts[q] = f
                 if check:
-                    _check_top([row[q] for row in lam], rl, taul, p, live)
+                    _check_top([row[q] for row in lam], rl, taul, p, f)
         if nr:
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)

@@ -106,7 +106,10 @@ class CanonicalSide:
                 assert self.tau[i - 1] > self.tau[i]
 
     def deliveries(self, lo, hi):
-        """Original labels served by a route over positions lo..hi inclusive."""
+        """Original labels served by a route over positions lo..hi
+        inclusive, each survivor followed by its riders."""
+        if not any(self.riders[lo : hi + 1]):
+            return tuple(self.labels[lo : hi + 1])
         out = []
         for i in range(lo, hi + 1):
             out.append(self.labels[i])

@@ -9,21 +9,35 @@ ref_parse_instance, ref_distances_from_depot, ref_canonicalize_side and
 ref_split_at_depot are the per-item loops pathrd.instance used before
 it validated, oriented and canonicalized over flat arrays, kept here
 unchanged (apart from their names) as the reference for equivalence
-tests.  They know nothing of MAX_MAGNITUDE.
+tests.  They know nothing of MAX_MAGNITUDE.  ref_deliveries is the
+per-position loop CanonicalSide.deliveries ran before it sliced.
+
+long_run_sides and count_run_fills serve the tests of the distance
+kernel's runs, the stretches of a line it fills by slice,
+assert_matches_baseline compares a fast distance solver with its
+baseline, and ref_distance_line fills one line of the distance table
+from its definition.
 """
 
+import dataclasses
 import json
 import math
+
+import pytest
 
 from pathrd import (
     CanonicalSide,
     GeneralInstance,
+    Infeasible,
     MalformedDocument,
     NegativeValue,
     NotAPath,
     RawPathInstance,
     UnknownDepot,
+    random_canonical_side,
 )
+from pathrd import distance_extremity
+from pathrd.distance_extremity import RUN
 
 EX1_DOC = {
     "vertices": [
@@ -234,3 +248,98 @@ def ref_split_at_depot(raw):
     left = [(v, raw.release[v], dist[v]) for v in raw.order[:pos]]
     right = [(v, raw.release[v], dist[v]) for v in raw.order[pos + 1 :]]
     return GeneralInstance(ref_canonicalize_side(left), ref_canonicalize_side(right))
+
+
+def ref_deliveries(side, lo, hi):
+    """Original labels served by a route over positions lo..hi inclusive."""
+    out = []
+    for i in range(lo, hi + 1):
+        out.append(side.labels[i])
+        out.extend(side.riders[i])
+    return tuple(out)
+
+
+def stairs_side(n, jump, at_depot=False):
+    """n customers one distance unit apart, released in blocks of 40
+    that each come jump later than the last; with at_depot the nearest
+    sits at the depot.  A tight deadline cuts one long run per block."""
+    return CanonicalSide(
+        r=tuple(jump * (i // 40) for i in range(n)),
+        tau=tuple(range(n - at_depot, -at_depot, -1)),
+        labels=tuple(range(1, n + 1)),
+        riders=((),) * n,
+    )
+
+
+def rescaled(side, scale, shift=0):
+    """side with every release and depot distance times scale, and the
+    releases moved up by shift."""
+    return dataclasses.replace(
+        side,
+        r=tuple(shift + x * scale for x in side.r),
+        tau=tuple(x * scale for x in side.tau),
+    )
+
+
+def long_run_sides():
+    """Sides whose distance lines hold runs far longer than RUN: a
+    one-route side, a side with one long run only under a loose
+    deadline, and staircases."""
+    return [
+        random_canonical_side(200, seed=71),
+        random_canonical_side(200, seed=72, max_wait=20, max_step=2),
+        stairs_side(240, 200),
+        stairs_side(240, 200, at_depot=True),
+    ]
+
+
+def count_run_fills(monkeypatch):
+    """The top state of every run the 1-D kernel fills by slice, listed
+    as each bisects for its lowest state below top - RUN."""
+    tops = []
+    bisect_left = distance_extremity.bisect_left
+
+    def counted(tau, x, lo, hi, **kwargs):
+        tops.append(hi + RUN)
+        return bisect_left(tau, x, lo, hi, **kwargs)
+
+    monkeypatch.setattr(distance_extremity, "bisect_left", counted)
+    return tops
+
+
+def ref_distance_line(r, tau, deadline, ext=None, ext_pred=None):
+    """lam and succ of one distance line, lam[n] = deadline, scanning
+    every successor q of every state p: the largest lam[q] - 2 tau[p]
+    over the q whose slack lam[q] - r[q-1] meets 2 tau[p], the smallest
+    such q on ties; ext[p], when not None, is the other side's
+    candidate, and wins ties storing ext_pred[p]."""
+    n = len(r)
+    lam = [None] * n + [deadline]
+    succ = [None] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        threshold = 2 * tau[p]
+        for q in range(p + 1, n + 1):
+            v = lam[q]
+            if v is not None and v - r[q - 1] >= threshold:
+                if lam[p] is None or v - threshold > lam[p]:
+                    lam[p] = v - threshold
+                    succ[p] = q
+        if ext is not None and ext[p] is not None and (lam[p] is None or ext[p] >= lam[p]):
+            lam[p] = ext[p]
+            succ[p] = ext_pred[p]
+    return lam, succ
+
+
+def assert_matches_baseline(fast, baseline, *args):
+    """fast(*args, check=True) gives baseline(*args)'s table and plan,
+    or raises Infeasible with the same table."""
+    try:
+        want, plan = baseline(*args)
+    except Infeasible as exc:
+        with pytest.raises(Infeasible) as raised:
+            fast(*args, check=True)
+        assert raised.value.trace == exc.trace
+        return
+    got, got_plan = fast(*args, check=True)
+    assert got == want
+    assert got_plan == plan

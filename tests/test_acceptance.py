@@ -224,7 +224,7 @@ def test_fast_matches_baseline_tables_at_scale(capsys):
             )
             _assert_pair_tables(inst, rng)
 
-        # equal lam values meet at the deque fronts on these, and only the
+        # equal lam values meet at the distance fronts on these, and only the
         # smallest index among them may win
         ties = random.Random(313)
         for n in _log_uniform_sizes(ties, 40, 50, 2000, forced=3):
@@ -401,6 +401,32 @@ def test_two_sided_distance_scaling(capsys):
         assert t_full < 3.0, f"1000 x 1000 took {t_full:.2f}s"
 
 
+def test_two_sided_time_scaling(capsys):
+    with reported(
+        capsys, 12, "scaling: two-sided time solver handles check 11's many-route "
+        "1000 x 1000 instance under 6 s"
+    ):
+        inst = GeneralInstance(
+            random_canonical_side(1000, seed=611, max_wait=50, max_step=2),
+            random_canonical_side(1000, seed=612, max_wait=50, max_step=2),
+        )
+        t_full = _best_wall(lambda: solve_time_2d_minqueue(inst))
+        assert t_full < 6.0, f"1000 x 1000 took {t_full:.2f}s"
+
+
+def test_distance_solve_undercuts_time_solve(capsys):
+    with reported(
+        capsys, 13, "scaling: on check 6's 2e6-customer side, a distance solve "
+        "at the time optimum takes at most half the time solve"
+    ):
+        side = random_canonical_side(2 * 10**6, seed=607)
+        optimum = solve_time_linear(side)[1].value
+        t_time = _best_wall(lambda: solve_time_linear(side))
+        t_distance = _best_wall(lambda: solve_distance_heap(side, optimum))
+        ratio = t_distance / t_time
+        assert ratio <= 0.5, f"distance / time = {t_distance:.2f}s / {t_time:.2f}s = {ratio:.2f}"
+
+
 def _tie_heavy_side(rng, n):
     """A canonical side whose releases and depot distances move in steps
     of 0-2 and 1-2, so many DP candidates tie; the nearest customer may
@@ -440,7 +466,7 @@ def _assert_side_matches_baselines(side, slack):
 def test_structure_fuzz_against_naive_models(capsys):
     with reported(
         capsys, 7, "tie-heavy two-sided instances with 1e5 DP states in total: "
-        "the per-line windows and deques pass their invariant checks and "
+        "the per-line windows and distance fronts pass their invariant checks and "
         "give the cubic baselines' tables and plans at deadlines T*-1, T* and "
         "T*+slack, as the 1-D solvers give the quadratic ones' on each nonempty side"
     ):

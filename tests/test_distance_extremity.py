@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,10 +17,17 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
+from pathrd.distance_extremity import _distance_line, solve_distance_heap, solve_distance_quadratic
 from pathrd.time_extremity import solve_time_linear
 
-from helpers import EX1_SIDE
+from helpers import (
+    EX1_SIDE,
+    assert_matches_baseline,
+    count_run_fills,
+    long_run_sides,
+    ref_distance_line,
+    rescaled,
+)
 
 SOLVERS = (solve_distance_quadratic, solve_distance_heap)
 
@@ -209,3 +217,81 @@ def test_value_equals_oracle(ms, deadline):
         else:
             _, sol = solve(side, deadline)
             assert sol.value == want
+
+
+# int data, floats that round (x0.1, x0.37), half-integers, and whole
+# floats within 2**20 of 2**52
+SCALES = {
+    "int": (1, 0),
+    "x0.1": (0.1, 0),
+    "x0.37": (0.37, 0),
+    "half": (0.5, 0),
+    "near 2**52": (1, float(2**52 - 2**20)),
+}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_long_runs_match_quadratic(scale, monkeypatch):
+    fills = count_run_fills(monkeypatch)
+    for base in long_run_sides():
+        side = rescaled(base, *SCALES[scale])
+        t = solve_time_linear(side)[1].value
+        for deadline in (t - 1, t, t + 7 * SCALES[scale][0], t + side.tau[0], 2 * t + 10):
+            assert_matches_baseline(solve_distance_heap, solve_distance_quadratic, side, deadline)
+    assert len(fills) >= 8
+
+
+def _flat_line(rng, n):
+    """Releases and depot distances for one line, nondecreasing and
+    nonincreasing as the kernel needs, repeating in stretches: equal
+    distances give equal lam, groups the front must slide past."""
+    r = list(itertools.accumulate(rng.choice((0, 0, 0, 1, 5)) for _ in range(n)))
+    tau = list(itertools.accumulate(rng.choice((0, 0, 1, 2)) for _ in range(n)))[::-1]
+    return r, tau
+
+
+def _plateau_candidates(rng, n, deadline, spread):
+    """A nondecreasing other-side candidate line, absent on a prefix,
+    in plateaus, the last at the deadline itself half the time."""
+    start = rng.randint(0, n)
+    values = sorted(deadline - rng.randint(0, spread) for _ in range(rng.randint(1, 6)))
+    if rng.random() < 0.5:
+        values[-1] = deadline
+    cuts = sorted(rng.randint(start, n) for _ in range(len(values) - 1))
+    ext = [None] * start
+    for value, stop in zip(values, cuts + [n]):
+        ext += [value] * (stop - len(ext))
+    return ext, [("other", p) for p in range(n)]
+
+
+def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
+    # lines outside the canonical form's strict order, with and without
+    # another side's candidate: they reach the front's slide past a group
+    # of equal lam, and runs that start just below a candidate equal to
+    # the front's lam
+    fills = count_run_fills(monkeypatch)
+    rng = random.Random(2024)
+    for trial in range(200):
+        n = rng.choice((rng.randint(0, 12), rng.randint(30, 150)))
+        r, tau = _flat_line(rng, n)
+        far = tau[0] if n else 0
+        deadline = (r[-1] if n else 0) + far * rng.choice((0, 1, 2, 4, 8, 20)) // 2
+        ext = ext_pred = None
+        if trial % 2:
+            ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
+        lam = [None] * n + [deadline]
+        succ = [None] * (n + 1)
+        _distance_line(r, tau, lam, succ, ext, ext_pred, check=True)
+        assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)
+    assert len(fills) >= 20
+
+
+@pytest.mark.xfail(strict=True, reason="rounding ties between successors pick the larger lam")
+def test_rounding_ties_near_2_53_pick_the_smallest_successor():
+    # just under 2**53 the ulp is 1: lam[199] and lam[200] differ by 1,
+    # yet both round to one candidate for state 42 once 2 tau[42] is taken
+    # off; the quadratic solver keeps the smaller index, 199, and the fast
+    # kernel its front, 200
+    side = rescaled(random_canonical_side(200, seed=72, max_wait=20, max_step=2), 0.37, float(2**52 - 2**20))
+    deadline = 2 * solve_time_linear(side)[1].value + 10
+    assert solve_distance_heap(side, deadline)[0].succ == solve_distance_quadratic(side, deadline)[0].succ

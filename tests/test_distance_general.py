@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from pathrd import (
     EMPTY_SIDE,
+    CanonicalSide,
     GeneralInstance,
     Infeasible,
     canonicalize_side,
@@ -12,12 +14,13 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
+from pathrd import distance_general
+from pathrd.distance_extremity import RUN, solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.solution import LEFT, RIGHT
 from pathrd.time_general import solve_time_2d_cubic
 
-from helpers import EX2_GENERAL
+from helpers import EX2_GENERAL, assert_matches_baseline, count_run_fills, long_run_sides, rescaled
 
 SOLVERS = (solve_distance_2d_cubic, solve_distance_2d_heap)
 
@@ -155,3 +158,60 @@ def test_matches_oracle_on_small_instances():
                         solve(inst, deadline)
                 else:
                     assert solve(inst, deadline)[1].value == want
+
+
+def _near_left(rng, right):
+    """One to three left customers released around the right side's
+    last release, so the left term is workable only at the upper end of
+    each row."""
+    n = rng.randint(1, 3)
+    last = right.r[-1]
+    tau = sorted(rng.sample(range(1, 30), n), reverse=True)
+    r = sorted(last * rng.uniform(0.5, 1.5) for _ in range(n))
+    return CanonicalSide(r=tuple(r), tau=tuple(tau), labels=tuple(range(-n, 0)), riders=((),) * n)
+
+
+def test_left_term_wins_inside_right_runs(monkeypatch):
+    # the right side's rows hold runs longer than RUN, and the left term
+    # ties or beats them on some of the states a run fills by slice
+    tops = count_run_fills(monkeypatch)
+    won = []
+    kernel = distance_general._distance_line
+
+    def spied(r, tau, lam, succ, *rest):
+        start = len(tops)
+        kernel(r, tau, lam, succ, *rest)
+        # a run whose top is t fills at least t - RUN..t; a left move
+        # there is still a tuple, a right one a bare index
+        won.extend(t for t in tops[start:] if any(w.__class__ is tuple for w in succ[t - RUN : t + 1]))
+
+    monkeypatch.setattr(distance_general, "_distance_line", spied)
+    rng = random.Random(158)
+    for scale in (1, 0.37, 0.5):
+        for right in long_run_sides():
+            right = rescaled(right, scale)
+            inst = GeneralInstance(_near_left(rng, right), right)
+            tbest = solve_time_2d_cubic(inst)[1].value
+            for deadline in (tbest, tbest + 5 * scale, 2 * tbest + 10):
+                assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
+    assert len(tops) >= 100 and len(won) >= 50
+
+
+def _flat_side(rng, n):
+    """A side whose depot distances repeat in stretches: outside the
+    canonical form's strict order, inside what the kernels need."""
+    r = itertools.accumulate(rng.choice((0, 0, 0, 1, 5)) for _ in range(n))
+    tau = itertools.accumulate(rng.choice((0, 0, 1, 2)) for _ in range(n))
+    return CanonicalSide(tuple(r), tuple(tau)[::-1], tuple(range(1, n + 1)), ((),) * n)
+
+
+def test_heap_matches_cubic_on_flat_sides():
+    # equal distances make groups of equal lam along columns, which the
+    # column step's fronts must slide past to their smallest index
+    rng = random.Random(2025)
+    for _ in range(40):
+        inst = GeneralInstance(_flat_side(rng, rng.randint(1, 30)), _flat_side(rng, rng.randint(1, 30)))
+        tbest = solve_time_2d_cubic(inst)[1].value
+        far = inst.left.tau[0] + inst.right.tau[0]
+        for deadline in (tbest - 1, tbest, tbest + far // 2, tbest + 2 * far):
+            assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,15 @@ from pathrd import (
     split_at_depot,
 )
 
-from helpers import EX1_DOC, EX1_SIDE, EX2_DOC, EX2_LEFT, EX2_RIGHT, ref_distances_from_depot
+from helpers import (
+    EX1_DOC,
+    EX1_SIDE,
+    EX2_DOC,
+    EX2_LEFT,
+    EX2_RIGHT,
+    ref_deliveries,
+    ref_distances_from_depot,
+)
 
 
 def test_parse_orients_from_extremity_depot():
@@ -217,6 +227,24 @@ def test_deliveries_include_riders():
     side = canonicalize_side([(10, 1, 5), (11, 2, 7), (12, 3, 4)])
     assert side.deliveries(0, 0) == (11, 10)
     assert side.deliveries(0, 1) == (11, 10, 12)
+
+
+@pytest.mark.parametrize("riders", [False, True])
+def test_deliveries_match_item_by_item_reference(riders):
+    # without riders a block comes back as one slice of labels; with
+    # them, some sub-ranges still carry none
+    rng = random.Random(216)
+    for _ in range(40):
+        side = random_canonical_side(rng.randint(1, 12), seed=rng.randrange(2**31))
+        if riders:
+            packs = [tuple(range(100 * i, 100 * i + rng.choice((0, 0, 1, 3)))) for i in range(1, side.n + 1)]
+            packs[rng.randrange(side.n)] += (7,)
+            side = dataclasses.replace(side, riders=tuple(packs))
+        for lo in range(side.n):
+            for hi in range(lo, side.n):
+                got = side.deliveries(lo, hi)
+                assert type(got) is tuple
+                assert got == ref_deliveries(side, lo, hi)
 
 
 members = st.lists(
