@@ -111,6 +111,27 @@ def _number(text):
     return value
 
 
+def _integer(least):
+    """An argparse type: an integer of at least `least`."""
+
+    def integer(text):
+        value = int(text)  # argparse turns a ValueError into a usage error
+        if value < least:
+            raise argparse.ArgumentTypeError(f"below {least}: {text!r}")
+        return value
+
+    return integer
+
+
+def _sizes(text):
+    """bench's comma-separated sizes, whole numbers that _number accepts,
+    so "1e5" reads as 100000."""
+    sizes = [_number(token) for token in text.split(",") if token.strip()]
+    if not sizes or any(size != int(size) for size in sizes):
+        raise argparse.ArgumentTypeError(f"not a list of whole numbers: {text!r}")
+    return [int(size) for size in sizes]
+
+
 def _read_instance(path, parser):
     try:
         if path == "-":
@@ -288,42 +309,32 @@ def cmd_generate(args):
     return 0
 
 
-def _crosscheck_time(inst):
-    """Run every applicable time solver; returns (value, mismatch messages)."""
-    runs = [(solver.name, _run(solver, inst)) for solver in _applicable(inst, TIME)]
+def _crosscheck(inst, objective, deadline=None):
+    """Run every applicable solver of the objective, None standing for a
+    solver that finds no plan, and validate each plan; returns the first
+    solver's value and one message per fault: a plan that fails
+    validation, solvers that disagree, or, on instances small enough,
+    a value other than the oracle's."""
+    values = {}
     problems = []
-    reference = runs[0][1][1].value
-    for name, (_, solution) in runs:
-        if solution.value != reference:
-            problems.append(f"{name} value {solution.value} != {reference}")
-        bad = validate_solution(inst, solution)
-        problems.extend(f"{name} witness: {v.kind}: {v.detail}" for v in bad)
-    if inst.left.n + inst.right.n <= ORACLE_MAX_CUSTOMERS:
-        expect = oracle_time(inst).value
-        if reference != expect:
-            problems.append(f"time value {reference} != oracle {expect}")
-    return reference, problems
-
-
-def _crosscheck_distance(inst, deadline):
-    verdicts = {}
-    problems = []
-    for solver in _applicable(inst, DISTANCE):
+    for solver in _applicable(inst, objective):
         try:
             _, solution = _run(solver, inst, deadline)
-            verdicts[solver.name] = solution.value
-            bad = validate_solution(inst, solution, deadline=deadline)
-            problems.extend(f"{solver.name} witness: {v.kind}: {v.detail}" for v in bad)
         except Infeasible:
-            verdicts[solver.name] = None
-    if len(set(verdicts.values())) > 1:
-        problems.append(f"deadline {deadline}: disagreement {verdicts}")
-    reference = next(iter(verdicts.values()))
+            values[solver.name] = None
+            continue
+        values[solver.name] = solution.value
+        bad = validate_solution(inst, solution, deadline=deadline)
+        problems.extend(f"{solver.name} witness: {v.kind}: {v.detail}" for v in bad)
+    where = objective if deadline is None else f"deadline {deadline}"
+    if len(set(values.values())) > 1:
+        problems.append(f"{where}: disagreement {values}")
+    reference = next(iter(values.values()))
     if inst.left.n + inst.right.n <= ORACLE_MAX_CUSTOMERS:
-        expect = oracle_distance(inst, deadline).value
-        if reference != expect:
-            problems.append(f"deadline {deadline}: value {reference} != oracle {expect}")
-    return problems
+        oracle = oracle_time(inst) if objective == TIME else oracle_distance(inst, deadline)
+        if reference != oracle.value:
+            problems.append(f"{where}: value {reference} != oracle {oracle.value}")
+    return reference, problems
 
 
 def cmd_crosscheck(args):
@@ -338,13 +349,13 @@ def cmd_crosscheck(args):
         problems = []
         makespan = None
         if args.objective in ("time", "both"):
-            makespan, problems = _crosscheck_time(inst)
+            makespan, problems = _crosscheck(inst, TIME)
         if args.objective in ("distance", "both"):
             if makespan is None:
                 makespan = _run(SOLVERS["time_2d_cubic"], inst)[1].value
             # span infeasible through slack around the optimal makespan
             for deadline in (makespan - 1, makespan, makespan + rng.randint(1, makespan + 10)):
-                problems.extend(_crosscheck_distance(inst, deadline))
+                problems.extend(_crosscheck(inst, DISTANCE, deadline)[1])
         if problems:
             mismatches += 1
             print(f"mismatch on instance seed {seed}:", file=sys.stderr)
@@ -370,16 +381,9 @@ def _bench_case(solver, size, seed):
 
 
 def cmd_bench(args):
-    sizes = []
-    for token in args.sizes.split(","):
-        token = token.strip()
-        if token:
-            sizes.append(int(float(token)))
-    if not sizes:
-        args.parser.error("--sizes needs at least one value")
     solver = SOLVERS[args.algo]
     rows = [BENCH_HEADER]
-    for size in sizes:
+    for size in args.sizes:
         for rep in range(args.reps):
             seed = args.seed * 1_000_003 + size * 1_009 + 2 * rep
             inst, run = _bench_case(solver, size, seed)
@@ -461,29 +465,29 @@ def _build_parser():
     p.set_defaults(func=cmd_solve, parser=p)
 
     p = subs.add_parser("generate", help="write random instance documents")
-    p.add_argument("--left", type=int, default=5, help="customers left of the depot")
-    p.add_argument("--right", type=int, default=5, help="customers right of the depot")
-    p.add_argument("--max-edge", type=int, default=10)
-    p.add_argument("--max-release", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--left", type=_integer(0), default=5, help="customers left of the depot")
+    p.add_argument("--right", type=_integer(0), default=5, help="customers right of the depot")
+    p.add_argument("--max-edge", type=_integer(0), default=10)
+    p.add_argument("--max-release", type=_integer(0), default=50)
+    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--count", type=_integer(1), default=1)
     p.add_argument("--out", default=None, help="directory for the documents; stdout when --count is 1")
     p.set_defaults(func=cmd_generate, parser=p)
 
     p = subs.add_parser("crosscheck", help="compare fast solvers, baselines, and oracle")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_integer(1), default=100)
+    p.add_argument("--max-n", type=_integer(1), default=10)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--objective", choices=(TIME, DISTANCE, "both"), default="both")
-    p.add_argument("--max-edge", type=int, default=10)
-    p.add_argument("--max-release", type=int, default=50)
+    p.add_argument("--max-edge", type=_integer(0), default=10)
+    p.add_argument("--max-release", type=_integer(0), default=50)
     p.set_defaults(func=cmd_crosscheck, parser=p)
 
     p = subs.add_parser("bench", help="time one algorithm across instance sizes, CSV out")
     p.add_argument("--algo", choices=sorted(SOLVERS), required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated, e.g. 1e3,1e4,1e5")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated, e.g. 1e3,1e4,1e5")
+    p.add_argument("--reps", type=_integer(1), default=3)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bench, parser=p)
 

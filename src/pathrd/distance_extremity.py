@@ -105,27 +105,16 @@ def _minus_two(t):
     return -2 * t
 
 
-def _live(line, p, f):
-    """The deque of state indices a front f implies at state p: the
-    present states in (p, f], each group of equal line values kept by its
-    smallest index, front first; f = -1 implies an empty one."""
-    return [
-        w
-        for w in range(f, p, -1)
-        if line[w] is not None and (w - 1 == p or line[w - 1] != line[w])
-    ]
-
-
 def _check_top(line, r, tau, p, f):
-    """Assert the deque a line's front f implies at state p, as _live
-    gives it: thresholds never decrease along the line, line strictly
-    decreases along the deque front to back, and its front is the
-    smallest (-line[w], w) over the present states w > p whose slack
-    line[w] - r[w-1] meets the threshold 2 tau[p]."""
-    live = _live(line, p, f)
+    """Assert a line's front f at state p against its definition:
+    thresholds never decrease along the line, line never decreases along
+    its present states past p, and f gives the smallest (-line[w], w)
+    over the present states w > p whose slack line[w] - r[w-1] meets
+    the threshold 2 tau[p], f = -1 when none does."""
     threshold = 2 * tau[p]
     assert p == len(r) - 1 or threshold >= 2 * tau[p + 1]
-    assert all(line[a] > line[b] for a, b in zip(live, live[1:]))
+    present = [v for v in line[p + 1 :] if v is not None]
+    assert all(a <= b for a, b in zip(present, present[1:]))
     best = min(
         (
             (-v, w)
@@ -134,19 +123,19 @@ def _check_top(line, r, tau, p, f):
         ),
         default=None,
     )
-    assert ((-line[live[0]], live[0]) if live else None) == best
+    assert (None if f < 0 else (-line[f], f)) == best
 
 
-def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
+def _distance_line(r, tau, lam, succ, merge=False, check=False):
     """Fill lam[0..n-1] and succ[0..n-1] of one line from the given
     lam[n], n = len(r), which may be 0; None marks an absent state, and
     succ[p] is the raw q the maximum came from.
 
-    f is the front, -1 when there is none.  ext[p], when given and not
-    None, is the other side's candidate; it wins ties and then stores
-    ext_pred[p].  It is read before lam[p] is written, so the line itself
-    may serve as ext.  check=True asserts _check_top at every state, the
-    ones a run fills included.
+    f is the front, -1 when there is none.  With merge, lam[p] and
+    succ[p] already hold the other side's candidate, None when it is
+    absent, which the kernel reads before it overwrites them; the
+    candidate wins ties.  check=True asserts _check_top at every state,
+    the ones a run fills included.
     """
     n = len(r)
     f = -1 if lam[n] is None else n
@@ -182,16 +171,13 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
                     p >= RUN
                     and slack >= 2 * tau[p - RUN]
                     and value < top
-                    and (ext is None or ext[p] is None or ext[p] < top)
+                    and (not merge or lam[p] is None or lam[p] < top)
                 ):
                     a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
                     vals = [top - 2 * t for t in tau[a : p + 1]]
-                    if ext is None:
-                        lam[a : p + 1] = vals
-                        succ[a : p + 1] = [f] * len(vals)
-                    else:
-                        others = ext[a : p + 1]
-                        preds = ext_pred[a : p + 1]
+                    if merge:
+                        others = lam[a : p + 1]
+                        preds = succ[a : p + 1]
                         succ[a : p + 1] = [
                             f if o is None or o < v else w
                             for o, v, w in zip(others, vals, preds)
@@ -199,6 +185,9 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
                         lam[a : p + 1] = [
                             v if o is None or o < v else o for o, v in zip(others, vals)
                         ]
+                    else:
+                        lam[a : p + 1] = vals
+                        succ[a : p + 1] = [f] * len(vals)
                     if check:
                         for s in range(p, a - 1, -1):
                             _check_top(lam, r, tau, s, f)
@@ -206,11 +195,11 @@ def _distance_line(r, tau, lam, succ, ext=None, ext_pred=None, check=False):
                     break
             if check:
                 _check_top(lam, r, tau, p, f)
-            if ext is not None:
-                other = ext[p]
+            if merge:
+                other = lam[p]
                 if other is not None and (value is None or other >= value):
                     value = other
-                    q = ext_pred[p]
+                    q = succ[p]
             if value is not None:
                 lam[p] = value
                 succ[p] = q

@@ -16,11 +16,11 @@ absent.  Ties prefer the left term, then the smallest w.
 The fast solver is a kernel plus a column step.  lam is nondecreasing
 along rows and columns, so each line is served as in distance_extremity,
 by one front index that only moves down.  Row by row from the bottom,
-the column step first moves every column's front by one row and takes
-the left term; then one call of _distance_line fills the row's right
-term, with the left term as the other side's candidate.  Each state is
-passed over once per line: O(n_l n_r).  The column step moves n_r + 1
-lines by one state each, so it is written inline.
+the column step first moves every column's front by one row and writes
+the left term into the row; then one call of _distance_line merges the
+row's right term into it in place.  Each state is passed over once per
+line: O(n_l n_r).  The column step moves n_r + 1 lines by one state
+each, so it is written inline.
 """
 
 import numpy as np
@@ -150,7 +150,7 @@ def solve_distance_2d_heap(inst, deadline, check=False):
                     _check_top([row[q] for row in lam], rl, taul, p, f)
         if nr:
             # the right term along the row; the left term wins ties
-            _distance_line(rr, taur, lp, sp, lp if p < nl else None, sp, check)
+            _distance_line(rr, taur, lp, sp, p < nl, check)
             sp[:] = [right_of[w] if w.__class__ is int else w for w in sp]
     trace = DistDp2Trace(lam, succ)
     if deadline < 0 or lam[0][0] is None:

@@ -71,15 +71,15 @@ def _check_line(line, tau, release, k, window):
     assert (window[0] if window else None) == front
 
 
-def _time_line(r, tau, c, pred, ext=None, ext_pred=None, check=False):
+def _time_line(r, tau, c, pred, merge=False, check=False):
     """Fill c[1..n] and pred[1..n] of one line from the given c[0],
     n = len(r); pred[i] is the raw j the minimum was taken at.
 
-    ext[i], when given and not None, is the other side's candidate; it
-    wins ties and then stores ext_pred[i].  It is read before c[i] is
-    written, so the line itself may serve as ext.  c[0] may exceed the
-    first releases, so the cursor starts at -1 and state 0 enters the
-    window like any other.  check=True asserts _check_line per state.
+    With merge, c[i] and pred[i] already hold the other side's
+    candidate, which the kernel reads before it overwrites them; the
+    candidate wins ties.  c[0] may exceed the first releases, so the
+    cursor starts at -1 and state 0 enters the window like any other.
+    check=True asserts _check_line per state.
     """
     # cand holds (a_j, j) with a_j = c[j] + 2 tau[j+1] for j in (k, i-1],
     # values nondecreasing front to back; equal values all stay so the
@@ -108,11 +108,9 @@ def _time_line(r, tau, c, pred, ext=None, ext_pred=None, check=False):
                 best, bj = cand[0]
         else:
             best, bj = cand[0]
-        if ext is not None:
-            other = ext[i]
-            if other is not None and other <= best:
-                best = other
-                bj = ext_pred[i]
+        if merge and c[i] <= best:
+            best = c[i]
+            bj = pred[i]
         c[i] = best
         pred[i] = bj
 

@@ -13,16 +13,16 @@ and the smallest w.  The cubic baseline scans both terms per state.
 
 The fast solver is a kernel plus a column step.  Row by row, the
 column step first advances every column's cursor and deque of (a, w)
-by one row and takes the left term; then one call of the 1-D kernel
-_time_line fills the row's right term, with the left term as the
-other side's candidate.  In both, the states released at or before r
-form a prefix whose best candidate is the cursor itself, and the
-deque is a monotone window over the rest, its back popped while
-larger than a new entry and its front popped once the cursor passes
-it.  Each entry is pushed and popped at most once, so states cost
-O(1) amortized and the whole table O(n_l * n_r).  The column step
-advances n_r + 1 lines by one state each, so it is written inline
-rather than as a per-state call of the kernel.
+by one row and writes the left term into the row; then one call of
+the 1-D kernel _time_line merges the row's right term into it in
+place.  In both, the states released at or before r form a prefix
+whose best candidate is the cursor itself, and the deque is a
+monotone window over the rest, its back popped while larger than a
+new entry and its front popped once the cursor passes it.  Each entry
+is pushed and popped at most once, so states cost O(1) amortized and
+the whole table O(n_l * n_r).  The column step advances n_r + 1 lines
+by one state each, so it is written inline rather than as a per-state
+call of the kernel.
 """
 
 from collections import deque
@@ -144,6 +144,6 @@ def solve_time_2d_minqueue(inst, check=False):
                 pi[j] = left_of[w]
         if nr:
             # the right term along the row; the left term wins ties
-            _time_line(rr, taur, ci, pi, ci if i else None, pi, check)
+            _time_line(rr, taur, ci, pi, i > 0, check)
             pi[:] = [right_of[p] if p.__class__ is int else p for p in pi]
     return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)

@@ -395,6 +395,47 @@ def test_crosscheck_reports_mismatch(capsys, monkeypatch):
     assert "mismatch" in err
 
 
+def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
+    entry = cli.SOLVERS["distance_2d_heap"]
+
+    def broken(inst, deadline, check=False):
+        trace, solution = entry.op(inst, deadline, check=check)
+        return trace, dataclasses.replace(solution, value=solution.value + 1)
+
+    monkeypatch.setitem(cli.SOLVERS, "distance_2d_heap", entry._replace(op=broken))
+    code, out, err = run(
+        ["crosscheck", "--count", "3", "--seed", "2", "--objective", "distance"], capsys
+    )
+    assert code == 3
+    assert "0 mismatches" not in out
+    assert "disagreement" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--count", "0"],
+        ["generate", "--left", "-2"],
+        ["generate", "--max-edge", "-1"],
+        ["crosscheck", "--count", "1", "--max-release", "-1"],
+        ["crosscheck", "--max-n", "0"],
+        ["bench", "--algo", "time_linear", "--sizes", "1e400"],
+        ["bench", "--algo", "time_linear", "--sizes", "-5"],
+        ["bench", "--algo", "time_linear", "--sizes", "abc"],
+        ["bench", "--algo", "time_linear", "--sizes", "10", "--seed", "-1"],
+    ],
+    ids=[
+        "count-0", "left-negative", "max-edge-negative", "max-release-negative",
+        "max-n-0", "sizes-overflow", "sizes-negative", "sizes-word", "seed-negative",
+    ],
+)
+def test_bad_integer_arguments_are_usage_errors(capsys, argv):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run(
         ["bench", "--algo", "time_linear", "--sizes", "100,200", "--reps", "2"], capsys

@@ -17,7 +17,12 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd.distance_extremity import _distance_line, solve_distance_heap, solve_distance_quadratic
+from pathrd.distance_extremity import (
+    _check_top,
+    _distance_line,
+    solve_distance_heap,
+    solve_distance_quadratic,
+)
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (
@@ -277,13 +282,29 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
         far = tau[0] if n else 0
         deadline = (r[-1] if n else 0) + far * rng.choice((0, 1, 2, 4, 8, 20)) // 2
         ext = ext_pred = None
-        if trial % 2:
-            ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
         lam = [None] * n + [deadline]
         succ = [None] * (n + 1)
-        _distance_line(r, tau, lam, succ, ext, ext_pred, check=True)
+        if trial % 2:
+            ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
+            lam[:n] = ext
+            succ[:n] = [w if v is not None else None for v, w in zip(ext, ext_pred)]
+        _distance_line(r, tau, lam, succ, merge=ext is not None, check=True)
         assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)
     assert len(fills) >= 20
+
+
+def test_check_top_rejects_a_front_past_its_groups_smallest_index():
+    # states 2 and 3 share lam 7 and both meet the threshold 6 of state
+    # 0, so the front is 2, the one with the more slack; 3 is rejected
+    line = [None, 5, 7, 7, 9]
+    r = [0, 1, 1, 5]
+    tau = [3, 2, 1, 0]
+    _check_top(line, r, tau, 0, 2)
+    for f in (3, 4, 1, -1):
+        with pytest.raises(AssertionError):
+            _check_top(line, r, tau, 0, f)
+    with pytest.raises(AssertionError):
+        _check_top([None, 5, 8, 7, 9], r, tau, 0, 2)
 
 
 @pytest.mark.xfail(strict=True, reason="rounding ties between successors pick the larger lam")
