@@ -11,7 +11,7 @@ from .errors import (
     UnknownDepot,
 )
 from .distance_extremity import DistDpTrace, solve_distance_heap, solve_distance_quadratic
-from .distance_general import DistDp2Trace, solve_distance_2d_cubic, solve_distance_2d_heap
+from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from .instance import (
     EMPTY_SIDE,
     MAX_MAGNITUDE,
@@ -35,6 +35,6 @@ from .oracle import (
 )
 from .solution import DISTANCE, LEFT, RIGHT, TIME, Route, Solution
 from .time_extremity import TimeDpTrace, solve_time_linear, solve_time_quadratic
-from .time_general import TimeDp2Trace, solve_time_2d_cubic, solve_time_2d_minqueue
+from .time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 __version__ = "0.1.0"

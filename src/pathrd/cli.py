@@ -22,11 +22,12 @@ from typing import Callable, NamedTuple
 
 from .distance_extremity import solve_distance_heap, solve_distance_quadratic
 from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
-from .errors import Infeasible, PathrdError
+from .errors import Infeasible, OutOfRange, PathrdError
 from .instance import (
     EMPTY_SIDE,
     MAX_MAGNITUDE,
     GeneralInstance,
+    _check_magnitude,
     _is_int,
     _is_num,
     generate_instance,
@@ -79,13 +80,6 @@ SOLVERS = {
         Solver("distance_quadratic", DISTANCE, False, BASELINE, solve_distance_quadratic),
         Solver("distance_heap", DISTANCE, False, FAST, solve_distance_heap),
     )
-}
-
-# "--algo" takes a family, or the last word of a solver's name as a
-# synonym for that solver's family, so "--algo linear" does the obvious
-# thing; the report always states the solver actually run
-_ALGO_FAMILY = {BASELINE: BASELINE, FAST: FAST} | {
-    solver.name.rsplit("_", 1)[1]: solver.family for solver in SOLVERS.values()
 }
 
 BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
@@ -237,7 +231,7 @@ def cmd_solve(args):
                 "the distance objective needs --deadline "
                 "(or a 'deadline' field in the instance document)"
             )
-    solver = _pick_solver(inst, args.objective, _ALGO_FAMILY[args.algo])
+    solver = _pick_solver(inst, args.objective, args.algo)
     name = solver.name
 
     start = time.perf_counter_ns()
@@ -287,9 +281,22 @@ def _feasible_deadline(raw, rng):
     return base + rng.randint(0, max(base, 10))
 
 
+def _refuse_out_of_range(args, customers, latest_deadline):
+    """Usage error unless the worst instance args can draw is admissible:
+    customers max_edge apart, all released at max_release, and deadline
+    latest_deadline(m), m = max_release + one full trip per side."""
+    total = customers * args.max_edge
+    m = args.max_release + 2 * total
+    try:
+        _check_magnitude((args.max_release,), (total,), customers, latest_deadline(m))
+    except OutOfRange as exc:
+        args.parser.error(f"arguments --max-edge and --max-release, {customers} customers: {exc}")
+
+
 def cmd_generate(args):
     if args.count > 1 and args.out is None:
         args.parser.error("--out DIR is required when --count exceeds 1")
+    _refuse_out_of_range(args, args.left + args.right, lambda m: m + max(m, 10))
     rng = random.Random(args.seed)
     docs = []
     for _ in range(args.count):
@@ -338,6 +345,7 @@ def _crosscheck(inst, objective, deadline=None):
 
 
 def cmd_crosscheck(args):
+    _refuse_out_of_range(args, args.max_n, lambda m: 2 * m + 10)
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.count):
@@ -457,8 +465,7 @@ def _build_parser():
     p = subs.add_parser("solve", help="solve one instance and write a JSON report")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
     p.add_argument("--objective", choices=(TIME, DISTANCE), required=True)
-    p.add_argument("--algo", choices=sorted(_ALGO_FAMILY), default=FAST,
-                   help="solver family; concrete names map to their family")
+    p.add_argument("--algo", choices=(BASELINE, FAST), default=FAST, help="solver family")
     p.add_argument("--deadline", type=_number, default=None,
                    help="deadline for the distance objective (overrides the document)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")

@@ -54,8 +54,8 @@ RUN = 32
 class DistDpTrace:
     """lam[p]: latest feasible dispatch for the suffix from p (None when
     absent), lam[n] = deadline; succ[p]: the q the maximum came from.
-    DistDp2Trace is this class, holding distance_general's lam[p][q] and
-    succ[p][q] = (side, w)."""
+    The 2-D solvers of distance_general return this class with [p][q]
+    tables: lam[p][q] and succ[p][q] = (side, w)."""
 
     lam: list
     succ: list
@@ -71,7 +71,7 @@ def solve_distance_quadratic(side, deadline, label=RIGHT):
     if n == 0:
         trace = DistDpTrace([deadline], [None])
         if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero", trace)
+            raise Infeasible(f"no plan finishes by {deadline}", trace)
         return trace, Solution(DISTANCE, 0, ())
     r = np.asarray(side.r)
     tau = np.asarray(side.tau)

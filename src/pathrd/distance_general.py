@@ -29,10 +29,7 @@ from .distance_extremity import DistDpTrace, _check_top, _distance_line
 from .errors import Infeasible
 from .solution import DISTANCE, LEFT, RIGHT, Solution, distance_solution
 
-__all__ = ["DistDp2Trace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
-
-
-DistDp2Trace = DistDpTrace
+__all__ = ["solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
 
 def _build_solution(inst, lam, succ):
@@ -44,9 +41,9 @@ def solve_distance_2d_cubic(inst, deadline):
     nl = inst.left.n
     nr = inst.right.n
     if nl == 0 and nr == 0:
-        trace = DistDp2Trace([[deadline]], [[None]])
+        trace = DistDpTrace([[deadline]], [[None]])
         if deadline < 0:
-            raise Infeasible(f"deadline {deadline} is before time zero", trace)
+            raise Infeasible(f"no plan finishes by {deadline}", trace)
         return trace, Solution(DISTANCE, 0, ())
     arrays = [np.asarray(deadline)]
     if nl:
@@ -95,7 +92,7 @@ def solve_distance_2d_cubic(inst, deadline):
         [v if here else None for v, here in zip(vrow, hrow)]
         for vrow, hrow in zip(lam.tolist(), present)
     ]
-    trace = DistDp2Trace(lam_list, succ)
+    trace = DistDpTrace(lam_list, succ)
     if not present[0, 0]:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
     return trace, _build_solution(inst, lam_list, succ)
@@ -152,7 +149,7 @@ def solve_distance_2d_heap(inst, deadline, check=False):
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, p < nl, check)
             sp[:] = [right_of[w] if w.__class__ is int else w for w in sp]
-    trace = DistDp2Trace(lam, succ)
+    trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
     return trace, _build_solution(inst, lam, succ)

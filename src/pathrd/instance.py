@@ -277,7 +277,9 @@ def _walk(ids, depot_at, a, b, ds, deg):
 
 def _check_magnitude(releases, lengths, customers, deadline):
     """Raise OutOfRange unless largest release + 2 * customers * total
-    edge length, and the deadline, are at most MAX_MAGNITUDE."""
+    edge length, and the deadline, are at most MAX_MAGNITUDE: for a
+    document in parse_instance, one side in canonicalize_side, and in
+    the CLI the worst instance generate or crosscheck could draw."""
     top = max(releases, default=0)
     # compared on its own first: the sum rounds once a float takes part
     if top <= MAX_MAGNITUDE:
@@ -354,29 +356,20 @@ def _depths(lengths):
     return list(islice(accumulate(lengths, initial=0), 1, None))
 
 
-def _sort_key(values):
-    """values as a numpy array that orders them as Python compares them."""
-    key = np.asarray(values)
-    # numpy keeps ints mixed with floats, or beyond int64, as float64,
-    # which rounds them above 2**53
-    if key.dtype == np.float64 and np.abs(key).max() >= MAX_MAGNITUDE:
-        key = np.asarray(values, dtype=object)
-    return key
-
-
 def _canonical(labels, r, tau):
     """The canonical side of customers labels[k], released at r[k] at
     depot distance tau[k].
 
     numpy only finds indices: r, tau and labels of the result are
-    gathered from the given sequences, so each number keeps its type.
+    gathered from the given sequences, so each number keeps its type;
+    within MAX_MAGNITUDE, float64 keys compare them exactly.
     """
     n = len(labels)
     if n == 0:
         return EMPTY_SIDE
-    tau_key = _sort_key(tau)
+    tau_key = np.asarray(tau)
     # by release, farther first on ties, input order on full ties
-    perm = np.lexsort((-tau_key, _sort_key(r)))
+    perm = np.lexsort((-tau_key, np.asarray(r)))
     far = tau_key[perm]
     # a customer survives when everyone after it in that order is nearer
     later = np.maximum.accumulate(far[::-1])[::-1]
@@ -406,12 +399,17 @@ def canonicalize_side(members):
 
     Customers are sorted by release (farther first on ties); a customer
     is dropped when someone at least as far is released no earlier, and
-    rides along with the nearest such survivor.
+    rides along with the nearest such survivor.  Raises NegativeValue,
+    or OutOfRange beyond parse_instance's bound, largest tau standing
+    for the total edge length.
     """
     members = list(members)
     if not members:
         return EMPTY_SIDE
     labels, r, tau = zip(*members)
+    if min(r) < 0 or min(tau) < 0:
+        raise NegativeValue("a release or depot distance is negative")
+    _check_magnitude(r, (max(tau),), len(labels), None)
     return _canonical(labels, r, tau)
 
 

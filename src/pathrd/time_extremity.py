@@ -30,9 +30,9 @@ __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 @dataclass(frozen=True)
 class TimeDpTrace:
     """c[i]: best completion for the first i customers; pred[i]: the j
-    the minimum was taken at, ties to the smallest j.  TimeDp2Trace is
-    this class, holding time_general's c[i][j] and pred[i][j] = (side, w),
-    None at the origin."""
+    the minimum was taken at, ties to the smallest j.  The 2-D solvers
+    of time_general return this class with [i][j] tables: c[i][j] and
+    pred[i][j] = (side, w), None at the origin."""
 
     c: list
     pred: list

@@ -32,10 +32,7 @@ import numpy as np
 from .solution import LEFT, RIGHT, TIME, Solution, time_solution
 from .time_extremity import TimeDpTrace, _check_line, _time_line
 
-__all__ = ["TimeDp2Trace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
-
-
-TimeDp2Trace = TimeDpTrace
+__all__ = ["solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
 
 def _build_solution(inst, c, pred):
@@ -47,7 +44,7 @@ def solve_time_2d_cubic(inst):
     nl = inst.left.n
     nr = inst.right.n
     if nl == 0 and nr == 0:
-        return TimeDp2Trace([[0]], [[None]]), Solution(TIME, 0, ())
+        return TimeDpTrace([[0]], [[None]]), Solution(TIME, 0, ())
     arrays = []
     if nl:
         arrays += [np.asarray(inst.left.r), np.asarray(inst.left.tau)]
@@ -80,7 +77,7 @@ def solve_time_2d_cubic(inst):
             c[i, j] = best
             pred[i][j] = take
     c = [row for row in c.tolist()]
-    return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)
+    return TimeDpTrace(c, pred), _build_solution(inst, c, pred)
 
 
 def solve_time_2d_minqueue(inst, check=False):
@@ -146,4 +143,4 @@ def solve_time_2d_minqueue(inst, check=False):
             # the right term along the row; the left term wins ties
             _time_line(rr, taur, ci, pi, i > 0, check)
             pi[:] = [right_of[p] if p.__class__ is int else p for p in pi]
-    return TimeDp2Trace(c, pred), _build_solution(inst, c, pred)
+    return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import pathrd.cli as cli
+from pathrd import parse_instance
 from pathrd.cli import BENCH_HEADER, main
 
 from helpers import EX1_DOC, EX2_DOC
@@ -56,10 +57,12 @@ def test_solve_time_baseline_agrees(x1_path, capsys):
     assert report["value"] == 31
 
 
-def test_solve_accepts_concrete_algo_name(x1_path, capsys):
-    code, out, _ = run(["solve", x1_path, "--objective", "time", "--algo", "linear"], capsys)
-    assert code == 0
-    assert json.loads(out)["algorithm"] == "time_linear"
+def test_solve_refuses_solver_name_suffixes(x1_path, capsys):
+    # --algo names a family; the last word of a solver's name is no synonym
+    for algo in ("linear", "heap", "cubic"):
+        code, _, err = run(["solve", x1_path, "--objective", "time", "--algo", algo], capsys)
+        assert code == 2
+        assert "invalid choice" in err
 
 
 def test_solve_distance(x1_path, capsys):
@@ -423,10 +426,20 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
         ["bench", "--algo", "time_linear", "--sizes", "-5"],
         ["bench", "--algo", "time_linear", "--sizes", "abc"],
         ["bench", "--algo", "time_linear", "--sizes", "10", "--seed", "-1"],
+        # instances or deadlines that could leave the admissible range
+        ["generate", "--left", "2", "--right", "2", "--max-release", str(10**20)],
+        ["crosscheck", "--count", "3", "--max-release", str(10**20)],
+        ["generate", "--left=1", "--right=1", f"--max-edge={2**50 + 1}", "--max-release=0"],
+        ["generate", "--left=64", "--right=64", f"--max-edge={2**38 + 1}", "--max-release=0"],
+        ["generate", "--left=1", "--right=0", "--max-edge=0", f"--max-release={2**52 + 1}"],
+        ["crosscheck", "--max-n=1", "--max-edge=0", f"--max-release={2**52 - 4}"],
     ],
     ids=[
         "count-0", "left-negative", "max-edge-negative", "max-release-negative",
         "max-n-0", "sizes-overflow", "sizes-negative", "sizes-word", "seed-negative",
+        "generate-release-1e20", "crosscheck-release-1e20", "generate-edge-past-limit",
+        "generate-instance-past-limit", "generate-deadline-past-limit",
+        "crosscheck-deadline-past-limit",
     ],
 )
 def test_bad_integer_arguments_are_usage_errors(capsys, argv):
@@ -434,6 +447,26 @@ def test_bad_integer_arguments_are_usage_errors(capsys, argv):
     assert code == 2
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+def test_generation_bounds_admit_the_limit(capsys):
+    # worst case 1 + 1 customers at 2**50 apart: 8 * 2**50 = 2**53 both as
+    # release + 2 * customers * total length and as the latest deadline;
+    # 64 + 64 customers at 2**38 apart: 2 * 128 * 128 * 2**38 = 2**53
+    for sides, edge in ((1, 2**50), (64, 2**38)):
+        code, out, _ = run(
+            ["generate", f"--left={sides}", f"--right={sides}", f"--max-edge={edge}",
+             "--max-release=0"],
+            capsys,
+        )
+        assert code == 0
+        parse_instance(out)
+    # a deadline of up to 2 * makespan + 10 = 2**53
+    code, out, _ = run(
+        ["crosscheck", "--count=3", "--max-n=1", "--max-edge=0", f"--max-release={2**52 - 5}"],
+        capsys,
+    )
+    assert (code, out) == (0, "checked 3 instances: 0 mismatches\n")
 
 
 def test_bench_csv_shape(capsys):

@@ -17,6 +17,7 @@ from pathrd import (
     MAX_MAGNITUDE,
     TIME,
     Infeasible,
+    NegativeValue,
     OutOfRange,
     PathrdError,
     canonicalize_side,
@@ -275,13 +276,26 @@ def test_canonicalize_matches_reference(ms):
     assert_same_side(canonicalize_side(ms), ref_canonicalize_side(ms))
 
 
-def test_canonicalize_compares_exactly_beyond_float64():
-    # 2**53 + 1 is no float64; mixed with floats, numbers beyond 2**53
-    # (and ints beyond int64) must still compare as Python compares them
+def test_canonicalize_rejects_numbers_beyond_the_bound():
+    # 2**53 + 1 is no float64, so numbers beyond 2**53 (and ints beyond
+    # int64) are refused rather than sorted
     for ms in (
         [(1, 2**53 + 1, 2), (2, float(2**53), 1)],
         [(1, 2**64, 3), (2, 2**64 + 1, 2), (3, 0.5, 2**70)],
         [(1, 7, 2**53 + 1), (2, 7, float(2**53)), (3, 8, 0.5)],
+    ):
+        with pytest.raises(OutOfRange):
+            canonicalize_side(ms)
+    # negative numbers are refused too, the large ones of which a
+    # float64 key would round
+    for ms in ([(1, -(2**60) + 1, 1), (2, float(-(2**60)), 0.5)], [(1, 0, -1)]):
+        with pytest.raises(NegativeValue):
+            canonicalize_side(ms)
+    # exactly at the bound, 2**52 + 2 * 2 * 2**50 = 2**53, ints and floats
+    # mixed: one full tie across types, one pair a unit apart
+    for ms in (
+        [(1, 2**52, 2**50), (2, float(2**52), float(2**50))],
+        [(1, 2**52 - 1, float(2**50)), (2, float(2**52), 2**50 - 1)],
     ):
         assert_same_side(canonicalize_side(ms), ref_canonicalize_side(ms))
 

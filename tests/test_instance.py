@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrd import (
+    CanonicalSide,
     MalformedDocument,
     NegativeValue,
     NotAPath,
@@ -162,7 +163,7 @@ def test_document_that_wraps_the_int64_baseline_is_rejected():
         "edges": [{"u": 0, "v": 1, "d": 2**61}],
         "depot": 0,
     }
-    side = canonicalize_side([(1, 2**62, 2**61)])
+    side = CanonicalSide((2**62,), (2**61,), (1,), ((),))
     assert solve_time_linear(side)[0].c == [0, 2**63]
     assert solve_time_quadratic(side)[0].c == [0, -(2**63)]
     with pytest.raises(OutOfRange):
