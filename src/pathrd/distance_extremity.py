@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .instance import EMPTY_SIDE
-from .solution import DISTANCE, RIGHT, Solution, distance_solution
+from .instance import EMPTY_SIDE, table_dtype
+from .solution import RIGHT, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
 
@@ -65,38 +65,43 @@ def _build_solution(side, label, lam, succ):
     return distance_solution(EMPTY_SIDE, side, [lam], [succ], label)
 
 
+def _scan(lam, present, r, threshold):
+    """One state's full scan: the maximum of lam[w] - threshold over the
+    present w with lam[w] - r[w] >= threshold, and the smallest w it is
+    taken at; None when no w qualifies."""
+    # the slack comparison is written exactly as the fast kernel tests
+    # it, so float rounding cannot split the two
+    (ws,) = (present & (lam - r >= threshold)).nonzero()
+    if not len(ws):
+        return None
+    vals = lam[ws] - threshold
+    # argmax takes the first maximum, at the smallest w
+    k = int(vals.argmax())
+    return vals[k], int(ws[k])
+
+
 def solve_distance_quadratic(side, deadline, label=RIGHT):
     """Reference solver: scan every successor of every state."""
     n = side.n
-    if n == 0:
-        trace = DistDpTrace([deadline], [None])
-        if deadline < 0:
-            raise Infeasible(f"no plan finishes by {deadline}", trace)
-        return trace, Solution(DISTANCE, 0, ())
-    r = np.asarray(side.r)
-    tau = np.asarray(side.tau)
-    dt = np.result_type(r, tau, np.asarray(deadline))
+    dt = table_dtype(side.r, side.tau, (deadline,))
+    r = np.asarray(side.r, dtype=dt)
+    two_tau = 2 * np.asarray(side.tau, dtype=dt)
     lam = np.zeros(n + 1, dtype=dt)
     present = np.zeros(n + 1, dtype=bool)
     lam[n] = deadline
     present[n] = True
     succ = [None] * (n + 1)
-    two_tau = 2 * tau
     for p in range(n - 1, -1, -1):
-        # the slack comparison is written exactly as the fast kernel
-        # tests it, so float rounding cannot split the two
-        ok = present[p + 1 :] & (lam[p + 1 :] - r[p:] >= two_tau[p])
-        if ok.any():
-            vals = lam[p + 1 :] - two_tau[p]
-            best = vals[ok].max()
-            succ[p] = p + 1 + int(np.flatnonzero(ok & (vals == best))[0])
-            lam[p] = best
+        hit = _scan(lam[p + 1 :], present[p + 1 :], r[p:], two_tau[p])
+        if hit is not None:
+            lam[p], w = hit
             present[p] = True
-    lam_list = [v if here else None for v, here in zip(lam.tolist(), present)]
-    trace = DistDpTrace(lam_list, succ)
-    if not present[0]:
+            succ[p] = p + 1 + w
+    lam = [v if here else None for v, here in zip(lam.tolist(), present)]
+    trace = DistDpTrace(lam, succ)
+    if deadline < 0 or lam[0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(side, label, lam_list, succ)
+    return trace, _build_solution(side, label, lam, succ)
 
 
 def _minus_two(t):

@@ -11,7 +11,9 @@ of 2 taul[p] whose dispatch must also cover the block's last release:
                      the symmetric right term ),
 
 absent when both terms come up empty; infeasible iff lam[0][0] is
-absent.  Ties prefer the left term, then the smallest w.
+absent.  Ties prefer the left term, then the smallest w.  The cubic
+baseline scans both terms of every state with _scan, the one full scan
+of distance_extremity's quadratic baseline.
 
 The fast solver is a kernel plus a column step.  lam is nondecreasing
 along rows and columns, so each line is served as in distance_extremity,
@@ -25,9 +27,10 @@ each, so it is written inline.
 
 import numpy as np
 
-from .distance_extremity import DistDpTrace, _check_top, _distance_line
+from .distance_extremity import DistDpTrace, _check_top, _distance_line, _scan
 from .errors import Infeasible
-from .solution import DISTANCE, LEFT, RIGHT, Solution, distance_solution
+from .instance import table_dtype
+from .solution import LEFT, RIGHT, distance_solution
 
 __all__ = ["solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
@@ -40,17 +43,7 @@ def solve_distance_2d_cubic(inst, deadline):
     """Reference solver: scan both successor lines of every state."""
     nl = inst.left.n
     nr = inst.right.n
-    if nl == 0 and nr == 0:
-        trace = DistDpTrace([[deadline]], [[None]])
-        if deadline < 0:
-            raise Infeasible(f"no plan finishes by {deadline}", trace)
-        return trace, Solution(DISTANCE, 0, ())
-    arrays = [np.asarray(deadline)]
-    if nl:
-        arrays += [np.asarray(inst.left.r), np.asarray(inst.left.tau)]
-    if nr:
-        arrays += [np.asarray(inst.right.r), np.asarray(inst.right.tau)]
-    dt = np.result_type(*arrays)
+    dt = table_dtype(inst.left.r, inst.left.tau, inst.right.r, inst.right.tau, (deadline,))
     rl = np.asarray(inst.left.r, dtype=dt)
     twol = 2 * np.asarray(inst.left.tau, dtype=dt)
     rr = np.asarray(inst.right.r, dtype=dt)
@@ -62,40 +55,29 @@ def solve_distance_2d_cubic(inst, deadline):
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     for p in range(nl, -1, -1):
         for q in range(nr, -1, -1):
-            if p == nl and q == nr:
-                continue
             best = None
-            take = None
             if p < nl:
-                col = lam[p + 1 :, q]
-                ok = present[p + 1 :, q] & (col - rl[p:] >= twol[p])
-                if ok.any():
-                    vals = col - twol[p]
-                    top = vals[ok].max()
-                    w = p + 1 + int(np.flatnonzero(ok & (vals == top))[0])
-                    best = top
-                    take = (LEFT, w)
+                hit = _scan(lam[p + 1 :, q], present[p + 1 :, q], rl[p:], twol[p])
+                if hit is not None:
+                    best, w = hit
+                    take = (LEFT, p + 1 + w)
             if q < nr:
-                row = lam[p, q + 1 :]
-                ok = present[p, q + 1 :] & (row - rr[q:] >= twor[q])
-                if ok.any():
-                    vals = row - twor[q]
-                    top = vals[ok].max()
-                    if best is None or top > best:
-                        best = top
-                        take = (RIGHT, q + 1 + int(np.flatnonzero(ok & (vals == top))[0]))
-            if take is not None:
+                hit = _scan(lam[p, q + 1 :], present[p, q + 1 :], rr[q:], twor[q])
+                if hit is not None and (best is None or hit[0] > best):
+                    best, w = hit
+                    take = (RIGHT, q + 1 + w)
+            if best is not None:
                 lam[p, q] = best
                 present[p, q] = True
                 succ[p][q] = take
-    lam_list = [
+    lam = [
         [v if here else None for v, here in zip(vrow, hrow)]
         for vrow, hrow in zip(lam.tolist(), present)
     ]
-    trace = DistDpTrace(lam_list, succ)
-    if not present[0, 0]:
+    trace = DistDpTrace(lam, succ)
+    if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(inst, lam_list, succ)
+    return trace, _build_solution(inst, lam, succ)
 
 
 def solve_distance_2d_heap(inst, deadline, check=False):

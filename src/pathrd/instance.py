@@ -135,6 +135,13 @@ class GeneralInstance:
 MAX_MAGNITUDE = 2**53
 
 
+def table_dtype(*seqs):
+    """The dtype the baseline solvers compute in: int64 unless a float
+    takes part.  An empty sequence adds nothing, so an empty side (whose
+    np.asarray is float64) leaves integer tables integer."""
+    return np.result_type(np.int64, *(np.asarray(s) for s in seqs if len(s)))
+
+
 def _require(cond, message):
     if not cond:
         raise MalformedDocument(message)
@@ -399,14 +406,18 @@ def canonicalize_side(members):
 
     Customers are sorted by release (farther first on ties); a customer
     is dropped when someone at least as far is released no earlier, and
-    rides along with the nearest such survivor.  Raises NegativeValue,
-    or OutOfRange beyond parse_instance's bound, largest tau standing
-    for the total edge length.
+    rides along with the nearest such survivor.  Raises
+    MalformedDocument on a release or depot distance that is no finite
+    int or float (bools included), NegativeValue, or OutOfRange beyond
+    parse_instance's bound, largest tau standing for the total edge
+    length.
     """
     members = list(members)
     if not members:
         return EMPTY_SIDE
     labels, r, tau = zip(*members)
+    if not all(map(_is_num, r + tau)):
+        raise MalformedDocument("a release or depot distance is not a finite number")
     if min(r) < 0 or min(tau) < 0:
         raise NegativeValue("a release or depot distance is negative")
     _check_magnitude(r, (max(tau),), len(labels), None)

@@ -86,10 +86,18 @@ def _specs(side, side_name, blocks):
     return out
 
 
-def _guard(inst):
+def _plans(inst):
+    """Every partition pair of the two sides, as (makespan, schedule,
+    specs) with the routes serialized by schedule_min_makespan; an empty
+    side has one partition, so there is always a pair."""
     total = inst.left.n + inst.right.n
     if total > ORACLE_MAX_CUSTOMERS:
         raise TooLarge(f"{total} customers exceeds the oracle guard of {ORACLE_MAX_CUSTOMERS}")
+    for lblocks in _compositions(inst.left.n):
+        lspecs = _specs(inst.left, LEFT, lblocks)
+        for rblocks in _compositions(inst.right.n):
+            specs = lspecs + _specs(inst.right, RIGHT, rblocks)
+            yield (*schedule_min_makespan(specs), specs)
 
 
 def _to_solution(inst, objective, value, scheduled):
@@ -104,41 +112,24 @@ def _to_solution(inst, objective, value, scheduled):
 
 def oracle_time(inst):
     """Minimize the completion time of the last route by enumeration."""
-    _guard(inst)
     best = None
-    best_sched = None
-    pairs = 0
-    for lblocks in _compositions(inst.left.n):
-        lspecs = _specs(inst.left, LEFT, lblocks)
-        for rblocks in _compositions(inst.right.n):
-            pairs += 1
-            makespan, sched = schedule_min_makespan(
-                lspecs + _specs(inst.right, RIGHT, rblocks)
-            )
-            if best is None or makespan < best:
-                best = makespan
-                best_sched = sched
+    for pairs, (makespan, sched, _) in enumerate(_plans(inst), 1):
+        if best is None or makespan < best:
+            best = makespan
+            best_sched = sched
     return OracleResult(best, _to_solution(inst, TIME, best, best_sched), pairs)
 
 
 def oracle_distance(inst, deadline):
     """Minimize total travel subject to finishing by the deadline."""
-    _guard(inst)
     best = None
-    best_sched = None
-    pairs = 0
-    for lblocks in _compositions(inst.left.n):
-        lspecs = _specs(inst.left, LEFT, lblocks)
-        for rblocks in _compositions(inst.right.n):
-            pairs += 1
-            specs = lspecs + _specs(inst.right, RIGHT, rblocks)
-            makespan, sched = schedule_min_makespan(specs)
-            if makespan > deadline:
-                continue
-            total = sum(duration for _, duration, _ in specs)
-            if best is None or total < best:
-                best = total
-                best_sched = sched
+    for pairs, (makespan, sched, specs) in enumerate(_plans(inst), 1):
+        if makespan > deadline:
+            continue
+        total = sum(duration for _, duration, _ in specs)
+        if best is None or total < best:
+            best = total
+            best_sched = sched
     if best is None:
         return OracleResult(None, None, pairs)
     return OracleResult(best, _to_solution(inst, DISTANCE, best, best_sched), pairs)

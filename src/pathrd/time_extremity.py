@@ -13,7 +13,8 @@ sliding window whose minimum a monotone deque serves in O(1) amortized.
 That replaces the quadratic scan with one linear pass, the kernel
 _time_line: solve_time_linear is one call of it, and the interior-depot
 solver runs it once per row.  The quadratic solver is the baseline the
-fast one is checked against; both return the same tables.
+fast one is checked against, one _scan per state; both return the same
+tables.
 """
 
 from collections import deque
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import EMPTY_SIDE
-from .solution import RIGHT, TIME, Solution, time_solution
+from .instance import EMPTY_SIDE, table_dtype
+from .solution import RIGHT, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 
@@ -42,20 +43,24 @@ def _build_solution(side, label, c, pred):
     return time_solution(EMPTY_SIDE, side, [c], [pred], label)
 
 
+def _scan(c, r, two_tau):
+    """One state's full scan: the minimum of max(c[j], r) + two_tau[j]
+    over the given j, and the smallest j it is taken at."""
+    cand = np.maximum(c, r) + two_tau
+    j = int(cand.argmin())
+    return cand[j], j
+
+
 def solve_time_quadratic(side, label=RIGHT):
     """Reference solver: evaluate every predecessor of every state."""
     n = side.n
-    if n == 0:
-        return TimeDpTrace([0], [0]), Solution(TIME, 0, ())
-    r = np.asarray(side.r)
-    two_tau = 2 * np.asarray(side.tau)
-    c = np.zeros(n + 1, dtype=np.result_type(r, two_tau))
+    dt = table_dtype(side.r, side.tau)
+    r = np.asarray(side.r, dtype=dt)
+    two_tau = 2 * np.asarray(side.tau, dtype=dt)
+    c = np.zeros(n + 1, dtype=dt)
     pred = [0] * (n + 1)
     for i in range(1, n + 1):
-        cand = np.maximum(c[:i], r[i - 1]) + two_tau[:i]
-        j = int(cand.argmin())
-        c[i] = cand[j]
-        pred[i] = j
+        c[i], pred[i] = _scan(c[:i], r[i - 1], two_tau[:i])
     c = c.tolist()
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)
 

@@ -9,7 +9,8 @@ route covered a suffix of one side's served prefix,
                    min over w < j of  max(c[i][w], rr[j]) + 2 taur[w+1] ),
 
 1-based on the right-hand sides, with ties broken toward the left term
-and the smallest w.  The cubic baseline scans both terms per state.
+and the smallest w.  The cubic baseline scans both terms of every state
+with _scan, the one full scan of time_extremity's quadratic baseline.
 
 The fast solver is a kernel plus a column step.  Row by row, the
 column step first advances every column's cursor and deque of (a, w)
@@ -29,8 +30,9 @@ from collections import deque
 
 import numpy as np
 
-from .solution import LEFT, RIGHT, TIME, Solution, time_solution
-from .time_extremity import TimeDpTrace, _check_line, _time_line
+from .instance import table_dtype
+from .solution import LEFT, RIGHT, time_solution
+from .time_extremity import TimeDpTrace, _check_line, _scan, _time_line
 
 __all__ = ["solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
@@ -43,14 +45,7 @@ def solve_time_2d_cubic(inst):
     """Reference solver: full scans of both terms at every state."""
     nl = inst.left.n
     nr = inst.right.n
-    if nl == 0 and nr == 0:
-        return TimeDpTrace([[0]], [[None]]), Solution(TIME, 0, ())
-    arrays = []
-    if nl:
-        arrays += [np.asarray(inst.left.r), np.asarray(inst.left.tau)]
-    if nr:
-        arrays += [np.asarray(inst.right.r), np.asarray(inst.right.tau)]
-    dt = np.result_type(*arrays)
+    dt = table_dtype(inst.left.r, inst.left.tau, inst.right.r, inst.right.tau)
     rl = np.asarray(inst.left.r, dtype=dt)
     twol = 2 * np.asarray(inst.left.tau, dtype=dt)
     rr = np.asarray(inst.right.r, dtype=dt)
@@ -59,24 +54,19 @@ def solve_time_2d_cubic(inst):
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     for i in range(nl + 1):
         for j in range(nr + 1):
-            if i == 0 and j == 0:
-                continue
             best = None
-            take = None
-            if i >= 1:
-                cand = np.maximum(c[:i, j], rl[i - 1]) + twol[:i]
-                w = int(cand.argmin())
-                best = cand[w]
+            if i:
+                best, w = _scan(c[:i, j], rl[i - 1], twol[:i])
                 take = (LEFT, w)
-            if j >= 1:
-                cand = np.maximum(c[i, :j], rr[j - 1]) + twor[:j]
-                w = int(cand.argmin())
-                if best is None or cand[w] < best:
-                    best = cand[w]
+            if j:
+                value, w = _scan(c[i, :j], rr[j - 1], twor[:j])
+                if best is None or value < best:
+                    best = value
                     take = (RIGHT, w)
-            c[i, j] = best
-            pred[i][j] = take
-    c = [row for row in c.tolist()]
+            if best is not None:
+                c[i, j] = best
+                pred[i][j] = take
+    c = c.tolist()
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)
 
 

@@ -76,9 +76,13 @@ def test_empty_side():
     for solve in SOLVERS:
         trace, sol = solve(EMPTY_SIDE, 5)
         assert trace.lam == [5] and sol.value == 0 and sol.routes == ()
+        assert type(trace.lam[0]) is int and type(sol.value) is int
+        trace, sol = solve(EMPTY_SIDE, 5.0)
+        assert trace.lam == [5.0] and type(trace.lam[0]) is float
         with pytest.raises(Infeasible) as exc:
             solve(EMPTY_SIDE, -1)
         assert exc.value.trace.lam == [-1] and exc.value.trace.succ == [None]
+        assert type(exc.value.trace.lam[0]) is int
 
 
 def test_single_customer():

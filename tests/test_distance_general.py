@@ -58,9 +58,13 @@ def test_empty_instance():
     for solve in SOLVERS:
         trace, sol = solve(inst, 7)
         assert trace.lam == [[7]] and sol.value == 0
+        assert type(trace.lam[0][0]) is int and type(sol.value) is int
+        trace, sol = solve(inst, 7.0)
+        assert trace.lam == [[7.0]] and type(trace.lam[0][0]) is float
         with pytest.raises(Infeasible) as exc:
             solve(inst, -2)
         assert exc.value.trace.lam == [[-2]] and exc.value.trace.succ == [[None]]
+        assert type(exc.value.trace.lam[0][0]) is int
 
 
 def test_one_sided_reduction_matches_extremity_solver():

@@ -17,6 +17,7 @@ from pathrd import (
     MAX_MAGNITUDE,
     TIME,
     Infeasible,
+    MalformedDocument,
     NegativeValue,
     OutOfRange,
     PathrdError,
@@ -291,6 +292,12 @@ def test_canonicalize_rejects_numbers_beyond_the_bound():
     for ms in ([(1, -(2**60) + 1, 1), (2, float(-(2**60)), 0.5)], [(1, 0, -1)]):
         with pytest.raises(NegativeValue):
             canonicalize_side(ms)
+    # so are non-numbers, bools and non-finite floats, before the sign and
+    # magnitude checks: a NaN would otherwise sort silently
+    for bad in (math.nan, True, "3", math.inf, -math.inf):
+        for ms in ([(1, 0, 2), (2, 0, bad), (3, 1, 1)], [(1, bad, 2)], [(1, 0, bad)]):
+            with pytest.raises(MalformedDocument):
+                canonicalize_side(ms)
     # exactly at the bound, 2**52 + 2 * 2 * 2**50 = 2**53, ints and floats
     # mixed: one full tie across types, one pair a unit apart
     for ms in (

@@ -37,6 +37,7 @@ def test_empty_instance():
     for solve in SOLVERS:
         trace, sol = solve(inst)
         assert trace.c == [[0]] and sol.value == 0 and sol.routes == ()
+        assert type(trace.c[0][0]) is int and type(sol.value) is int
 
 
 def test_one_sided_reduction_matches_extremity_solver():
