@@ -15,17 +15,34 @@ _time_line: solve_time_linear is one call of it, and the interior-depot
 solver runs it once per row.  The quadratic solver is the baseline the
 fast one is checked against, one _scan per state; both return the same
 tables.
+
+While the cursor k holds and its released candidate wins, c[i] =
+r[i-1] + 2 tau[k] and pred[i] = k: a run.  It ends where the cursor
+moves or the window front wins, two thresholds on the nondecreasing r
+that a bisect finds each, or where one of the run's own a_j undercuts,
+or the other side's candidate wins in a 2-D row, which numpy finds
+over chunks of the run with the same float operations the scalar loop
+makes.  A run whose cursor holds past RUN states is filled by slice,
+and the window left behind is rebuilt from the run's suffix minima.
+On a one-route side the whole line is one run.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import EMPTY_SIDE, table_dtype
+from .distance_extremity import RUN
+from .instance import EMPTY_SIDE, MAX_MAGNITUDE, table_dtype
 from .solution import RIGHT, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
+
+# A run is checked in numpy slices of at most this many states, each
+# written into c before the next is converted, so a run holds O(1)
+# memory; when a run is tried is RUN's business, not this length's.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,45 +101,170 @@ def _time_line(r, tau, c, pred, merge=False, check=False):
     candidate, which the kernel reads before it overwrites them; the
     candidate wins ties.  c[0] may exceed the first releases, so the
     cursor starts at -1 and state 0 enters the window like any other.
-    check=True asserts _check_line per state.
+    The first state whose released candidate beats the window with a
+    new cursor probes for a run, and _time_run fills it when the cursor
+    holds RUN states on.  check=True asserts _check_line at every
+    state, the ones a run fills included.
     """
     # cand holds (a_j, j) with a_j = c[j] + 2 tau[j+1] for j in (k, i-1],
     # values nondecreasing front to back; equal values all stay so the
     # front is always the smallest j among minima
     cand = deque()
     k = -1
-    for i in range(1, len(r) + 1):
-        last = i - 1
-        ri = r[last]
-        a = c[last] + 2 * tau[last]
-        while cand and cand[-1][0] > a:
-            cand.pop()
-        cand.append((a, last))
-        # grow the released region; its best candidate is always j = k
-        # because tau strictly decreases
-        while k < last and c[k + 1] <= ri:
-            k += 1
-            if cand[0][1] <= k:
-                cand.popleft()
-        if check:
-            _check_line(c[:i], tau, ri, k, cand)
-        if k >= 0:
-            best = ri + 2 * tau[k]
-            bj = k
-            if cand and cand[0][0] < best:
+    tried = -1
+    fill = False
+    n = len(r)
+    stop = n + 1 - RUN
+    i = 1
+    while i <= n:
+        # the scalar loop; a run fill leaves it, to resume past the run
+        for i in range(i, n + 1):
+            last = i - 1
+            ri = r[last]
+            a = c[last] + 2 * tau[last]
+            while cand and cand[-1][0] > a:
+                cand.pop()
+            cand.append((a, last))
+            # grow the released region; its best candidate is always j = k
+            # because tau strictly decreases
+            while k < last and c[k + 1] <= ri:
+                k += 1
+                if cand[0][1] <= k:
+                    cand.popleft()
+            if check:
+                _check_line(c[:i], tau, ri, k, cand)
+            if k >= 0:
+                best = ri + 2 * tau[k]
+                bj = k
+                if cand and cand[0][0] < best:
+                    best, bj = cand[0]
+                elif k > tried:
+                    # the released candidate beats the window, and the
+                    # cursor is new
+                    tried = k
+                    fill = True
+            else:
                 best, bj = cand[0]
+            if merge and c[i] <= best:
+                best = c[i]
+                bj = pred[i]
+            c[i] = best
+            pred[i] = bj
+            if fill:
+                # a run may follow if the cursor holds to state i + RUN;
+                # that only gets less likely as i grows, so each cursor
+                # is probed once, here where c[k + 1] is known
+                fill = False
+                if i < stop and r[i + RUN - 1] < c[k + 1]:
+                    i = _time_run(r, tau, c, pred, merge, check, i, k, cand) + 1
+                    break
         else:
-            best, bj = cand[0]
-        if merge and c[i] <= best:
-            best = c[i]
-            bj = pred[i]
-        c[i] = best
-        pred[i] = bj
+            break
 
 
-def solve_time_linear(side, label=RIGHT):
-    """One-pass solver; output matches solve_time_quadratic exactly."""
+def _time_run(r, tau, c, pred, merge, check, i, k, cand):
+    """Fill the run that follows state i, whose released candidate won
+    with cursor k, and return the run's last state (i when none).
+
+    Each state m of a run takes c[m] = r[m-1] + 2 tau[k] and pred[m] = k.
+    The run ends before the first state where the cursor moves, the
+    window front wins, one of the run's own a_j undercuts, or, with
+    merge, the other side's candidate wins; the first two are bisects,
+    the last two numpy tests, in chunks of _CHUNK states written
+    straight into c.  cand ends as the window the scalar loop would
+    hold: its entries up to the run's least a, then the run's
+    suffix-minimum a_j, equal values kept.
+    """
+    n = len(r)
+    p = i + RUN
+    two = 2 * tau[k]
+    front = cand[0][0] if cand else None
+    prev = c[i] + 2 * tau[i]
+    # the other O(1) probes at state p, the cursor's passed: a run that
+    # fails one ends within RUN states and is left to the scalar loop,
+    # and as both thresholds hold up to p, their bisects start there
+    top = r[p - 1] + two
+    if (front is not None and top > front) or top > prev or (merge and c[p] <= top):
+        return i
+    # the numpy tests run in float64 unless every number is an int, and
+    # float64 adds integers exactly below 2**53; the margin covers the
+    # rounding of this bound itself when a float release takes part
+    floats = two.__class__ is float
+    if not floats and r[-1] + 2 * two > MAX_MAGNITUDE - 4:
+        return i
+    end = bisect_left(r, c[k + 1], p, n)
+    if front is not None:
+        # x + two rounds monotonically, so the key keeps r's order
+        end = bisect_right(r, front, p, end, key=lambda x: x + two)
+    # a float two makes every entry a float; otherwise numpy picks int64
+    # exactly when the slice holds only ints, as Python's sums would
+    dt = float if floats else None
+    start = deque(cand) if check else None
+    low = prev
+    lo = i + 1
+    while True:
+        # states lo..hi-1 take best; state lo pushes prev = a_{lo-1} and
+        # the others a_lo..a_{hi-2}; low is the least a pushed before lo
+        hi = min(end + 1, lo + _CHUNK)
+        rs = r[lo - 1 : hi - 1]
+        best = np.array(rs, dt) + two
+        av = best[:-1] + 2 * np.array(tau[lo : hi - 1], dt)
+        window = np.minimum.accumulate(np.concatenate(((min(low, prev),), av)))
+        bad = best > window
+        if merge:
+            bad |= np.array(c[lo:hi], float) <= best
+        (cut,) = bad.nonzero()
+        if len(cut):
+            hi = lo + int(cut[0])
+            if hi == lo:
+                break
+        if floats or best.dtype.kind == "i":
+            c[lo:hi] = best[: hi - lo].tolist()
+        else:
+            c[lo:hi] = [x + two for x in rs[: hi - lo]]
+        pred[lo:hi] = [k] * (hi - lo)
+        # push prev, then the chunk's a, each popping the larger ones
+        # before it: the chunk's own suffix minima stay
+        while cand and cand[-1][0] > prev:
+            cand.pop()
+        cand.append((prev, lo - 1))
+        pushed = av[: hi - lo - 1]
+        if len(pushed):
+            suffix = np.minimum.accumulate(pushed[::-1])[::-1]
+            least = suffix[0].item()
+            while cand and cand[-1][0] > least:
+                cand.pop()
+            (keep,) = (pushed[:-1] <= suffix[1:]).nonzero()
+            keep = np.append(keep, len(pushed) - 1)
+            js = (keep + lo).tolist()
+            if floats or pushed.dtype.kind == "i":
+                cand.extend(zip(pushed[keep].tolist(), js))
+            else:
+                cand.extend((c[j] + 2 * tau[j], j) for j in js)
+        if len(cut) or hi > end:
+            break
+        low = window[-1]
+        prev = c[hi - 1] + 2 * tau[hi - 1]
+        lo = hi
+    if check:
+        # replay the run state by state: each one's window passes
+        # _check_line and loses to the released candidate, and the last
+        # one's is the window rebuilt above
+        for m in range(i + 1, hi):
+            a = c[m - 1] + 2 * tau[m - 1]
+            while start and start[-1][0] > a:
+                start.pop()
+            start.append((a, m - 1))
+            _check_line(c[:m], tau, r[m - 1], k, start)
+            assert c[m] == r[m - 1] + two and not start[0][0] < c[m]
+        assert start == cand
+    return hi - 1
+
+
+def solve_time_linear(side, label=RIGHT, check=False):
+    """One-pass solver; output matches solve_time_quadratic exactly.
+    check=True asserts _check_line at every state."""
     c = [0] * (side.n + 1)
     pred = [0] * (side.n + 1)
-    _time_line(side.r, side.tau, c, pred)
+    _time_line(side.r, side.tau, c, pred, check=check)
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)

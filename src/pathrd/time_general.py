@@ -24,6 +24,12 @@ is pushed and popped at most once, so states cost O(1) amortized and
 the whole table O(n_l * n_r).  The column step advances n_r + 1 lines
 by one state each, so it is written inline rather than as a per-state
 call of the kernel.
+
+The row kernel fills runs by slice as in 1-D: a stretch of a row
+where the right cursor holds and its released candidate beats the
+window takes that candidate in one step.  In a merged row the run also
+ends where the left term, already in the row, wins, so the left term
+keeps its ties.  Column steps fill no runs.
 """
 
 from collections import deque

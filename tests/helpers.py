@@ -16,7 +16,10 @@ long_run_sides and count_run_fills serve the tests of the distance
 kernel's runs, the stretches of a line it fills by slice,
 assert_matches_baseline compares a fast distance solver with its
 baseline, and ref_distance_line fills one line of the distance table
-from its definition.
+from its definition.  long_time_run_sides and count_time_run_fills do
+the same for the time kernel's runs, and ref_time_line is the time
+kernel as it was before it filled runs, state by state, kept unchanged
+(apart from its name) as the bitwise reference for the run fills.
 """
 
 import dataclasses
@@ -36,8 +39,11 @@ from pathrd import (
     UnknownDepot,
     random_canonical_side,
 )
-from pathrd import distance_extremity
+from collections import deque
+
+from pathrd import distance_extremity, time_extremity
 from pathrd.distance_extremity import RUN
+from pathrd.time_extremity import _check_line
 
 EX1_DOC = {
     "vertices": [
@@ -343,3 +349,120 @@ def assert_matches_baseline(fast, baseline, *args):
     got, got_plan = fast(*args, check=True)
     assert got == want
     assert got_plan == plan
+
+
+def ref_time_line(r, tau, c, pred, merge=False, check=False):
+    """Fill c[1..n] and pred[1..n] of one line from the given c[0],
+    n = len(r); pred[i] is the raw j the minimum was taken at.
+
+    With merge, c[i] and pred[i] already hold the other side's
+    candidate, which the kernel reads before it overwrites them; the
+    candidate wins ties.  c[0] may exceed the first releases, so the
+    cursor starts at -1 and state 0 enters the window like any other.
+    check=True asserts _check_line per state.
+    """
+    # cand holds (a_j, j) with a_j = c[j] + 2 tau[j+1] for j in (k, i-1],
+    # values nondecreasing front to back; equal values all stay so the
+    # front is always the smallest j among minima
+    cand = deque()
+    k = -1
+    for i in range(1, len(r) + 1):
+        last = i - 1
+        ri = r[last]
+        a = c[last] + 2 * tau[last]
+        while cand and cand[-1][0] > a:
+            cand.pop()
+        cand.append((a, last))
+        # grow the released region; its best candidate is always j = k
+        # because tau strictly decreases
+        while k < last and c[k + 1] <= ri:
+            k += 1
+            if cand[0][1] <= k:
+                cand.popleft()
+        if check:
+            _check_line(c[:i], tau, ri, k, cand)
+        if k >= 0:
+            best = ri + 2 * tau[k]
+            bj = k
+            if cand and cand[0][0] < best:
+                best, bj = cand[0]
+        else:
+            best, bj = cand[0]
+        if merge and c[i] <= best:
+            best = c[i]
+            bj = pred[i]
+        c[i] = best
+        pred[i] = bj
+
+
+def ref_time_tables(side):
+    """c and pred of side's time line, filled by ref_time_line."""
+    c = [0] * (side.n + 1)
+    pred = [0] * (side.n + 1)
+    ref_time_line(side.r, side.tau, c, pred)
+    return c, pred
+
+
+def line_side(r, tau):
+    """A side with the given releases and depot distances, labels 1..n."""
+    return CanonicalSide(
+        r=tuple(r), tau=tuple(tau), labels=tuple(range(1, len(r) + 1)), riders=((),) * len(r)
+    )
+
+
+# One customer released at 5, one unit from the depot: beside
+# long_time_run_sides()["left"] on the right, its term in row 1 of the
+# 2-D table undercuts the right side's run at state 41.
+LEFT_CUT_CUSTOMER = line_side([5], [1])
+
+
+def long_time_run_sides():
+    """Sides whose time lines hold runs far longer than RUN, by name: a
+    one-route side, which is one run; a side that waits up to 20; a
+    staircase; and one side for each way a run ends, its run from state
+    2 (22 for "front") to the state named:
+
+    - "cursor": releases 0 jump to c[1] = 200 after state 60, so the
+      cursor moves at state 61;
+    - "front": the cursor jumps to 10 at state 21 and leaves state 11 in
+      the window, whose a beats the released candidate by 1 until the
+      releases rise by 2 after state 60;
+    - "own a": releases flat then rising by 3 a state, tau falling by 1
+      a state past a far first customer, so a run state's own a, that
+      of state 41, undercuts after state 93;
+    - "left": releases rising by 3, whose run in row 1 beside
+      LEFT_CUT_CUSTOMER ends after state 40, where the left term wins.
+    """
+    return {
+        "one route": random_canonical_side(120, seed=71),
+        "wait 20": random_canonical_side(150, seed=72, max_wait=20, max_step=2),
+        "stairs": stairs_side(240, 200),
+        "cursor": line_side([0] * 60 + [200] * 40, range(100, 0, -1)),
+        "front": line_side(
+            [3 * j for j in range(20)] + [2027] * 40 + [2029] * 20,
+            [1000] + [500 - j for j in range(1, 80)],
+        ),
+        "own a": line_side(
+            [0] * 40 + [3 * j for j in range(80)],
+            [1000] + [120 - j for j in range(1, 120)],
+        ),
+        "left": line_side([3 * j for j in range(60)], [100] + [60 - j for j in range(1, 60)]),
+    }
+
+
+def count_time_run_fills(monkeypatch):
+    """(first state, last state, merge) of every run the time kernel
+    fills by slice, 1-D or in a 2-D row, in the order they are filled;
+    merge tells a 2-D row that holds the left term from one that does
+    not."""
+    runs = []
+    fill = time_extremity._time_run
+
+    def counted(r, tau, c, pred, merge, check, i, k, cand):
+        last = fill(r, tau, c, pred, merge, check, i, k, cand)
+        if last > i:
+            runs.append((i + 1, last, merge))
+        return last
+
+    monkeypatch.setattr(time_extremity, "_time_run", counted)
+    return runs

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,11 +13,18 @@ from pathrd import (
     oracle_time,
     random_canonical_side,
     split_at_depot,
+    time_extremity,
     validate_solution,
 )
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 
-from helpers import EX1_SIDE, rescaled
+from helpers import (
+    EX1_SIDE,
+    count_time_run_fills,
+    long_time_run_sides,
+    ref_time_tables,
+    rescaled,
+)
 
 SOLVERS = (solve_time_quadratic, solve_time_linear)
 
@@ -104,7 +112,7 @@ def test_linear_matches_quadratic_everywhere():
     for _ in range(400):
         side = _random_side(rng)
         qt, qs = solve_time_quadratic(side)
-        lt, ls = solve_time_linear(side)
+        lt, ls = solve_time_linear(side, check=True)
         assert lt.c == qt.c
         assert lt.pred == qt.pred
         assert ls == qs
@@ -143,6 +151,137 @@ def test_value_equals_oracle(ms):
     for solve in SOLVERS:
         _, sol = solve(side)
         assert sol.value == want
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _assert_matches_reference(side, check=False):
+    """solve_time_linear gives ref_time_line's c and pred, entry for
+    entry and type for type."""
+    trace, _ = solve_time_linear(side, check=check)
+    c, pred = ref_time_tables(side)
+    assert _typed(trace.c) == _typed(c)
+    assert _typed(trace.pred) == _typed(pred)
+
+
+# int data, floats that round (x0.37), half-integers, and whole floats
+# within 2**20 of 2**52
+SCALES = {
+    "int": (1, 0),
+    "x0.37": (0.37, 0),
+    "half": (0.5, 0),
+    "near 2**52": (1, float(2**52 - 2**20)),
+}
+
+
+# the kernel's numpy chunk length, and one that cuts these runs into
+# many chunks, so that a run's state is carried across their seams
+CHUNKS = {"default": time_extremity._CHUNK, "5": 5}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("scale", SCALES)
+def test_long_time_runs_match_reference(scale, chunk, monkeypatch):
+    monkeypatch.setattr(time_extremity, "_CHUNK", CHUNKS[chunk])
+    runs = count_time_run_fills(monkeypatch)
+    for name, base in long_time_run_sides().items():
+        before = len(runs)
+        _assert_matches_reference(rescaled(base, *SCALES[scale]), check=True)
+        assert len(runs) > before, name
+
+
+def test_each_way_a_run_ends(monkeypatch):
+    runs = count_time_run_fills(monkeypatch)
+    sides = long_time_run_sides()
+    ends = {
+        # name: (the first run, the state past it, its pred there): the
+        # front is a state from before the run, the own a one of the run's
+        "cursor": ((2, 60, False), 61, 60),
+        "front": ((22, 60, False), 61, 11),
+        "own a": ((2, 93, False), 94, 41),
+    }
+    for name, (run, after, winner) in ends.items():
+        side = sides[name]
+        del runs[:]
+        trace, _ = solve_time_linear(side, check=True)
+        assert runs[0] == run
+        assert trace.pred[after] == winner
+        _assert_matches_reference(side)
+    # the cursor moved: state 61 is released exactly at c[1], which the
+    # run kept waiting for
+    cursor = sides["cursor"]
+    c = solve_time_linear(cursor)[0].c
+    assert cursor.r[59] < c[1] == cursor.r[60]
+    # a front that wins within RUN states of a new cursor leaves every
+    # state to the scalar loop
+    front = sides["front"]
+    short = dataclasses.replace(front, r=front.r[:40] + (2029,) * 40)
+    del runs[:]
+    _assert_matches_reference(short, check=True)
+    assert runs == []
+
+
+def test_check_asserts_every_state_a_run_fills(monkeypatch):
+    states = []
+    check_line = time_extremity._check_line
+
+    def recorded(line, tau, release, k, window):
+        states.append(len(line))
+        check_line(line, tau, release, k, window)
+
+    monkeypatch.setattr(time_extremity, "_check_line", recorded)
+    runs = count_time_run_fills(monkeypatch)
+    side = long_time_run_sides()["stairs"]
+    solve_time_linear(side, check=True)
+    assert len(runs) >= 3
+    assert sorted(states) == list(range(1, side.n + 1))
+
+
+def test_near_2_53_sweep_matches_reference(monkeypatch):
+    # the float corpus of the rounding-tie sweep: there the ulp is 1 or
+    # 2, and c and pred must still be the scalar loop's
+    runs = count_time_run_fills(monkeypatch)
+    for seed in range(100):
+        for wait in (0, 1, 3, 20):
+            base = random_canonical_side(80, seed=seed, max_wait=wait, max_step=1)
+            for scale in (0.2, 0.37, 0.3):
+                for shift in (float(2**52), 1.5 * 2**52):
+                    _assert_matches_reference(rescaled(base, scale, shift))
+    assert len(runs) >= 1000
+
+
+def _mixed(side, which):
+    """side with every other release (which 1), depot distance (2) or
+    both (3) turned into a float of the same value."""
+    def floats(values, on):
+        return tuple(float(v) if on and j % 2 else v for j, v in enumerate(values))
+
+    return dataclasses.replace(side, r=floats(side.r, which & 1), tau=floats(side.tau, which & 2))
+
+
+def test_mixed_int_and_float_entries_keep_their_types(monkeypatch):
+    runs = count_time_run_fills(monkeypatch)
+    for name, base in long_time_run_sides().items():
+        for which in (1, 2, 3):
+            before = len(runs)
+            side = _mixed(base, which)
+            _assert_matches_reference(side)
+            assert len(runs) > before, (name, which)
+    # both types do reach the tables
+    c = solve_time_linear(_mixed(long_time_run_sides()["stairs"], 1))[0].c
+    assert {type(v) for v in c} == {int, float}
+
+
+def test_mixed_entries_past_2_53_stay_exact():
+    # beyond the admissible input, float64 no longer holds every sum of
+    # ints: the kernel leaves a run that adds ints to the scalar loop
+    # rather than test it in numpy
+    for name, base in long_time_run_sides().items():
+        for scale in (1, 3):
+            for which in (1, 2, 3):
+                _assert_matches_reference(_mixed(rescaled(base, scale, 2**53 + 1), which))
 
 
 @pytest.mark.xfail(strict=True, reason="rounding ties between predecessors pick the larger j")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pathrd import (
     EMPTY_SIDE,
     GeneralInstance,
@@ -9,11 +11,19 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
+from pathrd import time_extremity
 from pathrd.solution import LEFT, RIGHT
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
-from helpers import EX1_SIDE, EX2_GENERAL
+from helpers import (
+    EX1_SIDE,
+    EX2_GENERAL,
+    LEFT_CUT_CUSTOMER,
+    count_time_run_fills,
+    long_time_run_sides,
+    rescaled,
+)
 
 SOLVERS = (solve_time_2d_cubic, solve_time_2d_minqueue)
 
@@ -116,3 +126,48 @@ def test_matches_oracle_on_small_instances():
         want = oracle_time(inst).value
         for solve in SOLVERS:
             assert solve(inst)[1].value == want
+
+
+def _typed_table(c):
+    # every cell but the origin, which the fast solver starts as int 0
+    # and the baseline in its table's dtype
+    return [(type(v), v) for row in c for v in row][1:]
+
+
+@pytest.mark.parametrize("chunk", [time_extremity._CHUNK, 5], ids=["default", "5"])
+@pytest.mark.parametrize("scale", [(1, 0), (0.37, 0)], ids=["int", "x0.37"])
+def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
+    # the right side holds the runs; each pair fills some in rows that
+    # merge the left term, in numpy chunks of the kernel's length or 5
+    monkeypatch.setattr(time_extremity, "_CHUNK", chunk)
+    runs = count_time_run_fills(monkeypatch)
+    sides = long_time_run_sides()
+    sides["left cut"] = LEFT_CUT_CUSTOMER
+    pairs = [
+        ("left cut", "left"),
+        ("front", "front"),
+        ("own a", "front"),
+        ("left", "wait 20"),
+        ("cursor", "wait 20"),
+    ]
+    for left, right in pairs:
+        inst = GeneralInstance(rescaled(sides[left], *scale), rescaled(sides[right], *scale))
+        del runs[:]
+        tc, sc = solve_time_2d_cubic(inst)
+        tm, sm = solve_time_2d_minqueue(inst, check=True)
+        assert _typed_table(tm.c) == _typed_table(tc.c)
+        assert tm.pred == tc.pred
+        assert sm == sc
+        assert any(merge for _, _, merge in runs), (left, right)
+
+
+def test_left_term_ends_a_row_run(monkeypatch):
+    runs = count_time_run_fills(monkeypatch)
+    inst = GeneralInstance(LEFT_CUT_CUSTOMER, long_time_run_sides()["left"])
+    trace, _ = solve_time_2d_minqueue(inst, check=True)
+    # row 0 is one run; in row 1 the released candidate beats the left
+    # term from state 5 to 40, and the left term wins at state 41
+    assert runs == [(2, 40, False), (5, 40, True)]
+    assert trace.pred[1][40] == (RIGHT, 0)
+    assert trace.pred[1][41] == (LEFT, 0)
+    assert trace.c == solve_time_2d_cubic(inst)[0].c
