@@ -144,11 +144,7 @@ def _read_instance(path, parser):
 def _pick_solver(inst, objective, family):
     """The solver of this family for the objective and the instance's shape."""
     general = inst.left.n > 0 and inst.right.n > 0
-    return next(
-        solver
-        for solver in SOLVERS.values()
-        if (solver.objective, solver.general, solver.family) == (objective, general, family)
-    )
+    return next(s for s in _applicable(inst, objective) if (s.general, s.family) == (general, family))
 
 
 def _applicable(inst, objective):
@@ -209,15 +205,19 @@ def _solution_from_report(report):
         )
         for item in report["routes"]
     )
-    return Solution(report["objective"], _report_number(report["value"], "value"), routes)
+    claims = [_report_number(item["completion"], "completion") for item in report["routes"]]
+    return Solution(report["objective"], _report_number(report["value"], "value"), routes), claims
 
 
-def _emit(text, out_path):
+def _emit(text, out_path, parser):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {out_path}: {exc}")
 
 
 def cmd_solve(args):
@@ -263,7 +263,7 @@ def cmd_solve(args):
     }
     if args.objective == DISTANCE:
         report["deadline"] = deadline
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out, args.parser)
     if args.out is not None:
         print(f"{status}: value {value} ({name}), report in {args.out}")
     return 0 if status == "optimal" else 1
@@ -308,10 +308,12 @@ def cmd_generate(args):
     if args.out is None:
         sys.stdout.write(docs[0])
         return 0
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"cannot write {args.out}: {exc}")
     for i, text in enumerate(docs):
-        with open(os.path.join(args.out, f"instance_{i:04d}.json"), "w") as fh:
-            fh.write(text)
+        _emit(text, os.path.join(args.out, f"instance_{i:04d}.json"), args.parser)
     print(f"wrote {args.count} instances to {args.out}")
     return 0
 
@@ -402,7 +404,7 @@ def cmd_bench(args):
                 f"{args.algo},{solver.objective},{inst.left.n},{inst.right.n},{rep},"
                 f"{wall_ns},{solution.value}"
             )
-    _emit("\n".join(rows) + "\n", args.csv)
+    _emit("\n".join(rows) + "\n", args.csv, args.parser)
     return 0
 
 
@@ -435,7 +437,7 @@ def cmd_validate(args):
             report = json.load(fh)
         infeasible = report.get("status") == "infeasible"
         objective = report.get("objective")
-        solution = None if infeasible else _solution_from_report(report)
+        solution, claims = (None, None) if infeasible else _solution_from_report(report)
         deadline = report.get("deadline")
         if deadline is not None and _report_number(deadline, "deadline") < 0:
             raise ValueError(f"negative: {deadline!r}")
@@ -449,6 +451,10 @@ def cmd_validate(args):
         violations = _refute_infeasible(inst, objective, deadline)
     else:
         violations = validate_solution(inst, solution, deadline=deadline)
+        violations += [
+            Violation("completion", f"route {k} claims {claim}, dispatch + duration is {route.completion}")
+            for k, (route, claim) in enumerate(zip(solution.routes, claims)) if claim != route.completion
+        ]
     for violation in violations:
         print(f"{violation.kind}: {violation.detail}", file=sys.stderr)
     print(f"{len(violations)} violations")

@@ -56,7 +56,7 @@ class DistDpTrace:
     """lam[p]: latest feasible dispatch for the suffix from p (None when
     absent), lam[n] = deadline; succ[p]: the q the maximum came from.
     The 2-D solvers of distance_general return this class with [p][q]
-    tables: lam[p][q] and succ[p][q] = (side, w)."""
+    tables, moves written as solution.time_solution reads them."""
 
     lam: list
     succ: list

@@ -11,9 +11,10 @@ of 2 taul[p] whose dispatch must also cover the block's last release:
                      the symmetric right term ),
 
 absent when both terms come up empty; infeasible iff lam[0][0] is
-absent.  Ties prefer the left term, then the smallest w.  The cubic
-baseline scans both terms of every state with _scan, the one full scan
-of distance_extremity's quadratic baseline.
+absent.  Ties prefer the left term, then the smallest w; succ[p][q] is
+w for the right term and (LEFT, w) for the left.  The cubic baseline
+scans both terms of every state with _scan, the one full scan of
+distance_extremity's quadratic baseline.
 
 The fast solver is a kernel plus a column step.  lam is nondecreasing
 along rows and columns, so each line is served as in distance_extremity,
@@ -30,7 +31,7 @@ import numpy as np
 from .distance_extremity import DistDpTrace, _check_top, _distance_line, _scan
 from .errors import Infeasible
 from .instance import table_dtype
-from .solution import LEFT, RIGHT, distance_solution
+from .solution import LEFT, distance_solution
 
 __all__ = ["solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
@@ -65,7 +66,7 @@ def solve_distance_2d_cubic(inst, deadline):
                 hit = _scan(lam[p, q + 1 :], present[p, q + 1 :], rr[q:], twor[q])
                 if hit is not None and (best is None or hit[0] > best):
                     best, w = hit
-                    take = (RIGHT, q + 1 + w)
+                    take = q + 1 + w
             if best is not None:
                 lam[p, q] = best
                 present[p, q] = True
@@ -88,10 +89,8 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     nr = inst.right.n
     rl, taul = inst.left.r, inst.left.tau
     rr, taur = inst.right.r, inst.right.tau
-    # shared labels: the column step stores left_of[w], and the row
-    # kernel's raw right successor w becomes right_of[w]
+    # shared left moves for the column step; the row kernel's bare w is a right move
     left_of = [(LEFT, w) for w in range(nl + 1)]
-    right_of = [(RIGHT, w) for w in range(nr + 1)]
     lam = [[None] * (nr + 1) for _ in range(nl + 1)]
     succ = [[None] * (nr + 1) for _ in range(nl + 1)]
     lam[nl][nr] = deadline
@@ -130,7 +129,6 @@ def solve_distance_2d_heap(inst, deadline, check=False):
         if nr:
             # the right term along the row; the left term wins ties
             _distance_line(rr, taur, lp, sp, p < nl, check)
-            sp[:] = [right_of[w] if w.__class__ is int else w for w in sp]
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)

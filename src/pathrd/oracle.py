@@ -141,9 +141,9 @@ def validate_solution(inst, solution, deadline=None):
     Verifies that blocks partition each side, each route delivers its
     block's labels and riders (in any order), dispatches respect
     releases, routes are serialized in order, durations match the
-    blocks, the deadline (when given) is met, and the stated value
-    agrees with the routes.  Partition plus deliveries means every raw
-    customer is served exactly once.
+    blocks, the deadline (when given) is met, and the value agrees with
+    the routes under the time or distance objective.  Partition plus
+    deliveries means every raw customer is served exactly once.
     """
     out = []
     sides = {LEFT: inst.left, RIGHT: inst.right}
@@ -205,10 +205,9 @@ def validate_solution(inst, solution, deadline=None):
     finish = solution.routes[-1].completion if solution.routes else 0
     if deadline is not None and finish > deadline:
         out.append(Violation("deadline", f"finished at {finish}, deadline {deadline}"))
-    if solution.objective == TIME:
-        want = finish
-    else:
-        want = sum(route.duration for route in solution.routes)
-    if solution.value != want:
+    want = {TIME: finish, DISTANCE: sum(r.duration for r in solution.routes)}.get(solution.objective)
+    if want is None:
+        out.append(Violation("objective", f"unknown objective {solution.objective!r}"))
+    elif solution.value != want:
         out.append(Violation("value", f"stated value {solution.value}, routes give {want}"))
     return out

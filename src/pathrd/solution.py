@@ -52,23 +52,22 @@ class Solution:
 
 def time_solution(left, right, c, pred, label=RIGHT):
     """The plan of a completion-time table c[i][j], walking pred back
-    from the full state; the value is c[n_l][n_r].  A move is (side, w),
-    or a bare w on the right side, which the routes then name label: a
-    1-D solver passes its table as the one row of an EMPTY_SIDE left.
-    A route leaves once the vehicle is back and its block is released,
-    max(prev, r) written out, as the walk runs once per route."""
+    from the full state; the value is c[n_l][n_r].  Every table writes a
+    move one way: None where no route ends or leaves, a bare w for a route
+    over the right side, named label, and (LEFT, w) for a left one, so a
+    1-D trace is one row with an EMPTY_SIDE left.  A route leaves once the
+    vehicle is back and its block is released, max(prev, r) written out."""
     i = left.n
     j = right.n
     rev = []
     while i or j:
         w = pred[i][j]
         if w.__class__ is tuple:
-            name, w = w
-            if name == LEFT:
-                prev, r = c[w][j], left.r[i - 1]
-                rev.append(make_route(LEFT, left, w, i - 1, prev if prev >= r else r))
-                i = w
-                continue
+            w = w[1]
+            prev, r = c[w][j], left.r[i - 1]
+            rev.append(make_route(LEFT, left, w, i - 1, prev if prev >= r else r))
+            i = w
+            continue
         prev, r = c[i][w], right.r[j - 1]
         rev.append(make_route(label, right, w, j - 1, prev if prev >= r else r))
         j = w
@@ -90,11 +89,10 @@ def distance_solution(left, right, lam, succ, label=RIGHT):
         w = succ[p][q]
         dispatch = lam[p][q]
         if w.__class__ is tuple:
-            name, w = w
-            if name == LEFT:
-                routes.append(make_route(LEFT, left, p, w - 1, dispatch))
-                p = w
-                continue
+            w = w[1]
+            routes.append(make_route(LEFT, left, p, w - 1, dispatch))
+            p = w
+            continue
         routes.append(make_route(label, right, q, w - 1, dispatch))
         q = w
     value = sum(route.duration for route in routes)

@@ -48,9 +48,9 @@ _CHUNK = 4096
 @dataclass(frozen=True)
 class TimeDpTrace:
     """c[i]: best completion for the first i customers; pred[i]: the j
-    the minimum was taken at, ties to the smallest j.  The 2-D solvers
-    of time_general return this class with [i][j] tables: c[i][j] and
-    pred[i][j] = (side, w), None at the origin."""
+    the minimum was taken at, ties to the smallest j, None at 0.  The
+    2-D solvers of time_general return this class with [i][j] tables,
+    moves written as solution.time_solution reads them."""
 
     c: list
     pred: list
@@ -75,7 +75,7 @@ def solve_time_quadratic(side, label=RIGHT):
     r = np.asarray(side.r, dtype=dt)
     two_tau = 2 * np.asarray(side.tau, dtype=dt)
     c = np.zeros(n + 1, dtype=dt)
-    pred = [0] * (n + 1)
+    pred = [None] * (n + 1)
     for i in range(1, n + 1):
         c[i], pred[i] = _scan(c[:i], r[i - 1], two_tau[:i])
     c = c.tolist()
@@ -265,6 +265,6 @@ def solve_time_linear(side, label=RIGHT, check=False):
     """One-pass solver; output matches solve_time_quadratic exactly.
     check=True asserts _check_line at every state."""
     c = [0] * (side.n + 1)
-    pred = [0] * (side.n + 1)
+    pred = [None] * (side.n + 1)
     _time_line(side.r, side.tau, c, pred, check=check)
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)

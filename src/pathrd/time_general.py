@@ -9,8 +9,9 @@ route covered a suffix of one side's served prefix,
                    min over w < j of  max(c[i][w], rr[j]) + 2 taur[w+1] ),
 
 1-based on the right-hand sides, with ties broken toward the left term
-and the smallest w.  The cubic baseline scans both terms of every state
-with _scan, the one full scan of time_extremity's quadratic baseline.
+and the smallest w; pred[i][j] is w for the right term and (LEFT, w)
+for the left.  The cubic baseline scans both terms of every state with
+_scan, the one full scan of time_extremity's quadratic baseline.
 
 The fast solver is a kernel plus a column step.  Row by row, the
 column step first advances every column's cursor and deque of (a, w)
@@ -37,7 +38,7 @@ from collections import deque
 import numpy as np
 
 from .instance import table_dtype
-from .solution import LEFT, RIGHT, time_solution
+from .solution import LEFT, time_solution
 from .time_extremity import TimeDpTrace, _check_line, _scan, _time_line
 
 __all__ = ["solve_time_2d_cubic", "solve_time_2d_minqueue"]
@@ -68,7 +69,7 @@ def solve_time_2d_cubic(inst):
                 value, w = _scan(c[i, :j], rr[j - 1], twor[:j])
                 if best is None or value < best:
                     best = value
-                    take = (RIGHT, w)
+                    take = w
             if best is not None:
                 c[i, j] = best
                 pred[i][j] = take
@@ -90,10 +91,8 @@ def solve_time_2d_minqueue(inst, check=False):
     taul = inst.left.tau
     rr = inst.right.r
     taur = inst.right.tau
-    # shared labels: the column step stores left_of[w], and the row
-    # kernel's raw right winner w becomes right_of[w]
+    # shared left moves for the column step; the row kernel's bare w is a right move
     left_of = [(LEFT, w) for w in range(nl + 1)]
-    right_of = [(RIGHT, w) for w in range(nr + 1)]
     c = [[0] * (nr + 1) for _ in range(nl + 1)]
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     # per column, for the left term: a cursor over the released rows
@@ -138,5 +137,4 @@ def solve_time_2d_minqueue(inst, check=False):
         if nr:
             # the right term along the row; the left term wins ties
             _time_line(rr, taur, ci, pi, i > 0, check)
-            pi[:] = [right_of[p] if p.__class__ is int else p for p in pi]
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

@@ -396,9 +396,10 @@ def ref_time_line(r, tau, c, pred, merge=False, check=False):
 
 
 def ref_time_tables(side):
-    """c and pred of side's time line, filled by ref_time_line."""
+    """c and pred of side's time line, filled by ref_time_line; pred[0]
+    is None, the origin, where no route ends."""
     c = [0] * (side.n + 1)
-    pred = [0] * (side.n + 1)
+    pred = [None] * (side.n + 1)
     ref_time_line(side.r, side.tau, c, pred)
     return c, pred
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +273,64 @@ def test_validate_flags_tampered_report(x1_path, tmp_path, capsys):
     assert "release" in err or "serialization" in err or "value" in err
 
 
+def _solve_report(x1_path, tmp_path, capsys, *argv):
+    """A report of x1, as solve writes it with argv, and its path."""
+    report_path = tmp_path / "report.json"
+    run(["solve", x1_path, *argv, "--out", str(report_path)], capsys)
+    return json.loads(report_path.read_text()), report_path
+
+
+def test_validate_flags_unknown_objective(x1_path, tmp_path, capsys):
+    # a distance report's value is its routes' durations, so only the
+    # objective is wrong here
+    report, report_path = _solve_report(
+        x1_path, tmp_path, capsys, "--objective", "distance", "--deadline", "45"
+    )
+    report["objective"] = "speed"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(
+        ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+    )
+    assert (code, out.strip()) == (1, "1 violations")
+    assert err.startswith("objective: ")
+
+
+def test_validate_checks_completion_claims(x1_path, tmp_path, capsys):
+    report, report_path = _solve_report(x1_path, tmp_path, capsys, "--objective", "time")
+    route = report["routes"][0]
+    assert route["completion"] == route["dispatch"] + route["duration"] == 25
+    route["completion"] = 1000000
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(
+        ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+    )
+    assert (code, out.strip()) == (1, "1 violations")
+    assert err.startswith("completion: route 0 claims 1000000")
+    # a claim that is no number makes the report malformed, as elsewhere
+    route["completion"] = "25"
+    report_path.write_text(json.dumps(report))
+    code, _, err = run(
+        ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+    )
+    assert code == 2 and "bad solution file" in err
+
+
+def test_unwritable_output_paths_are_usage_errors(x1_path, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv in (
+        ["solve", x1_path, "--objective", "time", "--out", str(missing)],
+        ["bench", "--algo", "time_linear", "--sizes", "10", "--reps", "1", "--csv", str(missing)],
+        ["generate", "--out", str(a_file)],
+        ["generate", "--count", "2", "--out", str(a_file)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "usage:" in err and str(tmp_path) in err, argv
+    assert not missing.parent.exists() and a_file.read_text() == ""
+
+
 def test_validate_infeasible_report_passes(x1_path, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     run(["solve", x1_path, "--objective", "distance", "--deadline", "20",
@@ -502,8 +562,14 @@ def test_bench_understands_scientific_sizes(capsys):
 
 
 def test_console_script_help():
+    # the child finds the package where pytest does, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "pathrd.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "pathrd.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for name in ("solve", "generate", "crosscheck", "bench", "validate"):

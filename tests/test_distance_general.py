@@ -15,14 +15,16 @@ from pathrd import (
     validate_solution,
 )
 from pathrd import distance_general
-from pathrd.distance_extremity import RUN, solve_distance_heap, solve_distance_quadratic
+from pathrd.distance_extremity import RUN, DistDpTrace, solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
-from pathrd.solution import LEFT, RIGHT
+from pathrd.solution import LEFT
 from pathrd.time_general import solve_time_2d_cubic
 
 from helpers import EX2_GENERAL, assert_matches_baseline, count_run_fills, long_run_sides, rescaled
 
 SOLVERS = (solve_distance_2d_cubic, solve_distance_2d_heap)
+# each 1-D solver and the 2-D solver of its family
+FAMILIES = ((solve_distance_quadratic, solve_distance_2d_cubic), (solve_distance_heap, solve_distance_2d_heap))
 
 
 def test_worked_example_tight_deadline():
@@ -73,21 +75,34 @@ def test_one_sided_reduction_matches_extremity_solver():
         inst = split_at_depot(
             generate_instance(0, rng.randint(1, 12), 8, rng.choice((0, 5, 30)), seed=rng.randrange(2**31))
         )
-        tbest = solve_time_2d_cubic(inst)[1].value
-        for deadline in (tbest, tbest + 5, 2 * tbest + 9):
-            t1, s1 = solve_distance_heap(inst.right, deadline)
-            for solve in SOLVERS:
-                t2, s2 = solve(inst, deadline)
-                assert t2.lam[0] == t1.lam
-                assert t2.succ[0] == [q if q is None else (RIGHT, q) for q in t1.succ]
-                assert s2.value == s1.value
-            flipped = GeneralInstance(inst.right, EMPTY_SIDE)
-            t3, s3 = solve_distance_2d_heap(flipped, deadline, check=True)
-            assert [row[0] for row in t3.lam] == t1.lam
-            assert [row[0] for row in t3.succ] == [q if q is None else (LEFT, q) for q in t1.succ]
-            assert s3.value == s1.value
-        with pytest.raises(Infeasible):
-            solve_distance_2d_heap(inst, tbest - 1, check=True)
+        for side in (inst.right, rescaled(inst.right, 0.37)):
+            wrapped = GeneralInstance(EMPTY_SIDE, side)
+            tbest = solve_time_2d_cubic(wrapped)[1].value
+            for deadline in (tbest - 1, tbest, tbest + 5, 2 * tbest + 9):
+                for solve_1d, solve_2d in FAMILIES:
+                    # a 1-D trace is the one row of the 2-D trace, moves
+                    # and all, infeasible traces included
+                    t1, s1 = _trace_or_infeasible(solve_1d, side, deadline)
+                    t2, s2 = _trace_or_infeasible(solve_2d, wrapped, deadline)
+                    assert t2 == DistDpTrace([t1.lam], [t1.succ])
+                    assert s2 == s1
+                if side is inst.right:
+                    assert (s1 is None) == (deadline < tbest)
+                flipped = GeneralInstance(side, EMPTY_SIDE)
+                t3, s3 = _trace_or_infeasible(solve_distance_2d_heap, flipped, deadline, check=True)
+                assert [row[0] for row in t3.lam] == t1.lam
+                assert [row[0] for row in t3.succ] == [q if q is None else (LEFT, q) for q in t1.succ]
+                if s1 is not None:
+                    assert s3 == solve_distance_heap(side, deadline, label=LEFT)[1]
+
+
+def _trace_or_infeasible(solve, *args, **kwargs):
+    """(trace, solution) of a solve, or (trace, None) when it raises
+    Infeasible with that trace."""
+    try:
+        return solve(*args, **kwargs)
+    except Infeasible as exc:
+        return exc.trace, None
 
 
 def test_slack_deadline_is_one_route_per_side():

@@ -224,3 +224,6 @@ def test_validate_flags_each_violation_kind():
         assert kinds(bad) == {"deliveries"}
     swapped = replace(good.routes[0], deliveries=good.routes[0].deliveries[::-1])
     assert kinds(Solution("time", 31, (swapped, good.routes[1]))) == set()
+    # an objective neither time nor distance has no value to agree with
+    for objective in ("speed", "Time", None):
+        assert kinds(Solution(objective, 31, good.routes)) == {"objective"}

@@ -37,7 +37,7 @@ def test_worked_example_both_solvers():
     for solve in SOLVERS:
         trace, sol = solve(EX1_SIDE)
         assert trace.c == [0, 20, 25, 31]
-        assert trace.pred == [0, 0, 0, 2]
+        assert trace.pred == [None, 0, 0, 2]
         assert sol.value == 31
         assert [(r.lo, r.hi, r.dispatch, r.duration) for r in sol.routes] == [
             (0, 1, 5, 20),
@@ -58,9 +58,9 @@ def test_enqueue_order_regression():
 def test_empty_side():
     for solve in SOLVERS:
         trace, sol = solve(EMPTY_SIDE)
-        assert trace.c == [0] and sol.value == 0 and sol.routes == ()
+        assert trace.c == [0] and trace.pred == [None] and sol.value == 0 and sol.routes == ()
         # ints, not 0.0: an empty side adds no float to the tables
-        assert [type(v) for v in trace.c + trace.pred + [sol.value]] == [int] * 3
+        assert [type(v) for v in trace.c + [sol.value]] == [int] * 2
 
 
 def test_single_customer():

@@ -12,7 +12,7 @@ from pathrd import (
     validate_solution,
 )
 from pathrd import time_extremity
-from pathrd.solution import LEFT, RIGHT
+from pathrd.solution import LEFT
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
@@ -26,6 +26,8 @@ from helpers import (
 )
 
 SOLVERS = (solve_time_2d_cubic, solve_time_2d_minqueue)
+# each 1-D solver and the 2-D solver of its family
+FAMILIES = ((solve_time_quadratic, solve_time_2d_cubic), (solve_time_linear, solve_time_2d_minqueue))
 
 
 def test_worked_example_both_solvers():
@@ -56,17 +58,18 @@ def test_one_sided_reduction_matches_extremity_solver():
         inst = split_at_depot(
             generate_instance(0, rng.randint(0, 15), 8, rng.choice((0, 5, 30)), seed=rng.randrange(2**31))
         )
-        t1, s1 = solve_time_linear(inst.right)
-        for solve in SOLVERS:
-            t2, s2 = solve(inst)
-            assert t2.c[0] == t1.c
-            assert t2.pred[0] == [None] + [(RIGHT, j) for j in t1.pred[1:]]
-            assert s2.value == s1.value
-        flipped = GeneralInstance(inst.right, EMPTY_SIDE)
-        t3, s3 = solve_time_2d_minqueue(flipped, check=True)
-        assert [row[0] for row in t3.c] == t1.c
-        assert [row[0] for row in t3.pred] == [None] + [(LEFT, j) for j in t1.pred[1:]]
-        assert s3.value == s1.value
+        for side in (inst.right, rescaled(inst.right, 0.37)):
+            for solve_1d, solve_2d in FAMILIES:
+                t1, s1 = solve_1d(side)
+                # a 1-D trace is the one row of the 2-D trace, moves and all
+                t2, s2 = solve_2d(GeneralInstance(EMPTY_SIDE, side))
+                assert t2 == time_extremity.TimeDpTrace([t1.c], [t1.pred])
+                assert s2 == s1
+            flipped = GeneralInstance(side, EMPTY_SIDE)
+            t3, s3 = solve_time_2d_minqueue(flipped, check=True)
+            assert [row[0] for row in t3.c] == t1.c
+            assert [row[0] for row in t3.pred] == [None] + [(LEFT, j) for j in t1.pred[1:]]
+            assert s3 == solve_time_linear(side, label=LEFT)[1]
 
 
 def test_all_releases_zero_one_route_per_side():
@@ -168,6 +171,6 @@ def test_left_term_ends_a_row_run(monkeypatch):
     # row 0 is one run; in row 1 the released candidate beats the left
     # term from state 5 to 40, and the left term wins at state 41
     assert runs == [(2, 40, False), (5, 40, True)]
-    assert trace.pred[1][40] == (RIGHT, 0)
+    assert trace.pred[1][40] == 0
     assert trace.pred[1][41] == (LEFT, 0)
     assert trace.c == solve_time_2d_cubic(inst)[0].c
