@@ -12,7 +12,6 @@ report fails validation, 2 on usage errors, 3 on crosscheck mismatches.
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -25,8 +24,8 @@ from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from .errors import Infeasible, OutOfRange, PathrdError
 from .instance import (
     EMPTY_SIDE,
-    MAX_MAGNITUDE,
     GeneralInstance,
+    _admit,
     _check_magnitude,
     _is_int,
     _is_num,
@@ -86,23 +85,19 @@ BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
 
 
 def _number(text):
-    """Parse a CLI number, keeping integers exact; it must be finite,
-    at most MAX_MAGNITUDE in size and not negative, like every number
-    of an instance."""
+    """Parse a CLI number, keeping integers exact, and admit it as a
+    document's deadline is admitted (instance._admit)."""
     try:
         value = int(text)
     except ValueError:
         try:
             value = float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    if abs(value) > MAX_MAGNITUDE:
-        raise argparse.ArgumentTypeError(f"above the bound 2**53: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"negative: {text!r}")
-    return value
+            value = text  # no number, which _admit refuses
+    try:
+        return _admit(value, "value")
+    except PathrdError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from None
 
 
 def _integer(least):
@@ -181,32 +176,27 @@ def _route_doc(route):
     }
 
 
-def _report_int(value, what):
-    if not _is_int(value):
-        raise TypeError(f"{what} {value!r} is not an integer")
-    return value
-
-
-def _report_number(value, what):
-    if not _is_num(value):
-        raise TypeError(f"{what} {value!r} is not a finite number")
+def _report(value, ok, what):
+    """A report's field, refused with TypeError unless ok(value)."""
+    if not ok(value):
+        raise TypeError(f"{what} {value!r} is malformed")
     return value
 
 
 def _solution_from_report(report):
     routes = tuple(
         Route(
-            side=item["side"],
-            lo=_report_int(item["lo"], "lo"),
-            hi=_report_int(item["hi"], "hi"),
-            dispatch=_report_number(item["dispatch"], "dispatch"),
-            duration=_report_number(item["duration"], "duration"),
-            deliveries=tuple(_report_int(label, "delivery") for label in item["deliveries"]),
+            side=_report(item["side"], lambda side: isinstance(side, str), "side"),
+            lo=_report(item["lo"], _is_int, "lo"),
+            hi=_report(item["hi"], _is_int, "hi"),
+            dispatch=_report(item["dispatch"], _is_num, "dispatch"),
+            duration=_report(item["duration"], _is_num, "duration"),
+            deliveries=tuple(_report(label, _is_int, "delivery") for label in item["deliveries"]),
         )
         for item in report["routes"]
     )
-    claims = [_report_number(item["completion"], "completion") for item in report["routes"]]
-    return Solution(report["objective"], _report_number(report["value"], "value"), routes), claims
+    claims = [_report(item["completion"], _is_num, "completion") for item in report["routes"]]
+    return Solution(report["objective"], _report(report["value"], _is_num, "value"), routes), claims
 
 
 def _emit(text, out_path, parser):
@@ -269,26 +259,27 @@ def cmd_solve(args):
     return 0 if status == "optimal" else 1
 
 
-def _feasible_deadline(raw, rng):
-    """A deadline every solver can meet: dispatch one route per side after
-    the last release, plus random slack."""
-    inst = split_at_depot(raw)
-    r_max = max(raw.release.values(), default=0)
-    base = r_max
-    for side in (inst.left, inst.right):
-        if side.n:
-            base += 2 * side.tau[0]
-    return base + rng.randint(0, max(base, 10))
+def _feasible_deadlines(m):
+    """The least and greatest deadline generate draws, m being the
+    document's largest release + 2 * total edge length, which one route
+    per side dispatched after the last release meets."""
+    return m, m + max(m, 10)
 
 
-def _refuse_out_of_range(args, customers, latest_deadline):
+def _slack_deadlines(makespan):
+    """The least and greatest slack deadline crosscheck draws."""
+    return makespan + 1, 2 * makespan + 10
+
+
+def _refuse_out_of_range(args, customers, deadlines):
     """Usage error unless the worst instance args can draw is admissible:
-    customers max_edge apart, all released at max_release, and deadline
-    latest_deadline(m), m = max_release + one full trip per side."""
+    customers max_edge apart, all released at max_release, and the
+    latest of deadlines(m), m = max_release + one full trip per side."""
     total = customers * args.max_edge
     m = args.max_release + 2 * total
     try:
-        _check_magnitude((args.max_release,), (total,), customers, latest_deadline(m))
+        _check_magnitude((args.max_release,), (total,), customers)
+        _admit(deadlines(m)[1], "deadline")
     except OutOfRange as exc:
         args.parser.error(f"arguments --max-edge and --max-release, {customers} customers: {exc}")
 
@@ -296,25 +287,23 @@ def _refuse_out_of_range(args, customers, latest_deadline):
 def cmd_generate(args):
     if args.count > 1 and args.out is None:
         args.parser.error("--out DIR is required when --count exceeds 1")
-    _refuse_out_of_range(args, args.left + args.right, lambda m: m + max(m, 10))
+    _refuse_out_of_range(args, args.left + args.right, _feasible_deadlines)
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            args.parser.error(f"cannot write {args.out}: {exc}")
     rng = random.Random(args.seed)
-    docs = []
-    for _ in range(args.count):
+    for i in range(args.count):
         raw = generate_instance(
             args.left, args.right, args.max_edge, args.max_release, rng.randrange(2**32)
         )
-        raw = replace(raw, deadline=_feasible_deadline(raw, rng))
-        docs.append(json.dumps(raw.to_document(), sort_keys=True, indent=2) + "\n")
-    if args.out is None:
-        sys.stdout.write(docs[0])
-        return 0
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        args.parser.error(f"cannot write {args.out}: {exc}")
-    for i, text in enumerate(docs):
-        _emit(text, os.path.join(args.out, f"instance_{i:04d}.json"), args.parser)
-    print(f"wrote {args.count} instances to {args.out}")
+        m = max(raw.release.values(), default=0) + 2 * sum(raw.lengths)
+        raw = replace(raw, deadline=rng.randint(*_feasible_deadlines(m)))
+        path = None if args.out is None else os.path.join(args.out, f"instance_{i:04d}.json")
+        _emit(json.dumps(raw.to_document(), sort_keys=True, indent=2) + "\n", path, args.parser)
+    if args.out is not None:
+        print(f"wrote {args.count} instances to {args.out}")
     return 0
 
 
@@ -347,7 +336,7 @@ def _crosscheck(inst, objective, deadline=None):
 
 
 def cmd_crosscheck(args):
-    _refuse_out_of_range(args, args.max_n, lambda m: 2 * m + 10)
+    _refuse_out_of_range(args, args.max_n, _slack_deadlines)
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.count):
@@ -364,7 +353,7 @@ def cmd_crosscheck(args):
             if makespan is None:
                 makespan = _run(SOLVERS["time_2d_cubic"], inst)[1].value
             # span infeasible through slack around the optimal makespan
-            for deadline in (makespan - 1, makespan, makespan + rng.randint(1, makespan + 10)):
+            for deadline in (makespan - 1, makespan, rng.randint(*_slack_deadlines(makespan))):
                 problems.extend(_crosscheck(inst, DISTANCE, deadline)[1])
         if problems:
             mismatches += 1
@@ -439,9 +428,9 @@ def cmd_validate(args):
         objective = report.get("objective")
         solution, claims = (None, None) if infeasible else _solution_from_report(report)
         deadline = report.get("deadline")
-        if deadline is not None and _report_number(deadline, "deadline") < 0:
-            raise ValueError(f"negative: {deadline!r}")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        if deadline is not None:
+            _admit(deadline, "deadline")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, PathrdError) as exc:
         args.parser.error(f"bad solution file {args.solution}: {exc!r}")
     if args.deadline is not None:
         deadline = args.deadline

@@ -156,6 +156,18 @@ def _is_num(x):
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
+def _admit(value, what):
+    """value, if a lone number such as a deadline may take it: an int or
+    finite float (no bool), else MalformedDocument; not negative, else
+    NegativeValue; at most MAX_MAGNITUDE, else OutOfRange."""
+    _require(_is_num(value), f"{what} must be a number")
+    if value < 0:
+        raise NegativeValue(f"{what} is negative")
+    if value > MAX_MAGNITUDE:
+        raise OutOfRange(f"{what} {value} exceeds 2**53")
+    return value
+
+
 def _only(values, *kinds):
     """True when the exact type of every value is one of kinds; bool
     and other subclasses fail it."""
@@ -282,19 +294,18 @@ def _walk(ids, depot_at, a, b, ds, deg):
     return tuple(map(ids.__getitem__, path)), tuple(map(ds.__getitem__, steps.tolist()))
 
 
-def _check_magnitude(releases, lengths, customers, deadline):
+def _check_magnitude(releases, lengths, customers):
     """Raise OutOfRange unless largest release + 2 * customers * total
-    edge length, and the deadline, are at most MAX_MAGNITUDE: for a
-    document in parse_instance, one side in canonicalize_side, and in
-    the CLI the worst instance generate or crosscheck could draw."""
+    edge length is at most MAX_MAGNITUDE: for a document in
+    parse_instance, one side in canonicalize_side, and in the CLI the
+    worst instance generate or crosscheck could draw.  A deadline is a
+    lone number, which _admit bounds."""
     top = max(releases, default=0)
     # compared on its own first: the sum rounds once a float takes part
     if top <= MAX_MAGNITUDE:
         top += 2 * customers * sum(lengths)
     if top > MAX_MAGNITUDE:
         raise OutOfRange("largest release + 2 * customers * total edge length exceeds 2**53")
-    if deadline is not None and deadline > MAX_MAGNITUDE:
-        raise OutOfRange(f"deadline {deadline} exceeds 2**53")
 
 
 def parse_instance(doc):
@@ -302,8 +313,9 @@ def parse_instance(doc):
 
     Raises MalformedDocument, NotAPath, UnknownDepot, NegativeValue, or
     OutOfRange when the numbers exceed MAX_MAGNITUDE (see
-    _check_magnitude).  Each check runs over a whole list at once; the
-    first offending item is named in the message.
+    _check_magnitude, and _admit for the deadline).  Each check runs
+    over a whole list at once; the first offending item is named in the
+    message.
     """
     if isinstance(doc, (str, bytes, bytearray)):
         try:
@@ -342,18 +354,15 @@ def parse_instance(doc):
                 raise NotAPath(f"vertex {ids[k]} is isolated")
             raise NotAPath(f"vertex {ids[k]} has degree {deg[k]}")
 
-    deadline = None
-    if doc.get("deadline") is not None:
-        deadline = doc["deadline"]
-        _require(_is_num(deadline), "deadline must be a number")
-        if deadline < 0:
-            raise NegativeValue("deadline is negative")
+    deadline = doc.get("deadline")
+    if deadline is not None:
+        _admit(deadline, "deadline")
 
     if n == 1:
         order, lengths = (depot,), ()
     else:
         order, lengths = _walk(ids, index[depot], a, b, ds, deg)
-    _check_magnitude(release.values(), ds, n - 1, deadline)
+    _check_magnitude(release.values(), ds, n - 1)
     return RawPathInstance(order, lengths, depot, release, deadline)
 
 
@@ -420,7 +429,7 @@ def canonicalize_side(members):
         raise MalformedDocument("a release or depot distance is not a finite number")
     if min(r) < 0 or min(tau) < 0:
         raise NegativeValue("a release or depot distance is negative")
-    _check_magnitude(r, (max(tau),), len(labels), None)
+    _check_magnitude(r, (max(tau),), len(labels))
     return _canonical(labels, r, tau)
 
 

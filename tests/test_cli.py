@@ -101,7 +101,7 @@ def test_deadline_flag_rejects_non_finite_numbers(x1_path, capsys):
             ["solve", x1_path, "--objective", "distance", f"--deadline={text}"], capsys
         )
         assert code == 2
-        assert "not a finite number" in err
+        assert "must be a number" in err
 
 
 def test_deadline_flag_rejects_numbers_above_the_bound(x1_path, capsys):
@@ -110,7 +110,8 @@ def test_deadline_flag_rejects_numbers_above_the_bound(x1_path, capsys):
             ["solve", x1_path, "--objective", "distance", f"--deadline={text}"], capsys
         )
         assert code == 2
-        assert "2**53" in err
+        # the sign is checked before the bound, as in a document
+        assert ("is negative" if text.startswith("-") else "exceeds 2**53") in err
     code, _, _ = run(["solve", x1_path, "--objective", "distance", f"--deadline={2**53}"], capsys)
     assert code == 0
 
@@ -375,7 +376,42 @@ def test_validate_rejects_negative_report_deadline(x1_path, tmp_path, capsys):
                 ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
             )
             assert (code, out) == (2, "")
-            assert f"negative: {deadline!r}" in err
+            assert "deadline is negative" in err
+
+
+def test_validate_rejects_report_deadline_above_the_bound(x1_path, tmp_path, capsys):
+    # the bound --deadline and a document's deadline keep; 2**53 itself
+    # is admitted, and the fast solver refutes the infeasible claim there
+    report_path = tmp_path / "report.json"
+    for deadline, want in ((10**30, 2), (2**53 + 1, 2), (2**53, 1)):
+        report_path.write_text(
+            json.dumps({"status": "infeasible", "objective": "distance", "deadline": deadline})
+        )
+        code, _, err = run(
+            ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+        )
+        assert code == want, deadline
+        if want == 2:
+            assert "exceeds 2**53" in err
+
+
+def test_validate_falls_back_to_the_document_deadline(tmp_path, capsys):
+    # a distance report without a deadline is checked against the
+    # document's: x1's plan at deadline 45 is one route back at 45
+    report_path = tmp_path / "report.json"
+    for doc_deadline, want in ((45, 0), (40, 1)):
+        path = tmp_path / "x1.json"
+        path.write_text(json.dumps(dict(EX1_DOC, deadline=doc_deadline)))
+        run(["solve", str(path), "--objective", "distance", "--deadline", "45",
+             "--out", str(report_path)], capsys)
+        report = json.loads(report_path.read_text())
+        del report["deadline"]
+        report_path.write_text(json.dumps(report))
+        code, out, err = run(
+            ["validate", "--instance", str(path), "--solution", str(report_path)], capsys
+        )
+        assert (code, out.strip()) == (want, f"{want} violations")
+        assert err.startswith("deadline: ") if want else err == ""
 
 
 def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
@@ -386,6 +422,10 @@ def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
         json.dumps({"status": "infeasible", "objective": "distance", "deadline": "soon"}),
         json.dumps({"status": "optimal", "objective": "time", "value": 41,
                     "routes": [dict(route, deliveries=[[1], 2, 3])]}),
+        # a side is read like lo, before validation looks it up
+        *(json.dumps({"status": "optimal", "objective": "time", "value": 41,
+                      "routes": [dict(route, side=side, deliveries=[1, 2, 3], completion=41)]})
+          for side in (["right"], {"right": 1}, 1)),
     ):
         bad.write_text(text)
         code, _, _ = run(["validate", "--instance", x1_path, "--solution", str(bad)], capsys)
@@ -485,6 +525,7 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
         ["bench", "--algo", "time_linear", "--sizes", "1e400"],
         ["bench", "--algo", "time_linear", "--sizes", "-5"],
         ["bench", "--algo", "time_linear", "--sizes", "abc"],
+        ["bench", "--algo", "time_linear", "--sizes", "10,1.5"],
         ["bench", "--algo", "time_linear", "--sizes", "10", "--seed", "-1"],
         # instances or deadlines that could leave the admissible range
         ["generate", "--left", "2", "--right", "2", "--max-release", str(10**20)],
@@ -496,10 +537,10 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
     ],
     ids=[
         "count-0", "left-negative", "max-edge-negative", "max-release-negative",
-        "max-n-0", "sizes-overflow", "sizes-negative", "sizes-word", "seed-negative",
-        "generate-release-1e20", "crosscheck-release-1e20", "generate-edge-past-limit",
-        "generate-instance-past-limit", "generate-deadline-past-limit",
-        "crosscheck-deadline-past-limit",
+        "max-n-0", "sizes-overflow", "sizes-negative", "sizes-word", "sizes-fraction",
+        "seed-negative", "generate-release-1e20", "crosscheck-release-1e20",
+        "generate-edge-past-limit", "generate-instance-past-limit",
+        "generate-deadline-past-limit", "crosscheck-deadline-past-limit",
     ],
 )
 def test_bad_integer_arguments_are_usage_errors(capsys, argv):
@@ -527,6 +568,13 @@ def test_generation_bounds_admit_the_limit(capsys):
         capsys,
     )
     assert (code, out) == (0, "checked 3 instances: 0 mismatches\n")
+
+
+def test_solve_unreadable_instance_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(["solve", str(path), "--objective", "time"], capsys)
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}" in err
 
 
 def test_bench_csv_shape(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pathrd import (
     EMPTY_SIDE,
+    CanonicalSide,
     GeneralInstance,
     Infeasible,
     canonicalize_side,
@@ -23,6 +24,7 @@ from pathrd.distance_extremity import (
     solve_distance_heap,
     solve_distance_quadratic,
 )
+from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (
@@ -320,3 +322,29 @@ def test_rounding_ties_near_2_53_pick_the_smallest_successor():
     side = rescaled(random_canonical_side(200, seed=72, max_wait=20, max_step=2), 0.37, float(2**52 - 2**20))
     deadline = 2 * solve_time_linear(side)[1].value + 10
     assert solve_distance_heap(side, deadline)[0].succ == solve_distance_quadratic(side, deadline)[0].succ
+
+
+@pytest.mark.xfail(strict=True, raises=Infeasible, reason="float sums make T* infeasible for distance")
+def test_float_distance_at_its_time_optimum_is_feasible():
+    # an int side times 0.37: one route dispatched at 11.1 meets T*, but
+    # each solver's backward lam[q] - 2 tau[p] rounds below the forward
+    # max(prev, r) + 2 tau, and all four find no plan at T*
+    side = CanonicalSide(
+        r=(4.4399999999999995, 7.77, 11.1),
+        tau=(12.209999999999999, 11.84, 8.879999999999999),
+        labels=(1, 2, 3),
+        riders=((), (), ()),
+    )
+    inst = _wrap(side)
+    deadline = solve_time_linear(side)[1].value
+    assert deadline == oracle_time(inst).value == 35.519999999999996
+    best = oracle_distance(inst, deadline)
+    assert best.value == 24.419999999999998
+    assert validate_solution(inst, best.solution, deadline) == []
+    for solve, arg in (
+        (solve_distance_quadratic, side),
+        (solve_distance_heap, side),
+        (solve_distance_2d_cubic, inst),
+        (solve_distance_2d_heap, inst),
+    ):
+        assert solve(arg, deadline)[1].value == best.value

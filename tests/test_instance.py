@@ -32,6 +32,7 @@ from helpers import (
     EX2_RIGHT,
     ref_deliveries,
     ref_distances_from_depot,
+    ref_parse_instance,
 )
 
 
@@ -136,6 +137,16 @@ def test_parse_rejections(mangle, error):
     mangle(doc)
     with pytest.raises(error):
         parse_instance(doc)
+
+
+def test_duplicated_edge_isolates_a_vertex():
+    # n - 1 edges, one of them twice: vertex 1 keeps none, and comes
+    # before vertex 3, which has three
+    doc = copy.deepcopy(EX1_DOC)
+    doc["edges"][2] = dict(doc["edges"][0])
+    for parse in (parse_instance, ref_parse_instance):
+        with pytest.raises(NotAPath, match="^vertex 1 is isolated$"):
+            parse(doc)
 
 
 @pytest.mark.parametrize("place", ["release", "edge", "deadline"])

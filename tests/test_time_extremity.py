@@ -176,9 +176,11 @@ SCALES = {
 }
 
 
-# the kernel's numpy chunk length, and one that cuts these runs into
-# many chunks, so that a run's state is carried across their seams
-CHUNKS = {"default": time_extremity._CHUNK, "5": 5}
+# the kernel's numpy chunk length; one that cuts these runs into many
+# chunks, so that a run's state is carried across their seams; and one
+# at which the "own a" run from state 2 is cut at state 94 = 2 + 4 * 23,
+# the first state of a chunk, which then fills nothing
+CHUNKS = {"default": time_extremity._CHUNK, "5": 5, "23": 23}
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
