@@ -210,6 +210,9 @@ def _emit(text, out_path, parser):
         parser.error(f"cannot write {out_path}: {exc}")
 
 
+_NO_DEADLINE = "the distance objective needs --deadline (or a 'deadline' field in the instance document)"
+
+
 def cmd_solve(args):
     raw = _read_instance(args.instance, args.parser)
     inst = split_at_depot(raw)
@@ -217,10 +220,7 @@ def cmd_solve(args):
     if args.objective == DISTANCE:
         deadline = args.deadline if args.deadline is not None else raw.deadline
         if deadline is None:
-            args.parser.error(
-                "the distance objective needs --deadline "
-                "(or a 'deadline' field in the instance document)"
-            )
+            args.parser.error(_NO_DEADLINE)
     solver = _pick_solver(inst, args.objective, args.algo)
     name = solver.name
 
@@ -400,7 +400,7 @@ def cmd_bench(args):
 def _refute_infeasible(inst, objective, deadline):
     """Violations of a report's claim that no plan exists: the fast
     solver re-solves at the deadline and any plan it finds refutes it."""
-    if objective != DISTANCE or deadline is None:
+    if objective != DISTANCE:
         return [
             Violation("infeasible", "only the distance objective with a deadline can be infeasible")
         ]
@@ -436,6 +436,8 @@ def cmd_validate(args):
         deadline = args.deadline
     if deadline is None and objective == DISTANCE:
         deadline = raw.deadline
+        if deadline is None:
+            args.parser.error(_NO_DEADLINE)
     if infeasible:
         violations = _refute_infeasible(inst, objective, deadline)
     else:

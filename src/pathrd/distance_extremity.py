@@ -26,9 +26,12 @@ equals lam[f] becomes the front.  Each state is passed over once: O(n).
 
 While f holds, lam[p] = lam[f] - 2 tau[p] on every state whose
 threshold f's slack meets, and as tau grows those states run down to a
-bound one bisect finds.  A run longer than RUN is filled by one list
-comprehension and slice assignment.  solve_distance_heap is one call of
-the kernel, and the interior-depot solver runs it once per row.
+bound one bisect finds.  A run longer than RUN is filled by slice
+assignment, its values top - 2 tau computed by one int64 operation over
+the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
+list comprehension elsewhere (_run_values).
+solve_distance_heap is one call of the kernel, and the interior-depot
+solver runs it once per row.
 """
 
 from bisect import bisect_left
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .instance import EMPTY_SIDE, table_dtype
+from .instance import EMPTY_SIDE, MAX_MAGNITUDE, table_dtype
 from .solution import RIGHT, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
@@ -84,9 +87,10 @@ def _scan(lam, present, r, threshold):
 def solve_distance_quadratic(side, deadline, label=RIGHT):
     """Reference solver: scan every successor of every state."""
     n = side.n
-    dt = table_dtype(side.r, side.tau, (deadline,))
-    r = np.asarray(side.r, dtype=dt)
-    two_tau = 2 * np.asarray(side.tau, dtype=dt)
+    dt = table_dtype(side, deadline=deadline)
+    r, tau = side.arrays
+    r = r.astype(dt, copy=False)
+    two_tau = 2 * tau.astype(dt, copy=False)
     lam = np.zeros(n + 1, dtype=dt)
     present = np.zeros(n + 1, dtype=bool)
     lam[n] = deadline
@@ -132,9 +136,27 @@ def _check_top(line, r, tau, p, f):
     assert (None if f < 0 else (-line[f], f)) == best
 
 
-def _distance_line(r, tau, lam, succ, merge=False, check=False):
-    """Fill lam[0..n-1] and succ[0..n-1] of one line from the given
-    lam[n], n = len(r), which may be 0; None marks an absent state, and
+def _run_values(top, side, lo, hi):
+    """[top - 2 * t for t in side.tau[lo:hi]], over tau nonincreasing.
+
+    An int top over int64 arrays within MAX_MAGNITUDE gives those exact
+    values and types by one int64 operation over the side's arrays;
+    any other top or arrays take the comprehension.
+    """
+    tau = side.tau
+    tv = side.arrays[1]
+    if (
+        top.__class__ is int
+        and tv.dtype == np.int64
+        and max(abs(top), tau[lo], -tau[hi - 1]) <= MAX_MAGNITUDE
+    ):
+        return (top - 2 * tv[lo:hi]).tolist()
+    return [top - 2 * t for t in tau[lo:hi]]
+
+
+def _distance_line(side, lam, succ, merge=False, check=False):
+    """Fill lam[0..n-1] and succ[0..n-1] of side's line from the given
+    lam[n], n = side.n, which may be 0; None marks an absent state, and
     succ[p] is the raw q the maximum came from.
 
     f is the front, -1 when there is none.  With merge, lam[p] and
@@ -143,6 +165,8 @@ def _distance_line(r, tau, lam, succ, merge=False, check=False):
     candidate wins ties.  check=True asserts _check_top at every state,
     the ones a run fills included.
     """
+    r = side.r
+    tau = side.tau
     n = len(r)
     f = -1 if lam[n] is None else n
     fresh = True
@@ -180,7 +204,7 @@ def _distance_line(r, tau, lam, succ, merge=False, check=False):
                     and (not merge or lam[p] is None or lam[p] < top)
                 ):
                     a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
-                    vals = [top - 2 * t for t in tau[a : p + 1]]
+                    vals = _run_values(top, side, a, p + 1)
                     if merge:
                         others = lam[a : p + 1]
                         preds = succ[a : p + 1]
@@ -222,7 +246,7 @@ def solve_distance_heap(side, deadline, label=RIGHT, check=False):
     the empty side included.  check=True asserts _check_top at every state."""
     lam = [None] * side.n + [deadline]
     succ = [None] * (side.n + 1)
-    _distance_line(side.r, side.tau, lam, succ, check=check)
+    _distance_line(side, lam, succ, check=check)
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)

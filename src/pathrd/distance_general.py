@@ -44,11 +44,13 @@ def solve_distance_2d_cubic(inst, deadline):
     """Reference solver: scan both successor lines of every state."""
     nl = inst.left.n
     nr = inst.right.n
-    dt = table_dtype(inst.left.r, inst.left.tau, inst.right.r, inst.right.tau, (deadline,))
-    rl = np.asarray(inst.left.r, dtype=dt)
-    twol = 2 * np.asarray(inst.left.tau, dtype=dt)
-    rr = np.asarray(inst.right.r, dtype=dt)
-    twor = 2 * np.asarray(inst.right.tau, dtype=dt)
+    dt = table_dtype(inst.left, inst.right, deadline=deadline)
+    rl, taul = inst.left.arrays
+    rr, taur = inst.right.arrays
+    rl = rl.astype(dt, copy=False)
+    twol = 2 * taul.astype(dt, copy=False)
+    rr = rr.astype(dt, copy=False)
+    twor = 2 * taur.astype(dt, copy=False)
     lam = np.zeros((nl + 1, nr + 1), dtype=dt)
     present = np.zeros((nl + 1, nr + 1), dtype=bool)
     lam[nl, nr] = deadline
@@ -88,7 +90,6 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     nl = inst.left.n
     nr = inst.right.n
     rl, taul = inst.left.r, inst.left.tau
-    rr, taur = inst.right.r, inst.right.tau
     # shared left moves for the column step; the row kernel's bare w is a right move
     left_of = [(LEFT, w) for w in range(nl + 1)]
     lam = [[None] * (nr + 1) for _ in range(nl + 1)]
@@ -128,7 +129,7 @@ def solve_distance_2d_heap(inst, deadline, check=False):
                     _check_top([row[q] for row in lam], rl, taul, p, f)
         if nr:
             # the right term along the row; the left term wins ties
-            _distance_line(rr, taur, lp, sp, p < nl, check)
+            _distance_line(inst.right, lp, sp, p < nl, check)
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)

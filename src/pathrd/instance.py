@@ -11,13 +11,15 @@ depot distances strictly decreasing.
 Both work over whole lists: validation is a handful of list-wide
 predicates, orientation one walk over flat integer arrays, and the
 reduction a sort plus a running maximum in numpy.  numpy only computes
-positions; every number in the result is the document's own object.
+positions; every number in the result is the document's own object,
+and a side builds its arrays (CanonicalSide.arrays) from those numbers
+on first use.
 """
 
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
 
 import numpy as np
@@ -83,13 +85,28 @@ class CanonicalSide:
     surviving customer; labels[i] is its original vertex label and
     riders[i] the labels of dominated customers it carries along.  r and
     tau are tuples of the document's own numbers (tau summed from its
-    edge lengths), so an int stays an int and a float a float.
+    edge lengths), so an int stays an int and a float a float; the
+    scalar loops index them.  arrays is the same numbers in numpy, for
+    the solvers' numpy steps.
     """
 
     r: tuple
     tau: tuple
     labels: tuple[int, ...]
     riders: tuple[tuple[int, ...], ...]
+    # arrays once built or handed over (_with_arrays); outside ==, hash
+    # and repr, and never carried over by dataclasses.replace
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def arrays(self):
+        """(np.asarray(r), np.asarray(tau)), read-only, in numpy's own
+        dtypes: int64 for admissible ints, float64 once a float takes
+        part or when empty.  Built once, on first use, unless
+        random_canonical_side handed over the arrays it drew."""
+        if self._arrays is None:
+            _with_arrays(self, np.asarray(self.r), np.asarray(self.tau))
+        return self._arrays
 
     @property
     def n(self):
@@ -117,6 +134,16 @@ class CanonicalSide:
         return tuple(out)
 
 
+def _with_arrays(side, r, tau):
+    """side, its arrays set to read-only views of r and tau, which must
+    equal np.asarray of its tuples in dtype and value."""
+    views = r.view(), tau.view()
+    for view in views:
+        view.flags.writeable = False
+    object.__setattr__(side, "_arrays", views)
+    return side
+
+
 EMPTY_SIDE = CanonicalSide((), (), (), ())
 
 
@@ -135,11 +162,13 @@ class GeneralInstance:
 MAX_MAGNITUDE = 2**53
 
 
-def table_dtype(*seqs):
-    """The dtype the baseline solvers compute in: int64 unless a float
-    takes part.  An empty sequence adds nothing, so an empty side (whose
-    np.asarray is float64) leaves integer tables integer."""
-    return np.result_type(np.int64, *(np.asarray(s) for s in seqs if len(s)))
+def table_dtype(*sides, deadline=0):
+    """The dtype of the solvers' tables: int64 unless a float takes part,
+    read off the sides' arrays and the deadline.  An empty side adds
+    nothing, so an empty side (whose arrays are float64) leaves integer
+    tables integer."""
+    dtypes = [a.dtype for side in sides if side.n for a in side.arrays]
+    return np.result_type(np.int64, np.asarray((deadline,)).dtype, *dtypes)
 
 
 def _require(cond, message):
@@ -475,9 +504,10 @@ def random_canonical_side(n, seed, max_wait=3, max_step=5):
         return EMPTY_SIDE
     r = np.cumsum(rng.integers(0, max_wait + 1, size=n))
     tau = np.cumsum(rng.integers(1, max_step + 1, size=n))[::-1]
-    return CanonicalSide(
+    side = CanonicalSide(
         r=tuple(r.tolist()),
         tau=tuple(tau.tolist()),
         labels=tuple(range(1, n + 1)),
         riders=((),) * n,
     )
+    return _with_arrays(side, r, tau)

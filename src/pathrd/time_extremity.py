@@ -21,9 +21,10 @@ r[i-1] + 2 tau[k] and pred[i] = k: a run.  It ends where the cursor
 moves or the window front wins, two thresholds on the nondecreasing r
 that a bisect finds each, or where one of the run's own a_j undercuts,
 or the other side's candidate wins in a 2-D row, which numpy finds
-over chunks of the run with the same float operations the scalar loop
-makes.  A run whose cursor holds past RUN states is filled by slice,
-and the window left behind is rebuilt from the run's suffix minima.
+over chunks of the run, sliced from the side's arrays, with the same
+float operations the scalar loop makes.  A run whose cursor holds past
+RUN states is filled by slice, and the window left behind is rebuilt
+from the run's suffix minima.
 On a one-route side the whole line is one run.
 """
 
@@ -71,9 +72,10 @@ def _scan(c, r, two_tau):
 def solve_time_quadratic(side, label=RIGHT):
     """Reference solver: evaluate every predecessor of every state."""
     n = side.n
-    dt = table_dtype(side.r, side.tau)
-    r = np.asarray(side.r, dtype=dt)
-    two_tau = 2 * np.asarray(side.tau, dtype=dt)
+    dt = table_dtype(side)
+    r, tau = side.arrays
+    r = r.astype(dt, copy=False)
+    two_tau = 2 * tau.astype(dt, copy=False)
     c = np.zeros(n + 1, dtype=dt)
     pred = [None] * (n + 1)
     for i in range(1, n + 1):
@@ -93,9 +95,9 @@ def _check_line(line, tau, release, k, window):
     assert (window[0] if window else None) == front
 
 
-def _time_line(r, tau, c, pred, merge=False, check=False):
-    """Fill c[1..n] and pred[1..n] of one line from the given c[0],
-    n = len(r); pred[i] is the raw j the minimum was taken at.
+def _time_line(side, c, pred, merge=False, check=False):
+    """Fill c[1..n] and pred[1..n] of side's line from the given c[0],
+    n = side.n; pred[i] is the raw j the minimum was taken at.
 
     With merge, c[i] and pred[i] already hold the other side's
     candidate, which the kernel reads before it overwrites them; the
@@ -113,6 +115,8 @@ def _time_line(r, tau, c, pred, merge=False, check=False):
     k = -1
     tried = -1
     fill = False
+    r = side.r
+    tau = side.tau
     n = len(r)
     stop = n + 1 - RUN
     i = 1
@@ -156,13 +160,13 @@ def _time_line(r, tau, c, pred, merge=False, check=False):
                 # is probed once, here where c[k + 1] is known
                 fill = False
                 if i < stop and r[i + RUN - 1] < c[k + 1]:
-                    i = _time_run(r, tau, c, pred, merge, check, i, k, cand) + 1
+                    i = _time_run(side, c, pred, merge, check, i, k, cand) + 1
                     break
         else:
             break
 
 
-def _time_run(r, tau, c, pred, merge, check, i, k, cand):
+def _time_run(side, c, pred, merge, check, i, k, cand):
     """Fill the run that follows state i, whose released candidate won
     with cursor k, and return the run's last state (i when none).
 
@@ -170,11 +174,13 @@ def _time_run(r, tau, c, pred, merge, check, i, k, cand):
     The run ends before the first state where the cursor moves, the
     window front wins, one of the run's own a_j undercuts, or, with
     merge, the other side's candidate wins; the first two are bisects,
-    the last two numpy tests, in chunks of _CHUNK states written
-    straight into c.  cand ends as the window the scalar loop would
-    hold: its entries up to the run's least a, then the run's
-    suffix-minimum a_j, equal values kept.
+    the last two numpy tests, in chunks of _CHUNK states sliced from
+    side.arrays and written straight into c.  cand ends as the window
+    the scalar loop would hold: its entries up to the run's least a,
+    then the run's suffix-minimum a_j, equal values kept.
     """
+    r = side.r
+    tau = side.tau
     n = len(r)
     p = i + RUN
     two = 2 * tau[k]
@@ -196,9 +202,12 @@ def _time_run(r, tau, c, pred, merge, check, i, k, cand):
     if front is not None:
         # x + two rounds monotonically, so the key keeps r's order
         end = bisect_right(r, front, p, end, key=lambda x: x + two)
-    # a float two makes every entry a float; otherwise numpy picks int64
-    # exactly when the slice holds only ints, as Python's sums would
+    # a float two makes every entry a float, so the chunks convert to
+    # float64 as Python's sums would, an object slice of ints past int64
+    # included; otherwise they keep the arrays' dtype, int64 exactly
+    # when the line holds only ints
     dt = float if floats else None
+    rv, tv = side.arrays
     start = deque(cand) if check else None
     low = prev
     lo = i + 1
@@ -206,9 +215,8 @@ def _time_run(r, tau, c, pred, merge, check, i, k, cand):
         # states lo..hi-1 take best; state lo pushes prev = a_{lo-1} and
         # the others a_lo..a_{hi-2}; low is the least a pushed before lo
         hi = min(end + 1, lo + _CHUNK)
-        rs = r[lo - 1 : hi - 1]
-        best = np.array(rs, dt) + two
-        av = best[:-1] + 2 * np.array(tau[lo : hi - 1], dt)
+        best = np.asarray(rv[lo - 1 : hi - 1], dt) + two
+        av = best[:-1] + 2 * np.asarray(tv[lo : hi - 1], dt)
         window = np.minimum.accumulate(np.concatenate(((min(low, prev),), av)))
         bad = best > window
         if merge:
@@ -221,7 +229,7 @@ def _time_run(r, tau, c, pred, merge, check, i, k, cand):
         if floats or best.dtype.kind == "i":
             c[lo:hi] = best[: hi - lo].tolist()
         else:
-            c[lo:hi] = [x + two for x in rs[: hi - lo]]
+            c[lo:hi] = [x + two for x in r[lo - 1 : hi - 1]]
         pred[lo:hi] = [k] * (hi - lo)
         # push prev, then the chunk's a, each popping the larger ones
         # before it: the chunk's own suffix minima stay
@@ -262,9 +270,10 @@ def _time_run(r, tau, c, pred, merge, check, i, k, cand):
 
 
 def solve_time_linear(side, label=RIGHT, check=False):
-    """One-pass solver; output matches solve_time_quadratic exactly.
-    check=True asserts _check_line at every state."""
-    c = [0] * (side.n + 1)
+    """One-pass solver; output matches solve_time_quadratic exactly, the
+    origin c[0] the table dtype's zero included.  check=True asserts
+    _check_line at every state."""
+    c = [np.zeros((), table_dtype(side)).item()] * (side.n + 1)
     pred = [None] * (side.n + 1)
-    _time_line(side.r, side.tau, c, pred, check=check)
+    _time_line(side, c, pred, check=check)
     return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)

@@ -52,11 +52,13 @@ def solve_time_2d_cubic(inst):
     """Reference solver: full scans of both terms at every state."""
     nl = inst.left.n
     nr = inst.right.n
-    dt = table_dtype(inst.left.r, inst.left.tau, inst.right.r, inst.right.tau)
-    rl = np.asarray(inst.left.r, dtype=dt)
-    twol = 2 * np.asarray(inst.left.tau, dtype=dt)
-    rr = np.asarray(inst.right.r, dtype=dt)
-    twor = 2 * np.asarray(inst.right.tau, dtype=dt)
+    dt = table_dtype(inst.left, inst.right)
+    rl, taul = inst.left.arrays
+    rr, taur = inst.right.arrays
+    rl = rl.astype(dt, copy=False)
+    twol = 2 * taul.astype(dt, copy=False)
+    rr = rr.astype(dt, copy=False)
+    twor = 2 * taur.astype(dt, copy=False)
     c = np.zeros((nl + 1, nr + 1), dtype=dt)
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     for i in range(nl + 1):
@@ -89,11 +91,11 @@ def solve_time_2d_minqueue(inst, check=False):
     nr = inst.right.n
     rl = inst.left.r
     taul = inst.left.tau
-    rr = inst.right.r
-    taur = inst.right.tau
     # shared left moves for the column step; the row kernel's bare w is a right move
     left_of = [(LEFT, w) for w in range(nl + 1)]
     c = [[0] * (nr + 1) for _ in range(nl + 1)]
+    # the origin is the table dtype's zero, as in the cubic baseline
+    c[0][0] = np.zeros((), table_dtype(inst.left, inst.right)).item()
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     # per column, for the left term: a cursor over the released rows
     # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
@@ -136,5 +138,5 @@ def solve_time_2d_minqueue(inst, check=False):
                 pi[j] = left_of[w]
         if nr:
             # the right term along the row; the left term wins ties
-            _time_line(rr, taur, ci, pi, i > 0, check)
+            _time_line(inst.right, ci, pi, i > 0, check)
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

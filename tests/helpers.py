@@ -41,8 +41,12 @@ from pathrd import (
 )
 from collections import deque
 
+import numpy as np
+
 from pathrd import distance_extremity, time_extremity
 from pathrd.distance_extremity import RUN
+from pathrd.instance import MAX_MAGNITUDE, table_dtype
+from pathrd.solution import LEFT
 from pathrd.time_extremity import _check_line
 
 EX1_DOC = {
@@ -287,6 +291,15 @@ def rescaled(side, scale, shift=0):
     )
 
 
+def mixed(side, which):
+    """side with every other release (which 1), depot distance (2) or
+    both (3) turned into a float of the same value."""
+    def floats(values, on):
+        return tuple(float(v) if on and j % 2 else v for j, v in enumerate(values))
+
+    return dataclasses.replace(side, r=floats(side.r, which & 1), tau=floats(side.tau, which & 2))
+
+
 def long_run_sides():
     """Sides whose distance lines hold runs far longer than RUN: a
     one-route side, a side with one long run only under a loose
@@ -311,6 +324,98 @@ def count_run_fills(monkeypatch):
 
     monkeypatch.setattr(distance_extremity, "bisect_left", counted)
     return tops
+
+
+def typed_run_lines():
+    """(name, side, deadlines): long_run_sides() as ints, times 0.37,
+    mixed, and with releases shifted to within 2**20 of 2**53, as ints
+    and as floats, each at int and float deadlines from T* to 2 T* + 10,
+    which passes MAX_MAGNITUDE near 2**53; and two sides whose
+    farthest customer is 2**70 out, which gives them object arrays, or
+    2**62, int64 arrays whose int deadline 2**64 numpy cannot take.
+    Their distance runs reach every branch of
+    distance_extremity._run_values."""
+    kinds = {
+        "int": lambda s: s,
+        "x0.37": lambda s: rescaled(s, 0.37),
+        "mixed": lambda s: mixed(s, 3),
+        "near 2**53 int": lambda s: rescaled(s, 1, 2**53 - 2**20),
+        "near 2**53 float": lambda s: rescaled(s, 1, float(2**53 - 2**20)),
+    }
+    lines = []
+    for name, kind in kinds.items():
+        for base in long_run_sides():
+            side = kind(base)
+            t = time_extremity.solve_time_linear(side)[1].value
+            deadlines = [t, t + side.tau[0], 2 * t + 10]
+            deadlines += [d + 0.5 if d.__class__ is int else math.floor(d) for d in deadlines]
+            lines.append((name, side, deadlines))
+    for far, deadline in ((2**70, 2**72), (2**62, 2**64)):
+        side = line_side([0] * 100, [far] + [k * 2**52 for k in range(99, 0, -1)])
+        lines.append((f"far {far}", side, [deadline, float(deadline)]))
+    return lines
+
+
+def spy_run_values(monkeypatch):
+    """The branch of every distance run fill, in order, as (top's type,
+    the tau array's dtype, |top| within MAX_MAGNITUDE)."""
+    seen = []
+    fill = distance_extremity._run_values
+
+    def spied(top, side, lo, hi):
+        seen.append((top.__class__, side.arrays[1].dtype.name, abs(top) <= MAX_MAGNITUDE))
+        return fill(top, side, lo, hi)
+
+    monkeypatch.setattr(distance_extremity, "_run_values", spied)
+    return seen
+
+
+# what reaches _run_values: its int64 arithmetic, an int top over int64
+# arrays within MAX_MAGNITUDE; and its comprehension, for that top past
+# MAX_MAGNITUDE, a float top over int64, float64 and object arrays, and
+# an int top over a mixed line's float64 and over object arrays
+RUN_VALUE_BRANCHES = {
+    (int, "int64", True),
+    (int, "int64", False),
+    (float, "int64", True),
+    (float, "float64", True),
+    (int, "float64", True),
+    (int, "object", False),
+    (float, "object", False),
+}
+
+
+def typed(values):
+    """values with their types, so that 1 and 1.0 differ."""
+    return [(v.__class__, v) for v in values]
+
+
+def ref_distance_table(left, right, deadline):
+    """lam and succ of the 2-D distance table from their definition: row
+    by row from the bottom, each column's left term by a scan of the
+    rows below, the largest lam[w][q] - 2 taul[p] whose slack meets the
+    threshold at the smallest w, then ref_distance_line over the right
+    side with the left terms as the other side's candidates."""
+    nl, nr = left.n, right.n
+    lam = [None] * (nl + 1)
+    succ = [None] * (nl + 1)
+    for p in range(nl, -1, -1):
+        ext = [None] * (nr + 1)
+        ext_pred = [None] * (nr + 1)
+        if p == nl:
+            ext[nr] = deadline
+        else:
+            threshold = 2 * left.tau[p]
+            for q in range(nr + 1):
+                for w in range(p + 1, nl + 1):
+                    v = lam[w][q]
+                    if v is not None and v - left.r[w - 1] >= threshold:
+                        if ext[q] is None or v - threshold > ext[q]:
+                            ext[q] = v - threshold
+                            ext_pred[q] = (LEFT, w)
+        lam[p], succ[p] = ref_distance_line(right.r, right.tau, ext[nr], ext[:nr], ext_pred[:nr])
+        succ[p][nr] = ext_pred[nr]
+    return lam, succ
 
 
 def ref_distance_line(r, tau, deadline, ext=None, ext_pred=None):
@@ -396,9 +501,10 @@ def ref_time_line(r, tau, c, pred, merge=False, check=False):
 
 
 def ref_time_tables(side):
-    """c and pred of side's time line, filled by ref_time_line; pred[0]
-    is None, the origin, where no route ends."""
-    c = [0] * (side.n + 1)
+    """c and pred of side's time line, filled by ref_time_line from the
+    origin c[0], the table dtype's zero (0.0 once a float takes part);
+    pred[0] is None, where no route ends."""
+    c = [np.zeros((), table_dtype(side)).item()] * (side.n + 1)
     pred = [None] * (side.n + 1)
     ref_time_line(side.r, side.tau, c, pred)
     return c, pred
@@ -459,8 +565,8 @@ def count_time_run_fills(monkeypatch):
     runs = []
     fill = time_extremity._time_run
 
-    def counted(r, tau, c, pred, merge, check, i, k, cand):
-        last = fill(r, tau, c, pred, merge, check, i, k, cand)
+    def counted(side, c, pred, merge, check, i, k, cand):
+        last = fill(side, c, pred, merge, check, i, k, cand)
         if last > i:
             runs.append((i + 1, last, merge))
         return last

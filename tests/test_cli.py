@@ -188,6 +188,31 @@ def test_solve_reports_are_deterministic(x1_path, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_first_dispatch_at_the_origin_takes_the_table_dtype(tmp_path, capsys):
+    # int releases and one float edge length make the time table float:
+    # a first route leaving at the origin reports the float table's 0.0,
+    # from the fast solver as from the baseline; an all-int document
+    # keeps int 0
+    path = tmp_path / "mixed.json"
+    doc = {
+        "vertices": [{"id": 0}, {"id": 1, "release": 10}, {"id": 2, "release": 0}],
+        "edges": [{"u": 0, "v": 1, "d": 1.5}, {"u": 1, "v": 2, "d": 6}],
+        "depot": 0,
+    }
+    path.write_text(json.dumps(doc))
+    for algo in ("fast", "baseline"):
+        code, out, _ = run(["solve", str(path), "--objective", "time", "--algo", algo], capsys)
+        routes = json.loads(out)["routes"]
+        assert code == 0
+        assert [(type(r["dispatch"]), r["dispatch"]) for r in routes] == [(float, 0.0), (float, 15.0)]
+        assert '"dispatch": 0.0,' in out
+    doc["edges"][0]["d"] = 1
+    path.write_text(json.dumps(doc))
+    for algo in ("fast", "baseline"):
+        _, out, _ = run(["solve", str(path), "--objective", "time", "--algo", algo], capsys)
+        assert '"dispatch": 0,' in out
+
+
 def test_solve_rejects_malformed_instance(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -412,6 +437,26 @@ def test_validate_falls_back_to_the_document_deadline(tmp_path, capsys):
         )
         assert (code, out.strip()) == (want, f"{want} violations")
         assert err.startswith("deadline: ") if want else err == ""
+
+
+def test_validate_distance_report_without_any_deadline_is_usage_error(x1_path, tmp_path, capsys):
+    # neither the report, the document nor --deadline gives a deadline:
+    # validate refuses the distance objective as solve does, optimal
+    # report or infeasible claim alike
+    report_path = tmp_path / "report.json"
+    _, _, solve_err = run(["solve", x1_path, "--objective", "distance"], capsys)
+    for deadline in (45, 20):
+        run(["solve", x1_path, "--objective", "distance", "--deadline", str(deadline),
+             "--out", str(report_path)], capsys)
+        report = json.loads(report_path.read_text())
+        del report["deadline"]
+        report_path.write_text(json.dumps(report))
+        code, out, err = run(
+            ["validate", "--instance", x1_path, "--solution", str(report_path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "the distance objective needs --deadline" in err
+        assert err.splitlines()[-1].split(": error: ")[1] == solve_err.splitlines()[-1].split(": error: ")[1]
 
 
 def test_validate_rejects_non_report(x1_path, tmp_path, capsys):

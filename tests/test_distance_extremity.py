@@ -31,9 +31,14 @@ from helpers import (
     EX1_SIDE,
     assert_matches_baseline,
     count_run_fills,
+    line_side,
     long_run_sides,
+    RUN_VALUE_BRANCHES,
     ref_distance_line,
     rescaled,
+    spy_run_values,
+    typed,
+    typed_run_lines,
 )
 
 SOLVERS = (solve_distance_quadratic, solve_distance_heap)
@@ -294,9 +299,26 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
             ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
             lam[:n] = ext
             succ[:n] = [w if v is not None else None for v, w in zip(ext, ext_pred)]
-        _distance_line(r, tau, lam, succ, merge=ext is not None, check=True)
+        _distance_line(line_side(r, tau), lam, succ, merge=ext is not None, check=True)
         assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)
     assert len(fills) >= 20
+
+
+def test_run_fills_keep_python_values_and_types(monkeypatch):
+    # each run is filled by numpy only where that gives the values and
+    # types of Python's top - 2 * t, entry for entry
+    seen = spy_run_values(monkeypatch)
+    for name, side, deadlines in typed_run_lines():
+        before = len(seen)
+        for deadline in deadlines:
+            lam = [None] * side.n + [deadline]
+            succ = [None] * (side.n + 1)
+            _distance_line(side, lam, succ, check=side.n < 150)
+            want_lam, want_succ = ref_distance_line(side.r, side.tau, deadline)
+            assert typed(lam) == typed(want_lam), (name, deadline)
+            assert succ == want_succ, (name, deadline)
+        assert len(seen) > before, name
+    assert set(seen) >= RUN_VALUE_BRANCHES
 
 
 def test_check_top_rejects_a_front_past_its_groups_smallest_index():

@@ -20,7 +20,19 @@ from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_h
 from pathrd.solution import LEFT
 from pathrd.time_general import solve_time_2d_cubic
 
-from helpers import EX2_GENERAL, assert_matches_baseline, count_run_fills, long_run_sides, rescaled
+from helpers import (
+    EX2_GENERAL,
+    RUN_VALUE_BRANCHES,
+    assert_matches_baseline,
+    count_run_fills,
+    line_side,
+    long_run_sides,
+    ref_distance_table,
+    rescaled,
+    spy_run_values,
+    typed,
+    typed_run_lines,
+)
 
 SOLVERS = (solve_distance_2d_cubic, solve_distance_2d_heap)
 # each 1-D solver and the 2-D solver of its family
@@ -197,9 +209,9 @@ def test_left_term_wins_inside_right_runs(monkeypatch):
     won = []
     kernel = distance_general._distance_line
 
-    def spied(r, tau, lam, succ, *rest):
+    def spied(side, lam, succ, *rest):
         start = len(tops)
-        kernel(r, tau, lam, succ, *rest)
+        kernel(side, lam, succ, *rest)
         # a run whose top is t fills at least t - RUN..t; a left move
         # there is still a tuple, a right one a bare index
         won.extend(t for t in tops[start:] if any(w.__class__ is tuple for w in succ[t - RUN : t + 1]))
@@ -214,6 +226,33 @@ def test_left_term_wins_inside_right_runs(monkeypatch):
             for deadline in (tbest, tbest + 5 * scale, 2 * tbest + 10):
                 assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
     assert len(tops) >= 100 and len(won) >= 50
+
+
+def test_merged_row_run_fills_keep_python_values_and_types(monkeypatch):
+    # in rows that hold the left term, a run fill keeps Python's values
+    # and types too, entry for entry against the definition
+    seen = spy_run_values(monkeypatch)
+    merged = []
+    kernel = distance_general._distance_line
+
+    def spied(side, lam, succ, merge, check):
+        start = len(seen)
+        kernel(side, lam, succ, merge, check)
+        if merge:
+            merged.extend(seen[start:])
+
+    monkeypatch.setattr(distance_general, "_distance_line", spied)
+    for name, right, deadlines in typed_run_lines():
+        # one customer released with the right side's last, one unit out:
+        # its term is workable at the upper end of each row
+        left = line_side([right.r[-1]], [1])
+        inst = GeneralInstance(left, right)
+        for deadline in deadlines:
+            trace, _ = _trace_or_infeasible(solve_distance_2d_heap, inst, deadline)
+            want_lam, want_succ = ref_distance_table(left, right, deadline)
+            assert [typed(row) for row in trace.lam] == [typed(row) for row in want_lam], (name, deadline)
+            assert trace.succ == want_succ, (name, deadline)
+    assert set(merged) >= RUN_VALUE_BRANCHES
 
 
 def _flat_side(rng, n):

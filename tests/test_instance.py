@@ -4,11 +4,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrd import (
+    EMPTY_SIDE,
     CanonicalSide,
     MalformedDocument,
     NegativeValue,
@@ -317,3 +319,93 @@ def test_random_canonical_side():
     assert side == random_canonical_side(500, seed=1)
     assert side != random_canonical_side(500, seed=2)
     assert random_canonical_side(0, seed=1).n == 0
+
+
+def _assert_arrays_match_tuples(side):
+    """side.arrays are np.asarray of its tuples, dtype and value, and
+    read-only."""
+    for array, numbers in zip(side.arrays, (side.r, side.tau)):
+        want = np.asarray(numbers)
+        assert array.dtype == want.dtype
+        assert array.tolist() == want.tolist()
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[:1] = 0
+
+
+# documents on one side of the depot, each customer (label, release,
+# edge length toward the depot's far side): ints, floats, both mixed,
+# and ints whose dropped rider (label 2, released before 3 and nearer)
+# carries a float
+SIDE_DOCS = {
+    "int": [(1, 0, 4), (2, 5, 3), (3, 9, 2), (4, 9, 1)],
+    "float": [(1, 0.5, 4.25), (2, 5.0, 3.5), (3, 9.75, 2.0)],
+    "mixed": [(1, 0, 4.5), (2, 5.5, 3), (3, 9, 2)],
+    "float rider": [(1, 10, 4), (2, 6.5, 1), (3, 9, 2)],
+}
+
+
+def _side_document(members):
+    vertices = [{"id": 0}] + [{"id": v, "release": r} for v, r, _ in members]
+    ids = [0] + [v for v, _, _ in members]
+    edges = [{"u": a, "v": b, "d": d} for a, b, (_, _, d) in zip(ids, ids[1:], members)]
+    return {"vertices": vertices, "edges": edges, "depot": 0}
+
+
+@pytest.mark.parametrize("kind", SIDE_DOCS)
+def test_sides_from_documents_hold_their_numbers_as_arrays(kind):
+    doc = _side_document(SIDE_DOCS[kind])
+    raw = parse_instance(doc)
+    inst = split_at_depot(raw)
+    members = [
+        (v, raw.release[v], d) for v, d in ref_distances_from_depot(raw).items() if v != raw.depot
+    ]
+    for side in (inst.right, canonicalize_side(members)):
+        assert side.n
+        _assert_arrays_match_tuples(side)
+    assert inst.left == EMPTY_SIDE
+    _assert_arrays_match_tuples(inst.left)
+    if kind == "float rider":
+        assert inst.right.riders == ((2,), ())
+        assert [a.dtype for a in inst.right.arrays] == [np.int64, np.int64]
+
+
+def test_generated_and_direct_sides_hold_their_numbers_as_arrays():
+    side = random_canonical_side(300, seed=5)
+    assert side._arrays is not None
+    sides = [
+        side,
+        random_canonical_side(0, seed=5),
+        EMPTY_SIDE,
+        EX1_SIDE,
+        CanonicalSide((0, 1.5), (3, 2), (1, 2), ((), ())),
+        CanonicalSide((2**62,), (2**61,), (1,), ((),)),
+        CanonicalSide((2**64,), (1,), (1,), ((),)),
+        dataclasses.replace(side, r=tuple(x / 2 for x in side.r)),
+    ]
+    for each in sides:
+        _assert_arrays_match_tuples(each)
+    assert [a.dtype for a in EMPTY_SIDE.arrays] == [np.float64, np.float64]
+    # dataclasses.replace takes no arrays from the side it copies
+    assert sides[-1].arrays[0].dtype == np.float64
+    assert sides[-1].arrays[1] is not side.arrays[1]
+
+
+def test_arrays_leave_equality_hash_and_repr_alone():
+    for side in (random_canonical_side(50, seed=3), split_at_depot(parse_instance(EX1_DOC)).right):
+        bare = CanonicalSide(side.r, side.tau, side.labels, side.riders)
+        assert bare._arrays is None
+        assert side == bare and hash(side) == hash(bare) and repr(side) == repr(bare)
+        bare.arrays
+        assert side == bare and hash(side) == hash(bare) and repr(side) == repr(bare)
+        assert "array" not in repr(bare)
+
+
+def test_int_side_past_int64_solves_as_before():
+    # outside the admissible input: the linear solver's Python ints
+    # stay exact, the int64 baseline wraps, and the origin stays int 0
+    side = CanonicalSide((2**62,), (2**61,), (1,), ((),))
+    assert [a.dtype for a in side.arrays] == [np.int64, np.int64]
+    c = solve_time_linear(side)[0].c
+    assert [(type(v), v) for v in c] == [(int, 0), (int, 2**63)]
+    assert solve_time_quadratic(side)[0].c == [0, -(2**63)]

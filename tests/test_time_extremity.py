@@ -22,8 +22,10 @@ from helpers import (
     EX1_SIDE,
     count_time_run_fills,
     long_time_run_sides,
+    mixed,
     ref_time_tables,
     rescaled,
+    typed,
 )
 
 SOLVERS = (solve_time_quadratic, solve_time_linear)
@@ -61,6 +63,16 @@ def test_empty_side():
         assert trace.c == [0] and trace.pred == [None] and sol.value == 0 and sol.routes == ()
         # ints, not 0.0: an empty side adds no float to the tables
         assert [type(v) for v in trace.c + [sol.value]] == [int] * 2
+
+
+def test_float_tables_start_from_a_float_origin():
+    # the fast solver's origin is the table dtype's zero, as the
+    # baseline's is; an int side keeps int 0
+    side = canonicalize_side([(1, 0.5, 2.5), (2, 1.5, 1.0)])
+    tables = [solve(side)[0].c for solve in SOLVERS]
+    assert [type(c[0]) for c in tables] == [float, float]
+    assert typed(tables[0]) == typed(tables[1])
+    assert [type(solve(EX1_SIDE)[0].c[0]) for solve in SOLVERS] == [int, int]
 
 
 def test_single_customer():
@@ -153,17 +165,13 @@ def test_value_equals_oracle(ms):
         assert sol.value == want
 
 
-def _typed(values):
-    return [(type(v), v) for v in values]
-
-
 def _assert_matches_reference(side, check=False):
     """solve_time_linear gives ref_time_line's c and pred, entry for
     entry and type for type."""
     trace, _ = solve_time_linear(side, check=check)
     c, pred = ref_time_tables(side)
-    assert _typed(trace.c) == _typed(c)
-    assert _typed(trace.pred) == _typed(pred)
+    assert typed(trace.c) == typed(c)
+    assert typed(trace.pred) == typed(pred)
 
 
 # int data, floats that round (x0.37), half-integers, and whole floats
@@ -254,25 +262,16 @@ def test_near_2_53_sweep_matches_reference(monkeypatch):
     assert len(runs) >= 1000
 
 
-def _mixed(side, which):
-    """side with every other release (which 1), depot distance (2) or
-    both (3) turned into a float of the same value."""
-    def floats(values, on):
-        return tuple(float(v) if on and j % 2 else v for j, v in enumerate(values))
-
-    return dataclasses.replace(side, r=floats(side.r, which & 1), tau=floats(side.tau, which & 2))
-
-
 def test_mixed_int_and_float_entries_keep_their_types(monkeypatch):
     runs = count_time_run_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
         for which in (1, 2, 3):
             before = len(runs)
-            side = _mixed(base, which)
+            side = mixed(base, which)
             _assert_matches_reference(side)
             assert len(runs) > before, (name, which)
     # both types do reach the tables
-    c = solve_time_linear(_mixed(long_time_run_sides()["stairs"], 1))[0].c
+    c = solve_time_linear(mixed(long_time_run_sides()["stairs"], 1))[0].c
     assert {type(v) for v in c} == {int, float}
 
 
@@ -283,7 +282,20 @@ def test_mixed_entries_past_2_53_stay_exact():
     for name, base in long_time_run_sides().items():
         for scale in (1, 3):
             for which in (1, 2, 3):
-                _assert_matches_reference(_mixed(rescaled(base, scale, 2**53 + 1), which))
+                _assert_matches_reference(mixed(rescaled(base, scale, 2**53 + 1), which))
+
+
+def test_float_runs_over_releases_past_int64_stay_exact(monkeypatch):
+    # beyond the admissible input, ints past int64 give the releases
+    # object arrays; beside float depot distances a run still adds in
+    # float64, as Python's int + float does
+    runs = count_time_run_fills(monkeypatch)
+    for name, base in long_time_run_sides().items():
+        side = rescaled(base, 2**12, 2**64)
+        side = dataclasses.replace(side, tau=tuple(map(float, side.tau)))
+        assert side.arrays[0].dtype == object
+        _assert_matches_reference(side)
+    assert len(runs) >= len(long_time_run_sides())
 
 
 @pytest.mark.xfail(strict=True, reason="rounding ties between predecessors pick the larger j")

@@ -19,10 +19,12 @@ from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 from helpers import (
     EX1_SIDE,
     EX2_GENERAL,
+    EX2_LEFT,
     LEFT_CUT_CUSTOMER,
     count_time_run_fills,
     long_time_run_sides,
     rescaled,
+    typed,
 )
 
 SOLVERS = (solve_time_2d_cubic, solve_time_2d_minqueue)
@@ -50,6 +52,19 @@ def test_empty_instance():
         trace, sol = solve(inst)
         assert trace.c == [[0]] and sol.value == 0 and sol.routes == ()
         assert type(trace.c[0][0]) is int and type(sol.value) is int
+
+
+def test_float_tables_start_from_a_float_origin():
+    # a float side makes the table float, the origin included; beside
+    # an int side the fast table's other entries keep their own types
+    side = canonicalize_side([(1, 0.5, 2.5), (2, 1.5, 1.0)])
+    for inst in (GeneralInstance(side, side), GeneralInstance(EMPTY_SIDE, side), GeneralInstance(EX2_LEFT, side)):
+        tables = [solve(inst)[0].c for solve in SOLVERS]
+        assert [type(c[0][0]) for c in tables] == [float, float]
+        assert tables[0] == tables[1]
+        if inst.left is not EX2_LEFT:
+            assert _typed_table(tables[0]) == _typed_table(tables[1])
+    assert [type(solve(EX2_GENERAL)[0].c[0][0]) for solve in SOLVERS] == [int, int]
 
 
 def test_one_sided_reduction_matches_extremity_solver():
@@ -132,9 +147,7 @@ def test_matches_oracle_on_small_instances():
 
 
 def _typed_table(c):
-    # every cell but the origin, which the fast solver starts as int 0
-    # and the baseline in its table's dtype
-    return [(type(v), v) for row in c for v in row][1:]
+    return [typed(row) for row in c]
 
 
 @pytest.mark.parametrize("chunk", [time_extremity._CHUNK, 5], ids=["default", "5"])
