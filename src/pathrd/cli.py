@@ -19,7 +19,6 @@ import time
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
-from .distance_extremity import solve_distance_heap, solve_distance_quadratic
 from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from .errors import Infeasible, OutOfRange, PathrdError
 from .instance import (
@@ -41,8 +40,7 @@ from .oracle import (
     oracle_time,
     validate_solution,
 )
-from .solution import DISTANCE, LEFT, RIGHT, TIME, Route, Solution
-from .time_extremity import solve_time_linear, solve_time_quadratic
+from .solution import DISTANCE, TIME, Route, Solution
 from .time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 __all__ = ["main"]
@@ -52,34 +50,31 @@ FAST = "fast"
 
 
 class Solver(NamedTuple):
-    """One solver behind ``solve``, ``bench`` and ``crosscheck``.
+    """One solver behind ``solve``, ``bench`` and ``crosscheck``: op
+    takes the whole instance, and the deadline for distance.  names is
+    the (one-sided, two-sided) pair that reports and ``bench --algo``
+    use; a one-sided document is right-only, so op solves it as the
+    1-D solver of the first name, one row long."""
 
-    A general solver takes the whole instance; the others take the one
-    nonempty side of an instance whose depot sits at a path end.
-    """
-
-    name: str
     objective: str
-    general: bool
     family: str
     op: Callable
+    names: tuple[str, str]
+
+    def name_for(self, inst):
+        return self.names[inst.left.n > 0 and inst.right.n > 0]
 
 
-# crosscheck runs the applicable solvers in this order and takes the
-# first one's value as the reference
-SOLVERS = {
-    solver.name: solver
-    for solver in (
-        Solver("time_2d_cubic", TIME, True, BASELINE, solve_time_2d_cubic),
-        Solver("time_2d_minqueue", TIME, True, FAST, solve_time_2d_minqueue),
-        Solver("distance_2d_cubic", DISTANCE, True, BASELINE, solve_distance_2d_cubic),
-        Solver("distance_2d_heap", DISTANCE, True, FAST, solve_distance_2d_heap),
-        Solver("time_quadratic", TIME, False, BASELINE, solve_time_quadratic),
-        Solver("time_linear", TIME, False, FAST, solve_time_linear),
-        Solver("distance_quadratic", DISTANCE, False, BASELINE, solve_distance_quadratic),
-        Solver("distance_heap", DISTANCE, False, FAST, solve_distance_heap),
-    )
-}
+# one solver per (objective, family), the baseline first: crosscheck
+# takes the first one's value as the reference
+SOLVERS = (
+    Solver(TIME, BASELINE, solve_time_2d_cubic, ("time_quadratic", "time_2d_cubic")),
+    Solver(TIME, FAST, solve_time_2d_minqueue, ("time_linear", "time_2d_minqueue")),
+    Solver(DISTANCE, BASELINE, solve_distance_2d_cubic, ("distance_quadratic", "distance_2d_cubic")),
+    Solver(DISTANCE, FAST, solve_distance_2d_heap, ("distance_heap", "distance_2d_heap")),
+)
+# every name bench --algo takes: its solver, and whether it is the two-sided name
+_BENCH_NAMES = {name: (solver, two) for solver in SOLVERS for two, name in enumerate(solver.names)}
 
 BENCH_HEADER = "algo,objective,n_left,n_right,rep,wall_ns,value"
 
@@ -136,32 +131,16 @@ def _read_instance(path, parser):
         parser.error(f"bad instance {path}: {exc}")
 
 
-def _pick_solver(inst, objective, family):
-    """The solver of this family for the objective and the instance's shape."""
-    general = inst.left.n > 0 and inst.right.n > 0
-    return next(s for s in _applicable(inst, objective) if (s.general, s.family) == (general, family))
-
-
-def _applicable(inst, objective):
-    """Every solver of the objective that can run on inst, in registry order."""
-    one_sided = inst.left.n == 0 or inst.right.n == 0
-    return [
-        solver
-        for solver in SOLVERS.values()
-        if solver.objective == objective and (solver.general or one_sided)
-    ]
+def _pick_solver(objective, family):
+    """The solver of this family for the objective."""
+    return next(s for s in SOLVERS if (s.objective, s.family) == (objective, family))
 
 
 def _run(solver, inst, deadline=None):
-    """Call solver on inst: a general solver gets the instance, a side
-    solver the instance's nonempty side and its label; distance solvers
-    also get the deadline."""
-    extra = (deadline,) if solver.objective == DISTANCE else ()
-    if solver.general:
-        return solver.op(inst, *extra)
-    if inst.right.n == 0:
-        return solver.op(inst.left, *extra, label=LEFT)
-    return solver.op(inst.right, *extra, label=RIGHT)
+    """Call solver on inst, with the deadline for distance."""
+    if solver.objective == DISTANCE:
+        return solver.op(inst, deadline)
+    return solver.op(inst)
 
 
 def _route_doc(route):
@@ -221,8 +200,8 @@ def cmd_solve(args):
         deadline = args.deadline if args.deadline is not None else raw.deadline
         if deadline is None:
             args.parser.error(_NO_DEADLINE)
-    solver = _pick_solver(inst, args.objective, args.algo)
-    name = solver.name
+    solver = _pick_solver(args.objective, args.algo)
+    name = solver.name_for(inst)
 
     start = time.perf_counter_ns()
     try:
@@ -308,22 +287,25 @@ def cmd_generate(args):
 
 
 def _crosscheck(inst, objective, deadline=None):
-    """Run every applicable solver of the objective, None standing for a
-    solver that finds no plan, and validate each plan; returns the first
-    solver's value and one message per fault: a plan that fails
-    validation, solvers that disagree, or, on instances small enough,
-    a value other than the oracle's."""
+    """Run the objective's baseline and fast solver once each, None
+    standing for a solver that finds no plan, and validate each plan;
+    returns the baseline's value and one message per fault: a plan that
+    fails validation, solvers that disagree, or, on instances small
+    enough, a value other than the oracle's."""
     values = {}
     problems = []
-    for solver in _applicable(inst, objective):
+    for solver in SOLVERS:
+        if solver.objective != objective:
+            continue
+        name = solver.name_for(inst)
         try:
             _, solution = _run(solver, inst, deadline)
         except Infeasible:
-            values[solver.name] = None
+            values[name] = None
             continue
-        values[solver.name] = solution.value
+        values[name] = solution.value
         bad = validate_solution(inst, solution, deadline=deadline)
-        problems.extend(f"{solver.name} witness: {v.kind}: {v.detail}" for v in bad)
+        problems.extend(f"{name} witness: {v.kind}: {v.detail}" for v in bad)
     where = objective if deadline is None else f"deadline {deadline}"
     if len(set(values.values())) > 1:
         problems.append(f"{where}: disagreement {values}")
@@ -351,7 +333,7 @@ def cmd_crosscheck(args):
             makespan, problems = _crosscheck(inst, TIME)
         if args.objective in ("distance", "both"):
             if makespan is None:
-                makespan = _run(SOLVERS["time_2d_cubic"], inst)[1].value
+                makespan = _run(_pick_solver(TIME, BASELINE), inst)[1].value
             # span infeasible through slack around the optimal makespan
             for deadline in (makespan - 1, makespan, rng.randint(*_slack_deadlines(makespan))):
                 problems.extend(_crosscheck(inst, DISTANCE, deadline)[1])
@@ -365,27 +347,27 @@ def cmd_crosscheck(args):
     return 3 if mismatches else 0
 
 
-def _bench_case(solver, size, seed):
+def _bench_case(solver, two_sided, size, seed):
     """Build the instance one bench run needs and a call that solves it,
     at the fast time optimum as deadline for distance."""
     first = random_canonical_side(size, seed)
-    if solver.general:
+    if two_sided:
         inst = GeneralInstance(first, random_canonical_side(size, seed + 1))
     else:
         inst = GeneralInstance(EMPTY_SIDE, first)
     deadline = None
     if solver.objective == DISTANCE:
-        deadline = _run(_pick_solver(inst, TIME, FAST), inst)[1].value
+        deadline = _run(_pick_solver(TIME, FAST), inst)[1].value
     return inst, lambda: _run(solver, inst, deadline)
 
 
 def cmd_bench(args):
-    solver = SOLVERS[args.algo]
+    solver, two_sided = _BENCH_NAMES[args.algo]
     rows = [BENCH_HEADER]
     for size in args.sizes:
         for rep in range(args.reps):
             seed = args.seed * 1_000_003 + size * 1_009 + 2 * rep
-            inst, run = _bench_case(solver, size, seed)
+            inst, run = _bench_case(solver, two_sided, size, seed)
             start = time.perf_counter_ns()
             _, solution = run()
             wall_ns = time.perf_counter_ns() - start
@@ -404,16 +386,17 @@ def _refute_infeasible(inst, objective, deadline):
         return [
             Violation("infeasible", "only the distance objective with a deadline can be infeasible")
         ]
-    solver = _pick_solver(inst, DISTANCE, FAST)
+    solver = _pick_solver(DISTANCE, FAST)
+    name = solver.name_for(inst)
     try:
         _, solution = _run(solver, inst, deadline)
     except Infeasible:
-        print(f"infeasible at deadline {deadline}, confirmed by {solver.name}")
+        print(f"infeasible at deadline {deadline}, confirmed by {name}")
         return []
     return [
         Violation(
             "infeasible",
-            f"{solver.name} finds a plan of value {solution.value} by deadline {deadline}",
+            f"{name} finds a plan of value {solution.value} by deadline {deadline}",
         )
     ]
 
@@ -488,7 +471,7 @@ def _build_parser():
     p.set_defaults(func=cmd_crosscheck, parser=p)
 
     p = subs.add_parser("bench", help="time one algorithm across instance sizes, CSV out")
-    p.add_argument("--algo", choices=sorted(SOLVERS), required=True)
+    p.add_argument("--algo", choices=sorted(_BENCH_NAMES), required=True)
     p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated, e.g. 1e3,1e4,1e5")
     p.add_argument("--reps", type=_integer(1), default=3)
     p.add_argument("--seed", type=_integer(0), default=0)

@@ -30,8 +30,11 @@ bound one bisect finds.  A run longer than RUN is filled by slice
 assignment, its values top - 2 tau computed by one int64 operation over
 the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
 list comprehension elsewhere (_run_values).
-solve_distance_heap is one call of the kernel, and the interior-depot
-solver runs it once per row.
+The interior-depot solver runs the kernel once per row.  A depot at an
+extremity is the interior case with an empty left side:
+solve_distance_heap and solve_distance_quadratic are the one row of
+distance_general's fast and cubic solvers on
+GeneralInstance(EMPTY_SIDE, side).
 """
 
 from bisect import bisect_left
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .instance import EMPTY_SIDE, MAX_MAGNITUDE, table_dtype
+from .instance import EMPTY_SIDE, MAX_MAGNITUDE, GeneralInstance
 from .solution import RIGHT, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
@@ -59,12 +62,14 @@ class DistDpTrace:
     """lam[p]: latest feasible dispatch for the suffix from p (None when
     absent), lam[n] = deadline; succ[p]: the q the maximum came from.
     The 2-D solvers of distance_general return this class with [p][q]
-    tables, moves written as solution.time_solution reads them."""
+    tables, moves written as solution.time_solution reads them; a 1-D
+    trace is the one row of such a trace with an empty left side."""
 
     lam: list
     succ: list
 
 
+# no solver calls this; perfbench/case.py's replay and test_solution.py do
 def _build_solution(side, label, lam, succ):
     return distance_solution(EMPTY_SIDE, side, [lam], [succ], label)
 
@@ -82,31 +87,6 @@ def _scan(lam, present, r, threshold):
     # argmax takes the first maximum, at the smallest w
     k = int(vals.argmax())
     return vals[k], int(ws[k])
-
-
-def solve_distance_quadratic(side, deadline, label=RIGHT):
-    """Reference solver: scan every successor of every state."""
-    n = side.n
-    dt = table_dtype(side, deadline=deadline)
-    r, tau = side.arrays
-    r = r.astype(dt, copy=False)
-    two_tau = 2 * tau.astype(dt, copy=False)
-    lam = np.zeros(n + 1, dtype=dt)
-    present = np.zeros(n + 1, dtype=bool)
-    lam[n] = deadline
-    present[n] = True
-    succ = [None] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        hit = _scan(lam[p + 1 :], present[p + 1 :], r[p:], two_tau[p])
-        if hit is not None:
-            lam[p], w = hit
-            present[p] = True
-            succ[p] = p + 1 + w
-    lam = [v if here else None for v, here in zip(lam.tolist(), present)]
-    trace = DistDpTrace(lam, succ)
-    if deadline < 0 or lam[0] is None:
-        raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(side, label, lam, succ)
 
 
 def _minus_two(t):
@@ -241,13 +221,31 @@ def _distance_line(side, lam, succ, merge=False, check=False):
             break
 
 
+def _row(solve, side, deadline, *args):
+    """solve on GeneralInstance(EMPTY_SIDE, side) as its one row, the
+    trace an Infeasible carries included."""
+    try:
+        trace, solution = solve(GeneralInstance(EMPTY_SIDE, side), deadline, *args)
+    except Infeasible as exc:
+        exc.trace = DistDpTrace(exc.trace.lam[0], exc.trace.succ[0])
+        raise
+    return DistDpTrace(trace.lam[0], trace.succ[0]), solution
+
+
+# the 1-D solvers import distance_general on call, as it imports this module
+def solve_distance_quadratic(side, deadline, label=RIGHT):
+    """Reference solver: scan every successor of every state; the one
+    row of distance_general.solve_distance_2d_cubic."""
+    from .distance_general import solve_distance_2d_cubic
+
+    return _row(solve_distance_2d_cubic, side, deadline, label)
+
+
 def solve_distance_heap(side, deadline, label=RIGHT, check=False):
-    """Linear-time solver; lam matches solve_distance_quadratic exactly,
-    the empty side included.  check=True asserts _check_top at every state."""
-    lam = [None] * side.n + [deadline]
-    succ = [None] * (side.n + 1)
-    _distance_line(side, lam, succ, check=check)
-    trace = DistDpTrace(lam, succ)
-    if deadline < 0 or lam[0] is None:
-        raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(side, label, lam, succ)
+    """Linear-time solver, the one row of
+    distance_general.solve_distance_2d_heap; lam matches
+    solve_distance_quadratic exactly, the empty side included.
+    check=True asserts _check_top at every state."""
+    from .distance_general import solve_distance_2d_heap
+
+    return _row(solve_distance_2d_heap, side, deadline, label, check)

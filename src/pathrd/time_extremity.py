@@ -11,9 +11,11 @@ Since tau strictly decreases along the canonical order, candidates with
 c[j] <= r[i] are dominated by the largest such j; the rest enter a
 sliding window whose minimum a monotone deque serves in O(1) amortized.
 That replaces the quadratic scan with one linear pass, the kernel
-_time_line: solve_time_linear is one call of it, and the interior-depot
-solver runs it once per row.  The quadratic solver is the baseline the
-fast one is checked against, one _scan per state; both return the same
+_time_line, which the interior-depot solver runs once per row.  A
+depot at an extremity is the interior case with an empty left side:
+solve_time_linear and solve_time_quadratic are the one row of
+time_general's fast and cubic solvers on GeneralInstance(EMPTY_SIDE,
+side), the cubic one making one _scan per state; both return the same
 tables.
 
 While the cursor k holds and its released candidate wins, c[i] =
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance_extremity import RUN
-from .instance import EMPTY_SIDE, MAX_MAGNITUDE, table_dtype
+from .instance import EMPTY_SIDE, MAX_MAGNITUDE, GeneralInstance
 from .solution import RIGHT, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
@@ -51,12 +53,14 @@ class TimeDpTrace:
     """c[i]: best completion for the first i customers; pred[i]: the j
     the minimum was taken at, ties to the smallest j, None at 0.  The
     2-D solvers of time_general return this class with [i][j] tables,
-    moves written as solution.time_solution reads them."""
+    moves written as solution.time_solution reads them; a 1-D trace is
+    the one row of such a trace with an empty left side."""
 
     c: list
     pred: list
 
 
+# no solver calls this; perfbench/case.py's replay and test_solution.py do
 def _build_solution(side, label, c, pred):
     return time_solution(EMPTY_SIDE, side, [c], [pred], label)
 
@@ -67,21 +71,6 @@ def _scan(c, r, two_tau):
     cand = np.maximum(c, r) + two_tau
     j = int(cand.argmin())
     return cand[j], j
-
-
-def solve_time_quadratic(side, label=RIGHT):
-    """Reference solver: evaluate every predecessor of every state."""
-    n = side.n
-    dt = table_dtype(side)
-    r, tau = side.arrays
-    r = r.astype(dt, copy=False)
-    two_tau = 2 * tau.astype(dt, copy=False)
-    c = np.zeros(n + 1, dtype=dt)
-    pred = [None] * (n + 1)
-    for i in range(1, n + 1):
-        c[i], pred[i] = _scan(c[:i], r[i - 1], two_tau[:i])
-    c = c.tolist()
-    return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)
 
 
 def _check_line(line, tau, release, k, window):
@@ -269,11 +258,26 @@ def _time_run(side, c, pred, merge, check, i, k, cand):
     return hi - 1
 
 
+def _row(solve, side, *args):
+    """solve on GeneralInstance(EMPTY_SIDE, side) as its one row."""
+    trace, solution = solve(GeneralInstance(EMPTY_SIDE, side), *args)
+    return TimeDpTrace(trace.c[0], trace.pred[0]), solution
+
+
+# the 1-D solvers import time_general on call, as it imports this module
+def solve_time_quadratic(side, label=RIGHT):
+    """Reference solver: evaluate every predecessor of every state; the
+    one row of time_general.solve_time_2d_cubic."""
+    from .time_general import solve_time_2d_cubic
+
+    return _row(solve_time_2d_cubic, side, label)
+
+
 def solve_time_linear(side, label=RIGHT, check=False):
-    """One-pass solver; output matches solve_time_quadratic exactly, the
-    origin c[0] the table dtype's zero included.  check=True asserts
-    _check_line at every state."""
-    c = [np.zeros((), table_dtype(side)).item()] * (side.n + 1)
-    pred = [None] * (side.n + 1)
-    _time_line(side, c, pred, check=check)
-    return TimeDpTrace(c, pred), _build_solution(side, label, c, pred)
+    """One-pass solver, the one row of time_general.solve_time_2d_minqueue;
+    output matches solve_time_quadratic exactly, the origin c[0] the
+    table dtype's zero included.  check=True asserts _check_line at every
+    state."""
+    from .time_general import solve_time_2d_minqueue
+
+    return _row(solve_time_2d_minqueue, side, label, check)

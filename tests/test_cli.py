@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -527,14 +528,23 @@ def test_crosscheck_clean(capsys):
     assert "0 mismatches" in out
 
 
+def _break_fast(monkeypatch, objective, broken):
+    """Swap the fast solver of objective for broken(op), on every
+    instance shape."""
+    monkeypatch.setattr(cli, "SOLVERS", tuple(
+        s._replace(op=broken(s.op)) if (s.objective, s.family) == (objective, cli.FAST) else s
+        for s in cli.SOLVERS
+    ))
+
+
 def test_crosscheck_reports_mismatch(capsys, monkeypatch):
-    entry = cli.SOLVERS["time_2d_minqueue"]
+    def broken(op):
+        def solve(inst, check=False):
+            trace, solution = op(inst, check=check)
+            return trace, dataclasses.replace(solution, value=solution.value + 1)
+        return solve
 
-    def broken(inst, check=False):
-        trace, solution = entry.op(inst, check=check)
-        return trace, dataclasses.replace(solution, value=solution.value + 1)
-
-    monkeypatch.setitem(cli.SOLVERS, "time_2d_minqueue", entry._replace(op=broken))
+    _break_fast(monkeypatch, "time", broken)
     code, out, err = run(
         ["crosscheck", "--count", "3", "--seed", "2", "--objective", "time"], capsys
     )
@@ -544,13 +554,13 @@ def test_crosscheck_reports_mismatch(capsys, monkeypatch):
 
 
 def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
-    entry = cli.SOLVERS["distance_2d_heap"]
+    def broken(op):
+        def solve(inst, deadline, check=False):
+            trace, solution = op(inst, deadline, check=check)
+            return trace, dataclasses.replace(solution, value=solution.value + 1)
+        return solve
 
-    def broken(inst, deadline, check=False):
-        trace, solution = entry.op(inst, deadline, check=check)
-        return trace, dataclasses.replace(solution, value=solution.value + 1)
-
-    monkeypatch.setitem(cli.SOLVERS, "distance_2d_heap", entry._replace(op=broken))
+    _break_fast(monkeypatch, "distance", broken)
     code, out, err = run(
         ["crosscheck", "--count", "3", "--seed", "2", "--objective", "distance"], capsys
     )
@@ -622,19 +632,51 @@ def test_solve_unreadable_instance_is_usage_error(tmp_path, capsys):
         assert f"cannot read {path}" in err
 
 
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(
-        ["bench", "--algo", "time_linear", "--sizes", "100,200", "--reps", "2"], capsys
+# every --algo name and report algorithm, as (baseline, fast) pairs:
+# one-sided names first, two-sided ones second
+NAME_PAIRS = [
+    ("time_quadratic", "time_linear"),
+    ("distance_quadratic", "distance_heap"),
+    ("time_2d_cubic", "time_2d_minqueue"),
+    ("distance_2d_cubic", "distance_2d_heap"),
+]
+ALGOS = [name for pair in NAME_PAIRS for name in pair]
+
+
+def test_registry_holds_one_solver_per_objective_and_family():
+    assert [(s.objective, s.family) for s in cli.SOLVERS] == [
+        ("time", "baseline"), ("time", "fast"), ("distance", "baseline"), ("distance", "fast")
+    ]
+    assert sorted(name for s in cli.SOLVERS for name in s.names) == sorted(ALGOS)
+    subcommands = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
+    bench = subcommands.choices["bench"]
+    assert next(a for a in bench._actions if a.dest == "algo").choices == sorted(ALGOS)
+
+
+def _bench_rows(algo, capsys):
+    code, out, _ = run(["bench", "--algo", algo, "--sizes", "100,200", "--reps", "2"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 1 + 2 * 2
-    for line in lines[1:]:
-        algo, objective, n_left, n_right, rep, wall_ns, value = line.split(",")
-        assert algo == "time_linear" and objective == "time"
-        assert int(n_left) == 0 and int(n_right) in (100, 200)
+    return [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_bench_csv_shape(capsys, algo):
+    pair = next(pair for pair in NAME_PAIRS if algo in pair)
+    two_sided = NAME_PAIRS.index(pair) >= 2
+    rows = _bench_rows(algo, capsys)
+    other = _bench_rows(pair[1 - pair.index(algo)], capsys)
+    for (name, objective, n_left, n_right, rep, wall_ns, value), theirs in zip(rows, other):
+        assert name == algo and algo.startswith(objective)
+        assert int(n_right) in (100, 200)
+        assert int(n_left) == (int(n_right) if two_sided else 0)
         assert int(wall_ns) > 0 and int(value) >= 0
+        # the other family runs the same instances to the same value
+        assert theirs[2:5] + theirs[6:] == [n_left, n_right, rep, value]
 
 
 def test_bench_distance_uses_feasible_deadline(capsys):

@@ -29,7 +29,7 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd.cli import BASELINE, FAST, _applicable, _run
+from pathrd.cli import BASELINE, FAST, SOLVERS, _run
 
 from helpers import ref_canonicalize_side, ref_parse_instance, ref_split_at_depot
 
@@ -104,6 +104,18 @@ def test_bulk_ingest_matches_reference(case):
     doc, _ = case
     assert_same_ingest(doc)
     assert_same_ingest(json.dumps(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_documents())
+def test_endpoint_depot_documents_are_right_only(case):
+    # the CLI hands a one-sided instance to the 2-D solvers as it is,
+    # and they run its side as the fast row only when the left is empty
+    doc, order = case
+    inst = split_at_depot(parse_instance(doc))
+    at_end = doc["depot"] in (order[0], order[-1])
+    assert (inst.left.n == 0) == at_end
+    assert (inst.right.n == 0) == (len(order) == 1)
 
 
 class Label(int):
@@ -344,23 +356,23 @@ def test_magnitude_bound_is_inclusive():
 
 
 def _solve_all(inst, objective, deadline=None):
-    """(general, family) -> (trace, solution) of every applicable solver
-    of the objective, or None where it finds the deadline infeasible."""
+    """family -> (trace, solution) of the objective's solvers, or None
+    where one finds the deadline infeasible."""
     out = {}
-    for solver in _applicable(inst, objective):
+    for solver in SOLVERS:
+        if solver.objective != objective:
+            continue
         try:
-            out[solver.general, solver.family] = _run(solver, inst, deadline)
+            out[solver.family] = _run(solver, inst, deadline)
         except Infeasible:
-            out[solver.general, solver.family] = None
+            out[solver.family] = None
     return out
 
 
 def _assert_fast_matches_baseline(runs):
-    # tables and plans: a fast solver's trace and Solution equal its
+    # tables and plans: the fast solver's trace and Solution equal the
     # baseline's, infeasibility included
-    for general in (True, False):
-        if (general, FAST) in runs:
-            assert runs[general, FAST] == runs[general, BASELINE]
+    assert runs[FAST] == runs[BASELINE]
 
 
 @settings(max_examples=300, deadline=None)
