@@ -42,8 +42,8 @@ def _build_solution(inst, lam, succ, label=RIGHT):
 
 
 def solve_distance_2d_cubic(inst, deadline, label=RIGHT):
-    """Reference solver: scan both successor lines of every state.  The
-    plan's right routes are named label."""
+    """Reference solver: scan both successor lines of every state.  Right
+    routes are named label, which must be RIGHT beside left routes."""
     nl = inst.left.n
     nr = inst.right.n
     dt = table_dtype(inst.left, inst.right, deadline=deadline)

@@ -50,6 +50,12 @@ class Solution:
     routes: tuple[Route, ...]
 
 
+def _check_label(left, label):
+    # only a plan with an empty left side may rename its right routes
+    if left.n and label != RIGHT:
+        raise ValueError(f"right routes named {label!r} beside a nonempty left side")
+
+
 def time_solution(left, right, c, pred, label=RIGHT):
     """The plan of a completion-time table c[i][j], walking pred back
     from the full state; the value is c[n_l][n_r].  Every table writes a
@@ -57,6 +63,7 @@ def time_solution(left, right, c, pred, label=RIGHT):
     over the right side, named label, and (LEFT, w) for a left one, so a
     1-D trace is one row with an EMPTY_SIDE left.  A route leaves once the
     vehicle is back and its block is released, max(prev, r) written out."""
+    _check_label(left, label)
     i = left.n
     j = right.n
     rev = []
@@ -80,6 +87,7 @@ def distance_solution(left, right, lam, succ, label=RIGHT):
     forward from the origin, with moves as in time_solution.  The value
     sums the durations: deadline - lam[0][0] exactly on integer data,
     and consistent with the routes on floats too."""
+    _check_label(left, label)
     p = 0
     q = 0
     nl = left.n

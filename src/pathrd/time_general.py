@@ -50,8 +50,8 @@ def _build_solution(inst, c, pred, label=RIGHT):
 
 
 def solve_time_2d_cubic(inst, label=RIGHT):
-    """Reference solver: full scans of both terms at every state.  The
-    plan's right routes are named label."""
+    """Reference solver: full scans of both terms at every state.  Right
+    routes are named label, which must be RIGHT beside left routes."""
     nl = inst.left.n
     nr = inst.right.n
     dt = table_dtype(inst.left, inst.right)

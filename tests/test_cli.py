@@ -671,7 +671,8 @@ def test_bench_csv_shape(capsys, algo):
     rows = _bench_rows(algo, capsys)
     other = _bench_rows(pair[1 - pair.index(algo)], capsys)
     for (name, objective, n_left, n_right, rep, wall_ns, value), theirs in zip(rows, other):
-        assert name == algo and algo.startswith(objective)
+        assert name == algo
+        assert objective == ("time" if algo.startswith("time_") else "distance")
         assert int(n_right) in (100, 200)
         assert int(n_left) == (int(n_right) if two_sided else 0)
         assert int(wall_ns) > 0 and int(value) >= 0

@@ -6,6 +6,7 @@ used here, so a plan rebuilt that way must be the one the solver gave."""
 import pytest
 
 from pathrd import (
+    EMPTY_SIDE,
     GeneralInstance,
     distance_extremity,
     distance_general,
@@ -47,3 +48,17 @@ def test_module_rebuilds_give_the_solver_plans(n_left, n_right):
         assert {route.side for route in sol.routes + dsol.routes} <= labels
         assert sum(len(route.deliveries) for route in sol.routes) == n_left + n_right
 
+
+
+def test_only_an_empty_left_side_renames_the_right_routes():
+    for inst in _instances(3, 4):
+        for solve in (time_general.solve_time_2d_cubic, time_general.solve_time_2d_minqueue):
+            with pytest.raises(ValueError, match="beside a nonempty left side"):
+                solve(inst, label=LEFT)
+        for solve in (distance_general.solve_distance_2d_cubic, distance_general.solve_distance_2d_heap):
+            with pytest.raises(ValueError, match="beside a nonempty left side"):
+                solve(inst, 10**9, label=LEFT)
+        one_sided = GeneralInstance(EMPTY_SIDE, inst.right)
+        _, sol = time_general.solve_time_2d_minqueue(one_sided, label=LEFT)
+        _, dsol = distance_general.solve_distance_2d_heap(one_sided, sol.value, label=LEFT)
+        assert {route.side for route in sol.routes + dsol.routes} == {LEFT}
