@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import Infeasible
 from .instance import EMPTY_SIDE, MAX_MAGNITUDE, GeneralInstance
-from .solution import RIGHT, distance_solution
+from .solution import RIGHT, distance_solution, name_side
 
 __all__ = ["DistDpTrace", "solve_distance_quadratic", "solve_distance_heap"]
 
@@ -62,7 +62,7 @@ class DistDpTrace:
     """lam[p]: latest feasible dispatch for the suffix from p (None when
     absent), lam[n] = deadline; succ[p]: the q the maximum came from.
     The 2-D solvers of distance_general return this class with [p][q]
-    tables, moves written as solution.time_solution reads them; a 1-D
+    tables, moves written as solution.distance_solution reads them; a 1-D
     trace is the one row of such a trace with an empty left side."""
 
     lam: list
@@ -71,22 +71,7 @@ class DistDpTrace:
 
 # no solver calls this; perfbench/case.py's replay and test_solution.py do
 def _build_solution(side, label, lam, succ):
-    return distance_solution(EMPTY_SIDE, side, [lam], [succ], label)
-
-
-def _scan(lam, present, r, threshold):
-    """One state's full scan: the maximum of lam[w] - threshold over the
-    present w with lam[w] - r[w] >= threshold, and the smallest w it is
-    taken at; None when no w qualifies."""
-    # the slack comparison is written exactly as the fast kernel tests
-    # it, so float rounding cannot split the two
-    (ws,) = (present & (lam - r >= threshold)).nonzero()
-    if not len(ws):
-        return None
-    vals = lam[ws] - threshold
-    # argmax takes the first maximum, at the smallest w
-    k = int(vals.argmax())
-    return vals[k], int(ws[k])
+    return name_side(label, distance_solution(EMPTY_SIDE, side, [lam], [succ]))
 
 
 def _minus_two(t):
@@ -221,15 +206,16 @@ def _distance_line(side, lam, succ, merge=False, check=False):
             break
 
 
-def _row(solve, side, deadline, *args):
-    """solve on GeneralInstance(EMPTY_SIDE, side) as its one row, the
-    trace an Infeasible carries included."""
+def _row(solve, side, deadline, label, *args):
+    """The one row of solve on GeneralInstance(EMPTY_SIDE, side), an
+    Infeasible's trace included, its routes on side label."""
+    name_side(label)
     try:
         trace, solution = solve(GeneralInstance(EMPTY_SIDE, side), deadline, *args)
     except Infeasible as exc:
         exc.trace = DistDpTrace(exc.trace.lam[0], exc.trace.succ[0])
         raise
-    return DistDpTrace(trace.lam[0], trace.succ[0]), solution
+    return DistDpTrace(trace.lam[0], trace.succ[0]), name_side(label, solution)
 
 
 # the 1-D solvers import distance_general on call, as it imports this module

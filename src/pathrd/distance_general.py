@@ -13,9 +13,9 @@ of 2 taul[p] whose dispatch must also cover the block's last release:
 absent when both terms come up empty; infeasible iff lam[0][0] is
 absent.  Ties prefer the left term, then the smallest w; succ[p][q] is
 w for the right term and (LEFT, w) for the left.  The cubic baseline
-scans both terms of every state with distance_extremity's full line
-scan _scan.  With an empty left side the table is one row, the 1-D
-table that distance_extremity's solvers return.
+scans both terms of every state with one full line scan, _scan.  With
+an empty left side the table is one row, the 1-D table that
+distance_extremity's solvers return.
 
 The fast solver is a kernel plus a column step.  lam is nondecreasing
 along rows and columns, so each line is served as in distance_extremity,
@@ -29,21 +29,35 @@ each, so it is written inline.
 
 import numpy as np
 
-from .distance_extremity import DistDpTrace, _check_top, _distance_line, _scan
+from .distance_extremity import DistDpTrace, _check_top, _distance_line
 from .errors import Infeasible
 from .instance import table_dtype
-from .solution import LEFT, RIGHT, distance_solution
+from .solution import LEFT, distance_solution
 
 __all__ = ["solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
 
-def _build_solution(inst, lam, succ, label=RIGHT):
-    return distance_solution(inst.left, inst.right, lam, succ, label)
+def _build_solution(inst, lam, succ):
+    return distance_solution(inst.left, inst.right, lam, succ)
 
 
-def solve_distance_2d_cubic(inst, deadline, label=RIGHT):
-    """Reference solver: scan both successor lines of every state.  Right
-    routes are named label, which must be RIGHT beside left routes."""
+def _scan(lam, present, r, threshold):
+    """One state's full scan: the maximum of lam[w] - threshold over the
+    present w with lam[w] - r[w] >= threshold, and the smallest w it is
+    taken at; None when no w qualifies."""
+    # the slack comparison is written exactly as the fast kernel tests
+    # it, so float rounding cannot split the two
+    (ws,) = (present & (lam - r >= threshold)).nonzero()
+    if not len(ws):
+        return None
+    vals = lam[ws] - threshold
+    # argmax takes the first maximum, at the smallest w
+    k = int(vals.argmax())
+    return vals[k], int(ws[k])
+
+
+def solve_distance_2d_cubic(inst, deadline):
+    """Reference solver: scan both successor lines of every state."""
     nl = inst.left.n
     nr = inst.right.n
     dt = table_dtype(inst.left, inst.right, deadline=deadline)
@@ -82,14 +96,13 @@ def solve_distance_2d_cubic(inst, deadline, label=RIGHT):
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(inst, lam, succ, label)
+    return trace, _build_solution(inst, lam, succ)
 
 
-def solve_distance_2d_heap(inst, deadline, label=RIGHT, check=False):
+def solve_distance_2d_heap(inst, deadline, check=False):
     """Front-index solver in O(n_l n_r); lam matches
-    solve_distance_2d_cubic, right routes named label as there.
-    check=True asserts _check_top for every column and row front at
-    every state."""
+    solve_distance_2d_cubic.  check=True asserts _check_top for every
+    column and row front at every state."""
     nl = inst.left.n
     nr = inst.right.n
     rl, taul = inst.left.r, inst.left.tau
@@ -136,4 +149,4 @@ def solve_distance_2d_heap(inst, deadline, label=RIGHT, check=False):
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)
-    return trace, _build_solution(inst, lam, succ, label)
+    return trace, _build_solution(inst, lam, succ)

@@ -1,6 +1,6 @@
-"""Dispatch plans: the Route and Solution containers, and the two plan walks."""
+"""Dispatch plans: the Route and Solution containers, the two plan walks, and name_side."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = ["Route", "Solution", "LEFT", "RIGHT", "TIME", "DISTANCE"]
 
@@ -50,20 +50,23 @@ class Solution:
     routes: tuple[Route, ...]
 
 
-def _check_label(left, label):
-    # only a plan with an empty left side may rename its right routes
-    if left.n and label != RIGHT:
-        raise ValueError(f"right routes named {label!r} beside a nonempty left side")
+def name_side(label, plan=None):
+    """A right-only plan with its routes on side label: plan itself for
+    RIGHT, a copy for LEFT; any other label raises ValueError, plan or none."""
+    if label not in (LEFT, RIGHT):
+        raise ValueError(f"side {label!r} is neither {LEFT!r} nor {RIGHT!r}")
+    if label == LEFT and plan is not None:
+        return replace(plan, routes=tuple(replace(r, side=LEFT) for r in plan.routes))
+    return plan
 
 
-def time_solution(left, right, c, pred, label=RIGHT):
+def time_solution(left, right, c, pred):
     """The plan of a completion-time table c[i][j], walking pred back
     from the full state; the value is c[n_l][n_r].  Every table writes a
-    move one way: None where no route ends or leaves, a bare w for a route
-    over the right side, named label, and (LEFT, w) for a left one, so a
-    1-D trace is one row with an EMPTY_SIDE left.  A route leaves once the
-    vehicle is back and its block is released, max(prev, r) written out."""
-    _check_label(left, label)
+    move one way: None where no route ends or leaves, a bare w for a
+    RIGHT route and (LEFT, w) for a left one, so a 1-D trace is one row
+    with an EMPTY_SIDE left.  A route leaves once the vehicle is back and
+    its block is released, max(prev, r) written out."""
     i = left.n
     j = right.n
     rev = []
@@ -76,18 +79,17 @@ def time_solution(left, right, c, pred, label=RIGHT):
             i = w
             continue
         prev, r = c[i][w], right.r[j - 1]
-        rev.append(make_route(label, right, w, j - 1, prev if prev >= r else r))
+        rev.append(make_route(RIGHT, right, w, j - 1, prev if prev >= r else r))
         j = w
     rev.reverse()
     return Solution(TIME, c[left.n][right.n], tuple(rev))
 
 
-def distance_solution(left, right, lam, succ, label=RIGHT):
+def distance_solution(left, right, lam, succ):
     """The plan of a latest-dispatch table lam[p][q], walking succ
     forward from the origin, with moves as in time_solution.  The value
     sums the durations: deadline - lam[0][0] exactly on integer data,
     and consistent with the routes on floats too."""
-    _check_label(left, label)
     p = 0
     q = 0
     nl = left.n
@@ -101,7 +103,7 @@ def distance_solution(left, right, lam, succ, label=RIGHT):
             routes.append(make_route(LEFT, left, p, w - 1, dispatch))
             p = w
             continue
-        routes.append(make_route(label, right, q, w - 1, dispatch))
+        routes.append(make_route(RIGHT, right, q, w - 1, dispatch))
         q = w
     value = sum(route.duration for route in routes)
     return Solution(DISTANCE, value, tuple(routes))

@@ -15,8 +15,8 @@ _time_line, which the interior-depot solver runs once per row.  A
 depot at an extremity is the interior case with an empty left side:
 solve_time_linear and solve_time_quadratic are the one row of
 time_general's fast and cubic solvers on GeneralInstance(EMPTY_SIDE,
-side), the cubic one making one _scan per state; both return the same
-tables.
+side), the cubic one scanning every predecessor of every state; both
+return the same tables.
 
 While the cursor k holds and its released candidate wins, c[i] =
 r[i-1] + 2 tau[k] and pred[i] = k: a run.  It ends where the cursor
@@ -38,7 +38,7 @@ import numpy as np
 
 from .distance_extremity import RUN
 from .instance import EMPTY_SIDE, MAX_MAGNITUDE, GeneralInstance
-from .solution import RIGHT, time_solution
+from .solution import RIGHT, name_side, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_quadratic", "solve_time_linear"]
 
@@ -62,15 +62,7 @@ class TimeDpTrace:
 
 # no solver calls this; perfbench/case.py's replay and test_solution.py do
 def _build_solution(side, label, c, pred):
-    return time_solution(EMPTY_SIDE, side, [c], [pred], label)
-
-
-def _scan(c, r, two_tau):
-    """One state's full scan: the minimum of max(c[j], r) + two_tau[j]
-    over the given j, and the smallest j it is taken at."""
-    cand = np.maximum(c, r) + two_tau
-    j = int(cand.argmin())
-    return cand[j], j
+    return name_side(label, time_solution(EMPTY_SIDE, side, [c], [pred]))
 
 
 def _check_line(line, tau, release, k, window):
@@ -258,10 +250,11 @@ def _time_run(side, c, pred, merge, check, i, k, cand):
     return hi - 1
 
 
-def _row(solve, side, *args):
-    """solve on GeneralInstance(EMPTY_SIDE, side) as its one row."""
+def _row(solve, side, label, *args):
+    """The one row of solve on GeneralInstance(EMPTY_SIDE, side), on side label."""
+    name_side(label)
     trace, solution = solve(GeneralInstance(EMPTY_SIDE, side), *args)
-    return TimeDpTrace(trace.c[0], trace.pred[0]), solution
+    return TimeDpTrace(trace.c[0], trace.pred[0]), name_side(label, solution)
 
 
 # the 1-D solvers import time_general on call, as it imports this module

@@ -11,8 +11,8 @@ route covered a suffix of one side's served prefix,
 1-based on the right-hand sides, with ties broken toward the left term
 and the smallest w; pred[i][j] is w for the right term and (LEFT, w)
 for the left.  The cubic baseline scans both terms of every state with
-time_extremity's full line scan _scan.  With an empty left side the
-table is one row, the 1-D table that time_extremity's solvers return.
+one full line scan, _scan.  With an empty left side the table is one
+row, the 1-D table that time_extremity's solvers return.
 
 The fast solver is a kernel plus a column step.  Row by row, the
 column step first advances every column's cursor and deque of (a, w)
@@ -39,19 +39,26 @@ from collections import deque
 import numpy as np
 
 from .instance import table_dtype
-from .solution import LEFT, RIGHT, time_solution
-from .time_extremity import TimeDpTrace, _check_line, _scan, _time_line
+from .solution import LEFT, time_solution
+from .time_extremity import TimeDpTrace, _check_line, _time_line
 
 __all__ = ["solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
 
-def _build_solution(inst, c, pred, label=RIGHT):
-    return time_solution(inst.left, inst.right, c, pred, label)
+def _build_solution(inst, c, pred):
+    return time_solution(inst.left, inst.right, c, pred)
 
 
-def solve_time_2d_cubic(inst, label=RIGHT):
-    """Reference solver: full scans of both terms at every state.  Right
-    routes are named label, which must be RIGHT beside left routes."""
+def _scan(c, r, two_tau):
+    """One state's full scan: the minimum of max(c[j], r) + two_tau[j]
+    over the given j, and the smallest j it is taken at."""
+    cand = np.maximum(c, r) + two_tau
+    j = int(cand.argmin())
+    return cand[j], j
+
+
+def solve_time_2d_cubic(inst):
+    """Reference solver: full scans of both terms at every state."""
     nl = inst.left.n
     nr = inst.right.n
     dt = table_dtype(inst.left, inst.right)
@@ -78,12 +85,11 @@ def solve_time_2d_cubic(inst, label=RIGHT):
                 c[i, j] = best
                 pred[i][j] = take
     c = c.tolist()
-    return TimeDpTrace(c, pred), _build_solution(inst, c, pred, label)
+    return TimeDpTrace(c, pred), _build_solution(inst, c, pred)
 
 
-def solve_time_2d_minqueue(inst, label=RIGHT, check=False):
-    """Window-and-cursor solver; output matches solve_time_2d_cubic,
-    right routes named label as there.
+def solve_time_2d_minqueue(inst, check=False):
+    """Window-and-cursor solver; output matches solve_time_2d_cubic.
 
     check=True re-verifies every cursor and window against its
     definition (the released states really form a prefix of the column
@@ -142,4 +148,4 @@ def solve_time_2d_minqueue(inst, label=RIGHT, check=False):
         if nr:
             # the right term along the row; the left term wins ties
             _time_line(inst.right, ci, pi, i > 0, check)
-    return TimeDpTrace(c, pred), _build_solution(inst, c, pred, label)
+    return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

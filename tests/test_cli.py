@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -174,7 +175,7 @@ def test_solve_general_instance_both_objectives(x2_path, capsys):
 
 
 def test_solve_reads_stdin(x1_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", open(x1_path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(x1_path).read_text()))
     code, out, _ = run(["solve", "-", "--objective", "time"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == 31
