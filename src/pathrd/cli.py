@@ -121,9 +121,9 @@ def _read_instance(path, parser):
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {path}: {exc}")
     try:
         return parse_instance(text)
@@ -153,6 +153,32 @@ def _route_doc(route):
         "completion": route.completion,
         "deliveries": list(route.deliveries),
     }
+
+
+# a route's deliveries in the indented report: the key sits at depth 3,
+# its items one level deeper
+_NO_DELIVERIES = '"deliveries": []'
+_DELIVERY_SEPARATORS = (",\n        ", ": ")
+
+
+def _report_text(report):
+    """json.dumps(report, sort_keys=True, indent=2) + "\\n", byte for
+    byte, for a solve report, whose every route delivers someone.  With
+    indent set, json.dumps runs its pure-Python encoder, so the report
+    goes through it with every route's deliveries empty, and the labels
+    go through the C encoder, which the separators indent.
+
+    Inside a JSON string every '"' is escaped, so _NO_DELIVERIES occurs
+    in the envelope only as the routes' own keys, in route order."""
+    routes = report["routes"]
+    envelope = dict(report, routes=[dict(route, deliveries=[]) for route in routes])
+    pieces = json.dumps(envelope, sort_keys=True, indent=2).split(_NO_DELIVERIES)
+    out = [pieces[0]]
+    for route, rest in zip(routes, pieces[1:]):
+        labels = json.dumps(route["deliveries"], separators=_DELIVERY_SEPARATORS)
+        out += ['"deliveries": [\n        ', labels[1:-1], "\n      ]", rest]
+    out.append("\n")
+    return "".join(out)
 
 
 def _report(value, ok, what):
@@ -232,7 +258,7 @@ def cmd_solve(args):
     }
     if args.objective == DISTANCE:
         report["deadline"] = deadline
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out, args.parser)
+    _emit(_report_text(report), args.out, args.parser)
     if args.out is not None:
         print(f"{status}: value {value} ({name}), report in {args.out}")
     return 0 if status == "optimal" else 1

@@ -9,11 +9,12 @@ the canonical form every solver works on: releases nondecreasing,
 depot distances strictly decreasing.
 
 Both work over whole lists: validation is a handful of list-wide
-predicates, orientation one walk over flat integer arrays, and the
-reduction a sort plus a running maximum in numpy.  numpy only computes
-positions; every number in the result is the document's own object,
-and a side builds its arrays (CanonicalSide.arrays) from those numbers
-on first use.
+predicates, orientation one chain test over the edges as listed (or,
+failing it, one walk over flat integer arrays), and the reduction a
+sort plus a running maximum in numpy.  numpy only computes positions;
+every number in the result is the document's own object, and a side
+builds its arrays (CanonicalSide.arrays) from those numbers on first
+use.
 """
 
 import json
@@ -290,12 +291,32 @@ def _edge_table(edges, index):
 
 def _walk(ids, depot_at, a, b, ds, deg):
     """Labels and edge lengths in path order: from the depot when it is
-    an endpoint, otherwise from the smaller-labeled endpoint."""
-    n = len(ids)
+    an endpoint, otherwise from the smaller-labeled endpoint.
+
+    When the edges as listed chain, each edge's v being the next one's
+    u, the path is a[0] followed by every b, and edge k is step k,
+    reversed when the chain ends at the start.  The caller has checked
+    that there are n - 1 edges and that no vertex is isolated, so the
+    chain's n vertices, which include every edge's ends, are each
+    vertex once.  Any other edge order goes to _xor_walk.
+    """
     ends = np.flatnonzero(deg == 1)
     if len(ends) != 2:
         raise NotAPath("graph is not a single simple path")
     start = depot_at if deg[depot_at] == 1 else min(ends.tolist(), key=ids.__getitem__)
+    if not (a[1:] == b[:-1]).all():
+        return _xor_walk(ids, start, a, b, ds, ends)
+    path = [int(a[0])] + b.tolist()
+    if path[0] != start:
+        path.reverse()
+        ds = ds[::-1]
+    return tuple(map(ids.__getitem__, path)), tuple(ds)
+
+
+def _xor_walk(ids, start, a, b, ds, ends):
+    """_walk for edges in any order, from start, ends being the two
+    endpoints."""
+    n = len(ids)
     # one flat slot per vertex holds the XOR of its two neighbours, an
     # endpoint's missing one being -1: XOR with where a walk came from
     # gives where it goes

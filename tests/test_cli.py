@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import copy
 import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pathrd.cli as cli
 from pathrd import parse_instance
@@ -188,6 +193,78 @@ def test_solve_reports_are_deterministic(x1_path, capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("wall_ns"), b.pop("wall_ns")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@st.composite
+def solve_cases(draw):
+    """(document, solve options, instance path or "-" for stdin): one-
+    or two-sided, numbers all ints or all multiples of 0.37, ids negative
+    or near 2**53, releases near 0 or 2**52, and a distance deadline
+    that may be infeasible."""
+    k = draw(st.integers(1, 8))
+    ids = st.one_of(st.integers(-(2**53), 50), st.integers(2**53 - 9, 2**53 + 9))
+    order = draw(st.lists(ids, min_size=k + 1, max_size=k + 1, unique=True))
+    depot = order[draw(st.integers(0, k))]
+    scale = draw(st.sampled_from([1, 0.37]))
+    base = draw(st.sampled_from([0, 2**52]))
+
+    def number(top, offset=0):
+        return offset + draw(st.integers(0, top)) * scale
+
+    doc = {
+        "vertices": [{"id": v} if v == depot else {"id": v, "release": number(40, base)} for v in order],
+        "edges": [{"u": u, "v": v, "d": number(9)} for u, v in zip(order, order[1:])],
+        "depot": depot,
+    }
+    argv = ["--objective", draw(st.sampled_from(["time", "distance"]))]
+    if argv[1] == "distance":
+        deadline = number(200, draw(st.sampled_from([0, base])))
+        if draw(st.booleans()):
+            doc["deadline"] = deadline
+        else:
+            argv += ["--deadline", repr(deadline)]
+    argv += ["--algo", draw(st.sampled_from(["fast", "baseline"]))]
+    path = draw(st.sampled_from(["-", "plain.json", 'é "q" \\ ü.json', '"deliveries": [].json']))
+    return doc, argv, path
+
+
+# a float document whose first time route leaves at 0.0, infeasible for
+# distance at deadline 1
+ORIGIN_DOC = {
+    "vertices": [{"id": 0}, {"id": -3, "release": 37.0}, {"id": 2**53, "release": 0.0}],
+    "edges": [{"u": 0, "v": -3, "d": 0.37}, {"u": -3, "v": 2**53, "d": 3.7}],
+    "depot": 0,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@example((ORIGIN_DOC, ["--objective", "time"], "-"))
+@example((ORIGIN_DOC, ["--objective", "distance", "--deadline", "1"], 'é "q" \\ ü.json'))
+@given(solve_cases())
+def test_solve_writes_what_json_dumps_writes(case):
+    doc, argv, path = case
+    written = []
+    report_text = cli._report_text
+
+    def spy(report):
+        text = report_text(report)
+        written.append((text, copy.deepcopy(report)))
+        return text
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_report_text", spy)
+        if path == "-":
+            mp.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        else:
+            mp.chdir(tmp)
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["solve", path, *argv])
+    [(text, report)] = written
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == text
+    assert report["instance"]["path"] == path
+    assert code == (0 if report["routes"] else 1)
 
 
 def test_first_dispatch_at_the_origin_takes_the_table_dtype(tmp_path, capsys):
@@ -631,6 +708,22 @@ def test_solve_unreadable_instance_is_usage_error(tmp_path, capsys):
         code, out, err = run(["solve", str(path), "--objective", "time"], capsys)
         assert (code, out) == (2, "")
         assert f"cannot read {path}" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "solve -", "validate"])
+def test_instance_that_is_not_utf8_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    data = b'{"vertices": [{"id": 0, "name": "\xff"}], "edges": [], "depot": 0}'
+    path = tmp_path / "latin.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    where = "-" if command == "solve -" else str(path)
+    if command == "validate":
+        argv = ["validate", "--instance", where, "--solution", str(path)]
+    else:
+        argv = ["solve", where, "--objective", "time"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"cannot read {where}: 'utf-8' codec can't decode byte 0xff" in err
 
 
 # every --algo name and report algorithm, as (baseline, fast) pairs:

@@ -4,9 +4,12 @@ documents, and the same error, type and message, on broken ones.  Then
 raw documents end to end, through every solver and the oracle."""
 
 import copy
+import importlib.util
 import json
 import math
 import random
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
+from pathrd import instance
 from pathrd.cli import BASELINE, FAST, SOLVERS, _run
 
 from helpers import ref_canonicalize_side, ref_parse_instance, ref_split_at_depot
@@ -68,10 +72,12 @@ def assert_same_ingest(doc):
 
 
 @st.composite
-def path_documents(draw, max_customers=30):
+def path_documents(draw, max_customers=30, chained=False):
     """A valid document: 0..max_customers customers, the depot anywhere
-    on the path, vertex and edge lists shuffled, each edge's u and v
-    possibly swapped."""
+    on the path, the vertex list shuffled.  The edge list is shuffled,
+    each edge's u and v possibly swapped; or, chained, it lists the path
+    forward or backward, each edge's v the next one's u, at most one
+    edge having its u and v swapped, which breaks the chain."""
     k = draw(st.integers(0, max_customers))
     order = draw(st.lists(st.integers(-50, 50), min_size=k + 1, max_size=k + 1, unique=True))
     depot = order[draw(st.integers(0, k))]
@@ -85,12 +91,20 @@ def path_documents(draw, max_customers=30):
             vertices.append({"id": v})
     edges = []
     for u, v in zip(order, order[1:]):
-        if draw(st.booleans()):
+        if not chained and draw(st.booleans()):
             u, v = v, u
         edges.append({"u": u, "v": v, "d": draw(numbers)})
+    if not chained:
+        edges = draw(st.permutations(edges))
+    else:
+        if draw(st.booleans()):
+            edges = [{"u": e["v"], "v": e["u"], "d": e["d"]} for e in reversed(edges)]
+        if edges and draw(st.booleans()):
+            edge = draw(st.sampled_from(edges))
+            edge["u"], edge["v"] = edge["v"], edge["u"]
     doc = {
         "vertices": draw(st.permutations(vertices)),
-        "edges": draw(st.permutations(edges)),
+        "edges": edges,
         "depot": depot,
     }
     if draw(st.booleans()):
@@ -104,6 +118,38 @@ def test_bulk_ingest_matches_reference(case):
     doc, _ = case
     assert_same_ingest(doc)
     assert_same_ingest(json.dumps(doc))
+
+
+def _chains(edges):
+    return all(e["v"] == f["u"] for e, f in zip(edges, edges[1:]))
+
+
+@contextmanager
+def xor_walks():
+    """A list that gets one entry per call of instance._xor_walk made
+    inside the block."""
+    calls = []
+    walk = instance._xor_walk
+
+    def spy(*args):
+        calls.append(args)
+        return walk(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance, "_xor_walk", spy)
+        yield calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(path_documents(chained=True))
+def test_chained_ingest_matches_reference(case):
+    # edges listed along the path take the chain test; one edge turned
+    # around sends the document to the walk
+    doc, _ = case
+    with xor_walks() as calls:
+        assert_same_ingest(doc)
+        assert_same_ingest(json.dumps(doc))
+    assert len(calls) == (0 if _chains(doc["edges"]) else 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,6 +294,16 @@ def _outcome(parse, doc):
 @settings(max_examples=600, deadline=None)
 @given(path_documents(max_customers=12), st.data())
 def test_bulk_ingest_raises_what_the_reference_raises(case, data):
+    _assert_mutation_raises_what_the_reference_raises(case, data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path_documents(max_customers=12, chained=True), st.data())
+def test_broken_chained_documents_raise_what_the_reference_raises(case, data):
+    _assert_mutation_raises_what_the_reference_raises(case, data)
+
+
+def _assert_mutation_raises_what_the_reference_raises(case, data):
     doc, order = case
     mutations = _mutations(order)
     name = data.draw(st.sampled_from(sorted(mutations)), label="mutation")
@@ -330,6 +386,52 @@ def test_large_shuffled_document_matches_reference():
         if rng.random() < 0.5:
             item["u"], item["v"] = item["v"], item["u"]
     assert_same_ingest(doc)
+
+
+def test_large_chained_document_matches_reference():
+    # the edge order generate_instance and the benchmark generators
+    # write, forward, and backward with each edge turned around
+    doc = generate_instance(40_000, 60_000, 10, 10**6, seed=4).to_document()
+    backward = dict(doc, edges=[{"u": e["v"], "v": e["u"], "d": e["d"]} for e in doc["edges"][::-1]])
+    with xor_walks() as calls:
+        assert_same_ingest(doc)
+        assert_same_ingest(backward)
+    assert calls == []
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_and_benchmark_documents_skip_the_walk(monkeypatch):
+    # a guard: the documents generate and the benchmark write must stay
+    # on the chain test, and one whose edges are out of order must still
+    # reach the walk
+    def walk(*args):
+        raise AssertionError("_xor_walk ran")
+
+    monkeypatch.setattr(instance, "_xor_walk", walk)
+    docs = [
+        generate_instance(n_left, n_right, 10, 50, seed).to_document()
+        for n_left, n_right in [(0, 1), (1, 0), (0, 7), (7, 0), (1, 1), (3, 4), (6, 1)]
+        for seed in range(3)
+    ]
+    workloads = _benchmark_workloads()
+    docs += [
+        workloads.raw_dense(300, 1).text,
+        workloads.raw_uniform(300, 1)[0],
+        workloads.grid_2d(20, 1)[0],
+    ]
+    for doc in docs:
+        parse_instance(doc)
+    unchained = generate_instance(3, 4, 10, 50, seed=0).to_document()
+    unchained["edges"].reverse()
+    with pytest.raises(AssertionError, match="_xor_walk ran"):
+        parse_instance(unchained)
 
 
 def test_magnitude_bound_is_inclusive():
