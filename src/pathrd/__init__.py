@@ -10,8 +10,8 @@ from .errors import (
     TooLarge,
     UnknownDepot,
 )
-from .distance_extremity import DistDpTrace, solve_distance_heap, solve_distance_quadratic
-from .distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
+from .distance_extremity import solve_distance_heap, solve_distance_quadratic
+from .distance_general import DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
 from .instance import (
     EMPTY_SIDE,
     MAX_MAGNITUDE,
@@ -34,7 +34,7 @@ from .oracle import (
     validate_solution,
 )
 from .solution import DISTANCE, LEFT, RIGHT, TIME, Route, Solution
-from .time_extremity import TimeDpTrace, solve_time_linear, solve_time_quadratic
-from .time_general import solve_time_2d_cubic, solve_time_2d_minqueue
+from .time_extremity import solve_time_linear, solve_time_quadratic
+from .time_general import TimeDpTrace, solve_time_2d_cubic, solve_time_2d_minqueue
 
 __version__ = "0.1.0"

@@ -1,44 +1,218 @@
-"""Minimum travel distance under a deadline, depot inside the path.
+"""Minimum travel distance under a deadline, the depot inside the path
+or at an end.
 
-Backwards dynamic program over pairs of side suffixes.  lam[p][q] is
-the latest dispatch such that left customers p.. and right customers
-q.. can all be served by the deadline, lam[n_l][n_r] = D.  The next
-route serves a block of one side; cutting the left at w costs a route
-of 2 taul[p] whose dispatch must also cover the block's last release:
+The plan is built backwards from the deadline D.  lam[p][q] is the
+latest moment a vehicle may leave so that left customers p.. and right
+customers q.. (0-based canonical positions) all get served by D, with
+lam[n_l][n_r] = D.  The next route serves a block of one side; cutting
+the left at w spends 2 taul[p] on it, and its dispatch must also wait
+for the block's latest release rl[w-1]:
 
     lam[p][q] = max( max over w in (p, n_l] of  lam[w][q] - 2 taul[p]
                          keeping w with lam[w][q] - rl[w-1] >= 2 taul[p],
                      the symmetric right term ),
 
-absent when both terms come up empty; infeasible iff lam[0][0] is
-absent.  Ties prefer the left term, then the smallest w; succ[p][q] is
-w for the right term and (LEFT, w) for the left.  The cubic baseline
-scans both terms of every state with one full line scan, _scan.  With
-an empty left side the table is one row, the 1-D table that
-distance_extremity's solvers return.
+absent (None) when both terms come up empty.  The instance is
+infeasible exactly when lam[0][0] is absent, and otherwise routes pack
+gapless so the total distance is D - lam[0][0].  Ties prefer the left
+term, then the smallest w; succ[p][q] is w for the right term and
+(LEFT, w) for the left.  The cubic baseline scans both terms of every
+state with one full line scan, _scan.  A depot at an extremity is the
+case with an empty left side: the table is one row, the 1-D table that
+distance_extremity's views return.
 
-The fast solver is a kernel plus a column step.  lam is nondecreasing
-along rows and columns, so each line is served as in distance_extremity,
-by one front index that only moves down.  Row by row from the bottom,
-the column step first moves every column's front by one row and writes
-the left term into the row; then one call of _distance_line merges the
-row's right term into it in place.  Each state is passed over once per
-line: O(n_l n_r).  The column step moves n_r + 1 lines by one state
-each, so it is written inline.
+The fast kernel, _distance_line, serves one line, a row or a column,
+written lam[p] over its side's r and tau.  It rests on a lemma: lam is
+nondecreasing in p, as dropping a suffix's first customer keeps its
+plan's dispatch, so the absent states form a prefix.  The threshold
+2 tau[p] only grows as p falls, so a state whose slack lam[q] - r[q-1]
+misses it is out for good, and the maximum comes from the largest lam
+that still passes, at the smallest index of its group of equal lam:
+that one has the most slack.  The kernel keeps that state as one index,
+the front f, which only moves down.  A front that misses the threshold
+slides to the smallest index of the next group below it, and a new
+state whose lam equals lam[f] becomes the front.  Each state is passed
+over once: O(n) per line.  The fast solver is that kernel plus a column
+step.  Row by row from the bottom, the column step first moves every
+column's front by one row and writes the left term into the row; then
+one call of _distance_line merges the row's right term into it in
+place: O(n_l n_r) in all.  The column step moves n_r + 1 lines by one
+state each, so it is written inline.
+
+While f holds, lam[p] = lam[f] - 2 tau[p] on every state whose
+threshold f's slack meets, and as tau grows those states run down to a
+bound one bisect finds.  A run longer than RUN is filled by slice
+assignment, its values top - 2 tau computed by one int64 operation over
+the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
+list comprehension elsewhere (_run_values).  Column steps fill no runs.
 """
+
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distance_extremity import DistDpTrace, _check_top, _distance_line
 from .errors import Infeasible
-from .instance import table_dtype
+from .instance import MAX_MAGNITUDE, table_dtype
 from .solution import LEFT, distance_solution
 
-__all__ = ["solve_distance_2d_cubic", "solve_distance_2d_heap"]
+__all__ = ["DistDpTrace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
+
+# A run is filled by slice only when its front has just changed and the
+# state RUN below still meets the front's slack.  Lines cut into many
+# routes hold runs of 1-20 states: filling at every front made their
+# distance solves 1.5-1.9x slower than the scalar loop alone, RUN = 16
+# left a two-sided grid 1.05-1.12x slower, and 32 or 64 no slower.  The
+# time kernel's runs, in time_general, use the same length.
+RUN = 32
+
+
+@dataclass(frozen=True)
+class DistDpTrace:
+    """lam[p]: latest feasible dispatch for the suffix from p (None when
+    absent), lam[n] = deadline; succ[p]: the q the maximum came from.
+    The 2-D solvers return this class with [p][q] tables, moves written
+    as solution.distance_solution reads them; a 1-D trace is the one row
+    of such a trace with an empty left side."""
+
+    lam: list
+    succ: list
 
 
 def _build_solution(inst, lam, succ):
     return distance_solution(inst.left, inst.right, lam, succ)
+
+
+def _minus_two(t):
+    # a bisect key: -2 t >= -slack exactly when slack >= 2 t, the test
+    # the scalar loop makes, so a run's bound needs no correcting
+    return -2 * t
+
+
+def _check_top(line, r, tau, p, f):
+    """Assert a line's front f at state p against its definition:
+    thresholds never decrease along the line, line never decreases along
+    its present states past p, and f gives the smallest (-line[w], w)
+    over the present states w > p whose slack line[w] - r[w-1] meets
+    the threshold 2 tau[p], f = -1 when none does."""
+    threshold = 2 * tau[p]
+    assert p == len(r) - 1 or threshold >= 2 * tau[p + 1]
+    present = [v for v in line[p + 1 :] if v is not None]
+    assert all(a <= b for a, b in zip(present, present[1:]))
+    best = min(
+        (
+            (-v, w)
+            for w, v in enumerate(line)
+            if w > p and v is not None and v - r[w - 1] >= threshold
+        ),
+        default=None,
+    )
+    assert (None if f < 0 else (-line[f], f)) == best
+
+
+def _run_values(top, side, lo, hi):
+    """[top - 2 * t for t in side.tau[lo:hi]], over tau nonincreasing.
+
+    An int top over int64 arrays within MAX_MAGNITUDE gives those exact
+    values and types by one int64 operation over the side's arrays;
+    any other top or arrays take the comprehension.
+    """
+    tau = side.tau
+    tv = side.arrays[1]
+    if (
+        top.__class__ is int
+        and tv.dtype == np.int64
+        and max(abs(top), tau[lo], -tau[hi - 1]) <= MAX_MAGNITUDE
+    ):
+        return (top - 2 * tv[lo:hi]).tolist()
+    return [top - 2 * t for t in tau[lo:hi]]
+
+
+def _distance_line(side, lam, succ, merge=False, check=False):
+    """Fill lam[0..n-1] and succ[0..n-1] of side's line from the given
+    lam[n], n = side.n, which may be 0; None marks an absent state, and
+    succ[p] is the raw q the maximum came from.
+
+    f is the front, -1 when there is none.  With merge, lam[p] and
+    succ[p] already hold the other side's candidate, None when it is
+    absent, which the kernel reads before it overwrites them; the
+    candidate wins ties.  check=True asserts _check_top at every state,
+    the ones a run fills included.
+    """
+    r = side.r
+    tau = side.tau
+    n = len(r)
+    f = -1 if lam[n] is None else n
+    fresh = True
+    p = n - 1
+    while p >= 0:
+        # the scalar loop; a run fill leaves it, to resume below the run
+        for p in range(p, -1, -1):
+            threshold = 2 * tau[p]
+            value = None
+            while f >= 0:
+                top = lam[f]
+                slack = top - r[f - 1]
+                if slack >= threshold:
+                    value = top - threshold
+                    q = f
+                    break
+                # pop: slide to the smallest index of the next lower group
+                fresh = True
+                f -= 1
+                if f == p:
+                    f = -1
+                    break
+                low = lam[f]
+                while f - 1 > p and lam[f - 1] == low:
+                    f -= 1
+            if fresh and value is not None:
+                fresh = False
+                # a run: every state from p down to the lowest whose
+                # threshold slack meets takes top - 2 tau from f; as
+                # lam[p] < top, none of them joins f's group
+                if (
+                    p >= RUN
+                    and slack >= 2 * tau[p - RUN]
+                    and value < top
+                    and (not merge or lam[p] is None or lam[p] < top)
+                ):
+                    a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
+                    vals = _run_values(top, side, a, p + 1)
+                    if merge:
+                        others = lam[a : p + 1]
+                        preds = succ[a : p + 1]
+                        succ[a : p + 1] = [
+                            f if o is None or o < v else w
+                            for o, v, w in zip(others, vals, preds)
+                        ]
+                        lam[a : p + 1] = [
+                            v if o is None or o < v else o for o, v in zip(others, vals)
+                        ]
+                    else:
+                        lam[a : p + 1] = vals
+                        succ[a : p + 1] = [f] * len(vals)
+                    if check:
+                        for s in range(p, a - 1, -1):
+                            _check_top(lam, r, tau, s, f)
+                    p = a - 1
+                    break
+            if check:
+                _check_top(lam, r, tau, p, f)
+            if merge:
+                other = lam[p]
+                if other is not None and (value is None or other >= value):
+                    value = other
+                    q = succ[p]
+            if value is not None:
+                lam[p] = value
+                succ[p] = q
+                # an equal value joins the front's group, which p now leads
+                if f < 0 or value == top:
+                    f = p
+                    fresh = True
+        else:
+            break
 
 
 def _scan(lam, present, r, threshold):

@@ -20,7 +20,8 @@ use.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice, repeat
 
 import numpy as np
@@ -95,19 +96,14 @@ class CanonicalSide:
     tau: tuple
     labels: tuple[int, ...]
     riders: tuple[tuple[int, ...], ...]
-    # arrays once built or handed over (_with_arrays); outside ==, hash
-    # and repr, and never carried over by dataclasses.replace
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def arrays(self):
         """(np.asarray(r), np.asarray(tau)), read-only, in numpy's own
         dtypes: int64 for admissible ints, float64 once a float takes
         part or when empty.  Built once, on first use, unless
         random_canonical_side handed over the arrays it drew."""
-        if self._arrays is None:
-            _with_arrays(self, np.asarray(self.r), np.asarray(self.tau))
-        return self._arrays
+        return _with_arrays(self, np.asarray(self.r), np.asarray(self.tau)).arrays
 
     @property
     def n(self):
@@ -137,11 +133,13 @@ class CanonicalSide:
 
 def _with_arrays(side, r, tau):
     """side, its arrays set to read-only views of r and tau, which must
-    equal np.asarray of its tuples in dtype and value."""
+    equal np.asarray of its tuples in dtype and value.  They go where
+    cached_property keeps its value, outside ==, hash and repr, and
+    dataclasses.replace does not carry them over."""
     views = r.view(), tau.view()
     for view in views:
         view.flags.writeable = False
-    object.__setattr__(side, "_arrays", views)
+    vars(side)["arrays"] = views
     return side
 
 
@@ -466,14 +464,17 @@ def canonicalize_side(members):
     Customers are sorted by release (farther first on ties); a customer
     is dropped when someone at least as far is released no earlier, and
     rides along with the nearest such survivor.  Raises
-    MalformedDocument on a release or depot distance that is no finite
-    int or float (bools included), NegativeValue, or OutOfRange beyond
-    parse_instance's bound, largest tau standing for the total edge
-    length.
+    MalformedDocument on a member that is no tuple or list of three, or
+    on a release or depot distance that is no finite int or float (bools
+    included), NegativeValue, or OutOfRange beyond parse_instance's
+    bound, largest tau standing for the total edge length.
     """
     members = list(members)
     if not members:
         return EMPTY_SIDE
+    for k, m in enumerate(members):
+        if not (isinstance(m, (tuple, list)) and len(m) == 3):
+            raise MalformedDocument(f"member {k} is not a (label, release, tau) triple")
     labels, r, tau = zip(*members)
     if not all(map(_is_num, r + tau)):
         raise MalformedDocument("a release or depot distance is not a finite number")

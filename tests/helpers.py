@@ -43,11 +43,11 @@ from collections import deque
 
 import numpy as np
 
-from pathrd import distance_extremity, time_extremity
-from pathrd.distance_extremity import RUN
+from pathrd import distance_general, time_extremity, time_general
+from pathrd.distance_general import RUN
 from pathrd.instance import MAX_MAGNITUDE, table_dtype
 from pathrd.solution import LEFT
-from pathrd.time_extremity import _check_line
+from pathrd.time_general import _check_line
 
 EX1_DOC = {
     "vertices": [
@@ -316,13 +316,13 @@ def count_run_fills(monkeypatch):
     """The top state of every run the 1-D kernel fills by slice, listed
     as each bisects for its lowest state below top - RUN."""
     tops = []
-    bisect_left = distance_extremity.bisect_left
+    bisect_left = distance_general.bisect_left
 
     def counted(tau, x, lo, hi, **kwargs):
         tops.append(hi + RUN)
         return bisect_left(tau, x, lo, hi, **kwargs)
 
-    monkeypatch.setattr(distance_extremity, "bisect_left", counted)
+    monkeypatch.setattr(distance_general, "bisect_left", counted)
     return tops
 
 
@@ -334,7 +334,7 @@ def typed_run_lines():
     farthest customer is 2**70 out, which gives them object arrays, or
     2**62, int64 arrays whose int deadline 2**64 numpy cannot take.
     Their distance runs reach every branch of
-    distance_extremity._run_values."""
+    distance_general._run_values."""
     kinds = {
         "int": lambda s: s,
         "x0.37": lambda s: rescaled(s, 0.37),
@@ -360,13 +360,13 @@ def spy_run_values(monkeypatch):
     """The branch of every distance run fill, in order, as (top's type,
     the tau array's dtype, |top| within MAX_MAGNITUDE)."""
     seen = []
-    fill = distance_extremity._run_values
+    fill = distance_general._run_values
 
     def spied(top, side, lo, hi):
         seen.append((top.__class__, side.arrays[1].dtype.name, abs(top) <= MAX_MAGNITUDE))
         return fill(top, side, lo, hi)
 
-    monkeypatch.setattr(distance_extremity, "_run_values", spied)
+    monkeypatch.setattr(distance_general, "_run_values", spied)
     return seen
 
 
@@ -563,7 +563,7 @@ def count_time_run_fills(monkeypatch):
     merge tells a 2-D row that holds the left term from one that does
     not."""
     runs = []
-    fill = time_extremity._time_run
+    fill = time_general._time_run
 
     def counted(side, c, pred, merge, check, i, k, cand):
         last = fill(side, c, pred, merge, check, i, k, cand)
@@ -571,5 +571,5 @@ def count_time_run_fills(monkeypatch):
             runs.append((i + 1, last, merge))
         return last
 
-    monkeypatch.setattr(time_extremity, "_time_run", counted)
+    monkeypatch.setattr(time_general, "_time_run", counted)
     return runs

@@ -18,13 +18,13 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd.distance_extremity import (
+from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
+from pathrd.distance_general import (
     _check_top,
     _distance_line,
-    solve_distance_heap,
-    solve_distance_quadratic,
+    solve_distance_2d_cubic,
+    solve_distance_2d_heap,
 )
-from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (

@@ -15,8 +15,8 @@ from pathrd import (
     validate_solution,
 )
 from pathrd import distance_general
-from pathrd.distance_extremity import RUN, DistDpTrace, solve_distance_heap, solve_distance_quadratic
-from pathrd.distance_general import solve_distance_2d_cubic, solve_distance_2d_heap
+from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
+from pathrd.distance_general import RUN, DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.solution import LEFT
 from pathrd.time_general import solve_time_2d_cubic
 

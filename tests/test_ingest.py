@@ -360,6 +360,12 @@ def test_canonicalize_rejects_numbers_beyond_the_bound():
     for ms in ([(1, -(2**60) + 1, 1), (2, float(-(2**60)), 0.5)], [(1, 0, -1)]):
         with pytest.raises(NegativeValue):
             canonicalize_side(ms)
+    # so is a member that is no (label, release, tau) triple, before any
+    # number is looked at: zip would drop a fourth entry or fail on a
+    # short or bare member
+    for ms in ([(1, 0, 3), (2, 1, 4, 5)], [(1, 2)], [5], [(1, 0, 3), (2, -1)], [(1, 0, 3), "a12"]):
+        with pytest.raises(MalformedDocument, match="triple"):
+            canonicalize_side(ms)
     # so are non-numbers, bools and non-finite floats, before the sign and
     # magnitude checks: a NaN would otherwise sort silently
     for bad in (math.nan, True, "3", math.inf, -math.inf):

@@ -372,7 +372,7 @@ def test_sides_from_documents_hold_their_numbers_as_arrays(kind):
 
 def test_generated_and_direct_sides_hold_their_numbers_as_arrays():
     side = random_canonical_side(300, seed=5)
-    assert side._arrays is not None
+    assert "arrays" in vars(side)
     sides = [
         side,
         random_canonical_side(0, seed=5),
@@ -394,9 +394,9 @@ def test_generated_and_direct_sides_hold_their_numbers_as_arrays():
 def test_arrays_leave_equality_hash_and_repr_alone():
     for side in (random_canonical_side(50, seed=3), split_at_depot(parse_instance(EX1_DOC)).right):
         bare = CanonicalSide(side.r, side.tau, side.labels, side.riders)
-        assert bare._arrays is None
+        assert "arrays" not in vars(bare)
         assert side == bare and hash(side) == hash(bare) and repr(side) == repr(bare)
-        bare.arrays
+        assert bare.arrays is bare.arrays and "arrays" in vars(bare)
         assert side == bare and hash(side) == hash(bare) and repr(side) == repr(bare)
         assert "array" not in repr(bare)
 

@@ -1,0 +1,51 @@
+"""The package's import layering, read from its source with ast.
+
+Every import sits at module level, so importing a module is all it
+ever imports.  The 1-D modules, time_extremity and distance_extremity,
+are views over the 2-D modules that hold each objective's DP, so within
+pathrd only the package's __init__ imports them.
+"""
+
+import ast
+from pathlib import Path
+
+import pathrd
+
+SOURCES = sorted(Path(pathrd.__file__).parent.glob("*.py"))
+VIEWS = {"time_extremity", "distance_extremity"}
+
+
+def _imported_modules(node):
+    """The pathrd module names an import statement names, as far as it
+    can tell; `from . import x` counts x."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[-1] for alias in node.names}
+    names = set((node.module or "").split("."))
+    if node.level or node.module == "pathrd":
+        names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [
+                    f"{path.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
+def test_only_the_package_imports_the_1d_views():
+    assert {"__init__", "time_general", "distance_general"} | VIEWS <= {p.stem for p in SOURCES}
+    found = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _imported_modules(node) & VIEWS:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

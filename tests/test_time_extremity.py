@@ -13,7 +13,7 @@ from pathrd import (
     oracle_time,
     random_canonical_side,
     split_at_depot,
-    time_extremity,
+    time_general,
     validate_solution,
 )
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
@@ -188,13 +188,13 @@ SCALES = {
 # chunks, so that a run's state is carried across their seams; and one
 # at which the "own a" run from state 2 is cut at state 94 = 2 + 4 * 23,
 # the first state of a chunk, which then fills nothing
-CHUNKS = {"default": time_extremity._CHUNK, "5": 5, "23": 23}
+CHUNKS = {"default": time_general._CHUNK, "5": 5, "23": 23}
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("scale", SCALES)
 def test_long_time_runs_match_reference(scale, chunk, monkeypatch):
-    monkeypatch.setattr(time_extremity, "_CHUNK", CHUNKS[chunk])
+    monkeypatch.setattr(time_general, "_CHUNK", CHUNKS[chunk])
     runs = count_time_run_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
         before = len(runs)
@@ -235,13 +235,13 @@ def test_each_way_a_run_ends(monkeypatch):
 
 def test_check_asserts_every_state_a_run_fills(monkeypatch):
     states = []
-    check_line = time_extremity._check_line
+    check_line = time_general._check_line
 
     def recorded(line, tau, release, k, window):
         states.append(len(line))
         check_line(line, tau, release, k, window)
 
-    monkeypatch.setattr(time_extremity, "_check_line", recorded)
+    monkeypatch.setattr(time_general, "_check_line", recorded)
     runs = count_time_run_fills(monkeypatch)
     side = long_time_run_sides()["stairs"]
     solve_time_linear(side, check=True)

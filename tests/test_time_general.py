@@ -11,7 +11,7 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
-from pathrd import time_extremity
+from pathrd import time_general
 from pathrd.solution import LEFT
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
@@ -78,7 +78,7 @@ def test_one_sided_reduction_matches_extremity_solver():
                 t1, s1 = solve_1d(side)
                 # a 1-D trace is the one row of the 2-D trace, moves and all
                 t2, s2 = solve_2d(GeneralInstance(EMPTY_SIDE, side))
-                assert t2 == time_extremity.TimeDpTrace([t1.c], [t1.pred])
+                assert t2 == time_general.TimeDpTrace([t1.c], [t1.pred])
                 assert s2 == s1
             flipped = GeneralInstance(side, EMPTY_SIDE)
             t3, s3 = solve_time_2d_minqueue(flipped, check=True)
@@ -150,12 +150,12 @@ def _typed_table(c):
     return [typed(row) for row in c]
 
 
-@pytest.mark.parametrize("chunk", [time_extremity._CHUNK, 5], ids=["default", "5"])
+@pytest.mark.parametrize("chunk", [time_general._CHUNK, 5], ids=["default", "5"])
 @pytest.mark.parametrize("scale", [(1, 0), (0.37, 0)], ids=["int", "x0.37"])
 def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
     # the right side holds the runs; each pair fills some in rows that
     # merge the left term, in numpy chunks of the kernel's length or 5
-    monkeypatch.setattr(time_extremity, "_CHUNK", chunk)
+    monkeypatch.setattr(time_general, "_CHUNK", chunk)
     runs = count_time_run_fills(monkeypatch)
     sides = long_time_run_sides()
     sides["left cut"] = LEFT_CUT_CUSTOMER
