@@ -8,21 +8,28 @@ each side is sorted by release date and purged of dominated customers
 the canonical form every solver works on: releases nondecreasing,
 depot distances strictly decreasing.
 
-Both work over whole lists: validation is a handful of list-wide
-predicates, orientation one chain test over the edges as listed (or,
-failing it, one walk over flat integer arrays), and the reduction a
-sort plus a running maximum in numpy.  numpy only computes positions;
-every number in the result is the document's own object, and a side
-builds its arrays (CanonicalSide.arrays) from those numbers on first
-use.
+Both work over whole lists.  A document whose edges as listed chain
+along its vertex ids, as every generated and benchmark document's do,
+is parsed in a few list passes: the chain test on the endpoint labels,
+list-wide type and sign checks, and one dict of releases, with no index
+table.  Any other document takes the general path: list-wide predicates
+over an index table, a per-item scan that names the first offender when
+one fails, and one walk over flat integer arrays.  The reduction is a
+sort in lexsort's order (on a long integer side, two plain sorts of
+unique keys) plus a running maximum in numpy, and Python loops only
+over the survivors that carry riders.  numpy only computes positions; every
+number in the result is the document's own object, and a side builds
+its arrays (CanonicalSide.arrays) from those numbers on first use.
 """
 
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -287,33 +294,14 @@ def _edge_table(edges, index):
     return a, b, ds
 
 
-def _walk(ids, depot_at, a, b, ds, deg):
-    """Labels and edge lengths in path order: from the depot when it is
-    an endpoint, otherwise from the smaller-labeled endpoint.
-
-    When the edges as listed chain, each edge's v being the next one's
-    u, the path is a[0] followed by every b, and edge k is step k,
-    reversed when the chain ends at the start.  The caller has checked
-    that there are n - 1 edges and that no vertex is isolated, so the
-    chain's n vertices, which include every edge's ends, are each
-    vertex once.  Any other edge order goes to _xor_walk.
-    """
+def _xor_walk(ids, depot_at, a, b, ds, deg):
+    """Labels and edge lengths in path order, for edges in any order:
+    from the depot when it is an endpoint, otherwise from the
+    smaller-labeled endpoint."""
     ends = np.flatnonzero(deg == 1)
     if len(ends) != 2:
         raise NotAPath("graph is not a single simple path")
     start = depot_at if deg[depot_at] == 1 else min(ends.tolist(), key=ids.__getitem__)
-    if not (a[1:] == b[:-1]).all():
-        return _xor_walk(ids, start, a, b, ds, ends)
-    path = [int(a[0])] + b.tolist()
-    if path[0] != start:
-        path.reverse()
-        ds = ds[::-1]
-    return tuple(map(ids.__getitem__, path)), tuple(ds)
-
-
-def _xor_walk(ids, start, a, b, ds, ends):
-    """_walk for edges in any order, from start, ends being the two
-    endpoints."""
     n = len(ids)
     # one flat slot per vertex holds the XOR of its two neighbours, an
     # endpoint's missing one being -1: XOR with where a walk came from
@@ -342,6 +330,58 @@ def _xor_walk(ids, start, a, b, ds, ends):
     return tuple(map(ids.__getitem__, path)), tuple(map(ds.__getitem__, steps.tolist()))
 
 
+_ABSENT = object()
+
+
+def _chained(verts, edges, depot):
+    """(order, lengths, release, ds) of a document that passes every check
+    parse_instance makes before the deadline and whose edges as listed
+    chain, each edge's v the next one's u, over its vertex ids; else
+    None, and _general checks and walks the document.
+
+    The chain is tested on the endpoint labels themselves, so the path is
+    the first u followed by every v, edge k being step k, reversed when
+    it does not start where _xor_walk would.  It must list the vertex
+    ids in order, in reverse, or failing both as the same set of n
+    distinct ids; then there are no unknown endpoints, self-loops or
+    vertices of degree 0 or 3, and no index table is needed.  Types are
+    checked before labels are compared, since True == 1 == 1.0.
+    """
+    n = len(verts)
+    if not (isinstance(edges, list) and len(edges) == n - 1 > 0 and type(depot) is int):
+        return None
+    try:
+        # dict's own methods refuse an item that is no dict
+        ids = list(map(dict.__getitem__, verts, repeat("id")))
+        us = list(map(dict.__getitem__, edges, repeat("u")))
+        vs = list(map(dict.__getitem__, edges, repeat("v")))
+        ds = list(map(dict.__getitem__, edges, repeat("d")))
+    except (KeyError, TypeError):
+        return None
+    if not (_only(ids, int) and _only(us, int) and _only(vs, int) and us[1:] == vs[:-1]):
+        return None
+    path = us[:1] + vs
+    # releases keyed in vertex order, as the general path keys them
+    release = dict(zip(ids, map(dict.get, verts, repeat("release"), repeat(_ABSENT))))
+    if not (len(release) == n and depot in release):
+        return None
+    if not (path == ids or path == ids[::-1] or release.keys() == set(path)):
+        return None
+    own = release.pop(depot)
+    if not (
+        _plain_numbers(release.values())
+        and _plain_numbers(ds)
+        and (own is _ABSENT or _plain_numbers((own,)))
+    ):
+        return None
+    ends = path[0], path[-1]
+    lengths = ds
+    if path[0] != (depot if depot in ends else min(ends)):
+        path.reverse()
+        lengths = ds[::-1]
+    return tuple(path), tuple(lengths), release, ds
+
+
 def _check_magnitude(releases, lengths, customers):
     """Raise OutOfRange unless largest release + 2 * customers * total
     edge length is at most MAX_MAGNITUDE: for a document in
@@ -363,7 +403,10 @@ def parse_instance(doc):
     OutOfRange when the numbers exceed MAX_MAGNITUDE (see
     _check_magnitude, and _admit for the deadline).  Each check runs
     over a whole list at once; the first offending item is named in the
-    message.
+    message.  _chained takes a valid document whose edges chain along
+    its vertex ids; everything else, broken documents included, goes
+    through _general, so errors and their order do not depend on which
+    path looked first.
     """
     if isinstance(doc, (str, bytes, bytearray)):
         try:
@@ -374,12 +417,30 @@ def parse_instance(doc):
     for key in ("vertices", "edges", "depot"):
         _require(key in doc, f"missing {key!r}")
 
-    verts = doc["vertices"]
+    verts, edges, depot = doc["vertices"], doc["edges"], doc["depot"]
     _require(isinstance(verts, list) and verts, "vertices must be a nonempty array")
+    chained = _chained(verts, edges, depot)
+    if chained is None:
+        order, lengths, release, ds, deadline = _general(doc, verts, edges, depot)
+    else:
+        order, lengths, release, ds = chained
+        deadline = _deadline(doc)
+    _check_magnitude(release.values(), ds, len(order) - 1)
+    return RawPathInstance(order, lengths, depot, release, deadline)
+
+
+def _deadline(doc):
+    deadline = doc.get("deadline")
+    return deadline if deadline is None else _admit(deadline, "deadline")
+
+
+def _general(doc, verts, edges, depot):
+    """parse_instance's checks and walk for any document, raising what
+    an item-by-item parse raises first; returns (order, lengths,
+    release, ds, deadline), ds the lengths as listed."""
     ids, index, release = _vertex_table(verts)
     n = len(ids)
 
-    depot = doc["depot"]
     _require(_is_int(depot), "depot must be an integer id")
     if depot not in index:
         raise UnknownDepot(f"depot {depot} is not a vertex")
@@ -388,7 +449,6 @@ def parse_instance(doc):
         vid = next(v for v in ids if v != depot and v not in release)
         raise MalformedDocument(f"customer {vid} has no release date")
 
-    edges = doc["edges"]
     _require(isinstance(edges, list), "edges must be an array")
     a, b, ds = _edge_table(edges, index)
     if len(edges) != n - 1:
@@ -402,16 +462,10 @@ def parse_instance(doc):
                 raise NotAPath(f"vertex {ids[k]} is isolated")
             raise NotAPath(f"vertex {ids[k]} has degree {deg[k]}")
 
-    deadline = doc.get("deadline")
-    if deadline is not None:
-        _admit(deadline, "deadline")
-
+    deadline = _deadline(doc)
     if n == 1:
-        order, lengths = (depot,), ()
-    else:
-        order, lengths = _walk(ids, index[depot], a, b, ds, deg)
-    _check_magnitude(release.values(), ds, n - 1)
-    return RawPathInstance(order, lengths, depot, release, deadline)
+        return (depot,), (), release, ds, deadline
+    return (*_xor_walk(ids, index[depot], a, b, ds, deg), release, ds, deadline)
 
 
 def _depths(lengths):
@@ -424,16 +478,18 @@ def _canonical(labels, r, tau):
     """The canonical side of customers labels[k], released at r[k] at
     depot distance tau[k].
 
-    numpy only finds indices: r, tau and labels of the result are
-    gathered from the given sequences, so each number keeps its type;
-    within MAX_MAGNITUDE, float64 keys compare them exactly.
+    numpy only finds indices (_release_order sorts): r, tau and labels
+    of the result are gathered from the given sequences, so each number
+    keeps its type; within MAX_MAGNITUDE, float64 keys compare them
+    exactly.  Gathers are single itemgetter calls, and the one Python
+    loop runs once per survivor that carries riders, each pack a slice
+    of the rider labels.
     """
     n = len(labels)
     if n == 0:
         return EMPTY_SIDE
     tau_key = np.asarray(tau)
-    # by release, farther first on ties, input order on full ties
-    perm = np.lexsort((-tau_key, np.asarray(r)))
+    perm = _release_order(np.asarray(r), tau_key)
     far = tau_key[perm]
     # a customer survives when everyone after it in that order is nearer
     later = np.maximum.accumulate(far[::-1])[::-1]
@@ -441,21 +497,60 @@ def _canonical(labels, r, tau):
     keep[:-1] = far[:-1] > later[1:]
     kept = np.flatnonzero(keep)
     surv = perm[kept].tolist()
-    # the customers between two survivors in that order ride on the later one
-    gap = np.diff(kept, prepend=-1) - 1
     riders = [()] * len(surv)
     if len(surv) < n:
-        rider_labels = list(map(labels.__getitem__, perm[~keep].tolist()))
-        start = 0
-        for j, count in zip(np.flatnonzero(gap).tolist(), gap[gap > 0].tolist()):
-            riders[j] = tuple(rider_labels[start : start + count])
-            start += count
+        # the customers between two survivors in that order ride on the
+        # later one, so each survivor j with gap[j] > 0 takes the next
+        # gap[j] rider labels
+        rider_labels = _gather(labels, perm[~keep].tolist())
+        gap = np.diff(kept, prepend=-1) - 1
+        hosts = np.flatnonzero(gap)
+        ends = np.cumsum(gap[hosts])
+        for j, start, end in zip(hosts.tolist(), (ends - gap[hosts]).tolist(), ends.tolist()):
+            riders[j] = rider_labels[start:end]
     return CanonicalSide(
-        r=tuple(map(r.__getitem__, surv)),
-        tau=tuple(map(tau.__getitem__, surv)),
-        labels=tuple(map(labels.__getitem__, surv)),
+        r=_gather(r, surv),
+        tau=_gather(tau, surv),
+        labels=_gather(labels, surv),
         riders=tuple(riders),
     )
+
+
+def _gather(values, at):
+    """tuple(values[k] for k in at), k a position or, for a dict, a key."""
+    if len(at) < 2:
+        # itemgetter of one position returns the item itself
+        return tuple(map(values.__getitem__, at))
+    return itemgetter(*at)(values)
+
+
+# below this many customers lexsort is as fast, and a side that short
+# does not pay for loading numpy's vectorized sort (~0.3 MB of code)
+_UNIQUE_KEY_SORT_FROM = 2048
+
+
+def _release_order(r, tau):
+    """np.lexsort((-tau, r)): positions by release, farther first on
+    ties, input order on full ties.
+
+    Where both keys are int64, none negative and key * n + n fits int64,
+    key * n + position is unique, so an unstable np.sort of it, modulo
+    n, is the stable argsort of the key.  Two of those, farther first
+    and then by release, give lexsort's order 3-4 times faster on a
+    long side.
+    """
+    n = len(r)
+    bound = (np.iinfo(np.int64).max - n) // n
+    if not (
+        n >= _UNIQUE_KEY_SORT_FROM
+        and r.dtype == tau.dtype == np.int64
+        and min(r.min(), tau.min()) >= 0
+        and max(r.max(), tau.max()) <= bound
+    ):
+        return np.lexsort((-tau, r))
+    at = np.arange(n)
+    by_far = np.sort((tau.max() - tau) * n + at) % n
+    return by_far[np.sort(r[by_far] * n + at) % n]
 
 
 def canonicalize_side(members):
@@ -464,10 +559,11 @@ def canonicalize_side(members):
     Customers are sorted by release (farther first on ties); a customer
     is dropped when someone at least as far is released no earlier, and
     rides along with the nearest such survivor.  Raises
-    MalformedDocument on a member that is no tuple or list of three, or
-    on a release or depot distance that is no finite int or float (bools
-    included), NegativeValue, or OutOfRange beyond parse_instance's
-    bound, largest tau standing for the total edge length.
+    MalformedDocument on a member that is no tuple or list of three,
+    then on a label that is no int (bools included) or that repeats,
+    then on a release or depot distance that is no finite int or float;
+    NegativeValue; or OutOfRange beyond parse_instance's bound, largest
+    tau standing for the total edge length.
     """
     members = list(members)
     if not members:
@@ -476,6 +572,12 @@ def canonicalize_side(members):
         if not (isinstance(m, (tuple, list)) and len(m) == 3):
             raise MalformedDocument(f"member {k} is not a (label, release, tau) triple")
     labels, r, tau = zip(*members)
+    for k, label in enumerate(labels):
+        if not _is_int(label):
+            raise MalformedDocument(f"label of member {k} must be an integer, got {label!r}")
+    if len(set(labels)) < len(labels):
+        label = next(label for label, count in Counter(labels).items() if count > 1)
+        raise MalformedDocument(f"label {label} repeats")
     if not all(map(_is_num, r + tau)):
         raise MalformedDocument("a release or depot distance is not a finite number")
     if min(r) < 0 or min(tau) < 0:
@@ -492,10 +594,9 @@ def split_at_depot(raw):
     """
     pos = raw.order.index(raw.depot)
     left, right = raw.order[:pos], raw.order[pos + 1 :]
-    release = raw.release.__getitem__
     return GeneralInstance(
-        _canonical(left, list(map(release, left)), _depths(reversed(raw.lengths[:pos]))[::-1]),
-        _canonical(right, list(map(release, right)), _depths(raw.lengths[pos:])),
+        _canonical(left, _gather(raw.release, left), _depths(reversed(raw.lengths[:pos]))[::-1]),
+        _canonical(right, _gather(raw.release, right), _depths(raw.lengths[pos:])),
     )
 
 

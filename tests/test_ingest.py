@@ -11,6 +11,7 @@ import random
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,10 +75,12 @@ def assert_same_ingest(doc):
 @st.composite
 def path_documents(draw, max_customers=30, chained=False):
     """A valid document: 0..max_customers customers, the depot anywhere
-    on the path, the vertex list shuffled.  The edge list is shuffled,
-    each edge's u and v possibly swapped; or, chained, it lists the path
-    forward or backward, each edge's v the next one's u, at most one
-    edge having its u and v swapped, which breaks the chain."""
+    on the path, the vertex list shuffled or in path order, forward or
+    backward, as every generated document lists it.  The edge list is
+    shuffled, each edge's u and v possibly swapped; or, chained, it
+    lists the path forward or backward, each edge's v the next one's u,
+    at most one edge having its u and v swapped, which breaks the
+    chain."""
     k = draw(st.integers(0, max_customers))
     order = draw(st.lists(st.integers(-50, 50), min_size=k + 1, max_size=k + 1, unique=True))
     depot = order[draw(st.integers(0, k))]
@@ -102,8 +105,13 @@ def path_documents(draw, max_customers=30, chained=False):
         if edges and draw(st.booleans()):
             edge = draw(st.sampled_from(edges))
             edge["u"], edge["v"] = edge["v"], edge["u"]
+    layout = draw(st.sampled_from(["shuffled", "forward", "backward"]))
+    if layout == "shuffled":
+        vertices = draw(st.permutations(vertices))
+    elif layout == "backward":
+        vertices.reverse()
     doc = {
-        "vertices": draw(st.permutations(vertices)),
+        "vertices": vertices,
         "edges": edges,
         "depot": depot,
     }
@@ -218,7 +226,40 @@ def _mutations(order):
         items[draw(st.integers(0, len(items) - 1))] = [1, 2]
 
     def bool_endpoint(doc, draw):
-        edge(doc, draw)["u"] = True
+        edge(doc, draw)[draw(st.sampled_from("uv"))] = draw(st.booleans())
+
+    def bool_lookalike(doc, draw):
+        # True == 1 and False == 0, so list equality cannot tell the bool
+        # from the label it stands in for: give a vertex the label the
+        # bool equals, then turn one of its ids or endpoints into the bool
+        flag = draw(st.booleans())
+        relabel = {draw(st.sampled_from(order)): int(flag)}
+        relabel.update({v: k for k, v in relabel.items()})
+        places = [(item, "id") for item in doc["vertices"]]
+        places += [(item, key) for item in doc["edges"] for key in "uv"]
+        for item, key in places + [(doc, "depot")]:
+            item[key] = relabel.get(item[key], item[key])
+        places = [(item, key) for item, key in places if item[key] == int(flag)]
+        item, key = draw(st.sampled_from(places))
+        item[key] = flag
+
+    def repeated_vertex(doc, draw):
+        # list the last-but-one vertex again, in path position where the
+        # list is in path order, and chain one more edge back to it: the
+        # edges then still run along the vertex list, and only the
+        # distinctness of the ids tells the document is broken
+        again = next(item for item in doc["vertices"] if item["id"] == order[-2])
+        vertices, edges = doc["vertices"], doc["edges"]
+        if edges[0]["u"] == order[-1]:
+            edges.insert(0, {"u": order[-2], "v": order[-1], "d": 1})
+        else:
+            edges.append({"u": order[-1], "v": order[-2], "d": 1})
+        if vertices[-1]["id"] == order[-1]:
+            vertices.append(dict(again))
+        elif vertices[0]["id"] == order[-1]:
+            vertices.insert(0, dict(again))
+        else:
+            vertices.insert(draw(st.integers(0, len(vertices))), dict(again))
 
     def self_loop(doc, draw):
         item = edge(doc, draw)
@@ -273,6 +314,8 @@ def _mutations(order):
         out.update({
             "duplicate id": duplicate_id,
             "bool endpoint": bool_endpoint,
+            "bool lookalike": bool_lookalike,
+            "repeated vertex": repeated_vertex,
             "self-loop": self_loop,
             "unknown endpoint": unknown_endpoint,
             "extra edge": extra_edge,
@@ -381,6 +424,43 @@ def test_canonicalize_rejects_numbers_beyond_the_bound():
         assert_same_side(canonicalize_side(ms), ref_canonicalize_side(ms))
 
 
+def test_canonicalize_rejects_labels_that_are_no_distinct_ints():
+    # a repeated label would be a customer delivered twice, which
+    # validate_solution counts as served; bools, floats, strings and None
+    # are no vertex ids
+    for ms in ([(1, 0, 3), (1, 1, 2)], [(2, 0, 1), (5, 1, 1), (2, 3, 4)]):
+        with pytest.raises(MalformedDocument, match="repeats"):
+            canonicalize_side(ms)
+    for bad in (True, False, 2.5, 1.0, "a", None, (1,)):
+        for ms in ([(bad, 0, 3)], [(1, 0, 3), (bad, 1, 2)], [(bad, 0, 3), (bad, 1, 2)]):
+            with pytest.raises(MalformedDocument, match="label of member"):
+                canonicalize_side(ms)
+    # shapes first, then labels, then numbers
+    with pytest.raises(MalformedDocument, match="triple"):
+        canonicalize_side([(True, 0, 3), (2, 1)])
+    with pytest.raises(MalformedDocument, match="label of member 0"):
+        canonicalize_side([(None, -1, math.nan)])
+    with pytest.raises(MalformedDocument, match="label 1 repeats"):
+        canonicalize_side([(1, -1, 3), (1, 0, math.nan)])
+    # an int subclass is an int, as in parse_instance
+    side = canonicalize_side([(Label(1), 0, 3), (2, 1, 2)])
+    assert side.labels == (1, 2)
+
+
+@pytest.mark.parametrize("n", [instance._UNIQUE_KEY_SORT_FROM - 1, instance._UNIQUE_KEY_SORT_FROM, 5000])
+def test_release_order_is_lexsorts_order(n):
+    # the unique-key sort on long int sides, lexsort elsewhere: full
+    # ties are common at these ranges, and input order must break them
+    rng = np.random.default_rng(n)
+    for top in (3, 50, 10**6):
+        r, tau = rng.integers(0, top, n), rng.integers(0, top, n)
+        for keys in ((r, tau), (r.astype(float), tau), (r, np.sort(tau)), (r, np.sort(tau)[::-1])):
+            assert (instance._release_order(*keys) == np.lexsort((-keys[1], keys[0]))).all()
+    # and through canonicalization, against the item-by-item reference
+    ms = list(zip(range(n), rng.integers(0, 40, n).tolist(), rng.integers(0, 40, n).tolist()))
+    assert_same_side(canonicalize_side(ms), ref_canonicalize_side(ms))
+
+
 def test_large_shuffled_document_matches_reference():
     # every benchmark generator writes edges in path order; this one
     # does not, so orientation cannot lean on the file's order
@@ -413,14 +493,13 @@ def _benchmark_workloads():
     return module
 
 
-def test_generated_and_benchmark_documents_skip_the_walk(monkeypatch):
+def test_generated_and_benchmark_documents_skip_the_walk():
     # a guard: the documents generate and the benchmark write must stay
-    # on the chain test, and one whose edges are out of order must still
-    # reach the walk
-    def walk(*args):
-        raise AssertionError("_xor_walk ran")
+    # on the chain test over labels, past the index table and the walk,
+    # and one whose edges do not chain must still reach both
+    def general(*args):
+        raise AssertionError("general path ran")
 
-    monkeypatch.setattr(instance, "_xor_walk", walk)
     docs = [
         generate_instance(n_left, n_right, 10, 50, seed).to_document()
         for n_left, n_right in [(0, 1), (1, 0), (0, 7), (7, 0), (1, 1), (3, 4), (6, 1)]
@@ -432,12 +511,25 @@ def test_generated_and_benchmark_documents_skip_the_walk(monkeypatch):
         workloads.raw_uniform(300, 1)[0],
         workloads.grid_2d(20, 1)[0],
     ]
-    for doc in docs:
-        parse_instance(doc)
+    rng = random.Random(7)
+    shuffled = generate_instance(3, 4, 10, 50, seed=0).to_document()
+    rng.shuffle(shuffled["vertices"])
+    docs.append(shuffled)  # edges still chain over the same ids
     unchained = generate_instance(3, 4, 10, 50, seed=0).to_document()
     unchained["edges"].reverse()
-    with pytest.raises(AssertionError, match="_xor_walk ran"):
-        parse_instance(unchained)
+    scrambled = copy.deepcopy(shuffled)
+    rng.shuffle(scrambled["edges"])
+    expect = [ref_parse_instance(doc) for doc in docs + [unchained, scrambled]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance, "_edge_table", general)
+        mp.setattr(instance, "_xor_walk", general)
+        for doc, ref in zip(docs, expect):
+            assert_same_raw(parse_instance(doc), ref)
+        for doc in (unchained, scrambled):
+            with pytest.raises(AssertionError, match="general path ran"):
+                parse_instance(doc)
+    for doc, ref in zip((unchained, scrambled), expect[-2:]):
+        assert_same_raw(parse_instance(doc), ref)
 
 
 def test_magnitude_bound_is_inclusive():

@@ -227,3 +227,18 @@ def test_validate_flags_each_violation_kind():
     # an objective neither time nor distance has no value to agree with
     for objective in ("speed", "Time", None):
         assert kinds(Solution(objective, 31, good.routes)) == {"objective"}
+
+
+def test_validate_counts_deliveries_whose_labels_do_not_sort():
+    # a hand-built side may carry labels that have no order; a wrong
+    # delivery list is then a deliveries violation, not a TypeError
+    side = CanonicalSide(r=(0, 2), tau=(5, 3), labels=("a", None), riders=((), ()))
+    inst = GeneralInstance(EMPTY_SIDE, side)
+
+    def kinds(deliveries):
+        plan = Solution("time", 12, (Route("right", 0, 1, 2, 10, deliveries),))
+        return {v.kind for v in validate_solution(inst, plan)}
+
+    assert kinds(("a", None)) == kinds((None, "a")) == set()
+    for claim in (("a", "a"), (None,), ("a", None, 3), (None, None, "a"), ()):
+        assert kinds(claim) == {"deliveries"}
