@@ -8,18 +8,18 @@ each side is sorted by release date and purged of dominated customers
 the canonical form every solver works on: releases nondecreasing,
 depot distances strictly decreasing.
 
-Both work over whole lists.  A document whose edges as listed chain
-along its vertex ids, as every generated and benchmark document's do,
-is parsed in a few list passes: the chain test on the endpoint labels,
-list-wide type and sign checks, and one dict of releases, with no index
-table.  Any other document takes the general path: list-wide predicates
-over an index table, a per-item scan that names the first offender when
-one fails, and one walk over flat integer arrays.  The reduction is a
-sort in lexsort's order (on a long integer side, two plain sorts of
-unique keys) plus a running maximum in numpy, and Python loops only
-over the survivors that carry riders.  numpy only computes positions; every
-number in the result is the document's own object, and a side builds
-its arrays (CanonicalSide.arrays) from those numbers on first use.
+Parsing takes one of two paths.  A document whose edges as listed
+chain along its vertex ids, as every generated and benchmark document's
+do, is parsed in a few list-wide passes: the chain test on the endpoint
+labels, type and sign checks over whole lists, and one dict of
+releases.  Any other document, broken ones included, is checked item by
+item, one pass per list, and walked from one end over per-vertex
+neighbour lists.  The reduction is a sort in lexsort's order (on a long
+integer side, two plain sorts of unique keys) plus a running maximum in
+numpy, and Python loops only over the survivors that carry riders.
+numpy only computes positions; every number in the result is the
+document's own object, and a side builds its arrays
+(CanonicalSide.arrays) from those numbers on first use.
 """
 
 import json
@@ -219,117 +219,6 @@ def _plain_numbers(values):
     return min(values, default=0) >= 0
 
 
-# The bulk checks below are fast sufficient conditions.  When one fails,
-# the per-item scan raises what an item-by-item parse raises first; if
-# it finds nothing (say, an int subclass in a decoded dict), parsing
-# goes on with the bulk results.
-
-
-def _scan_vertices(verts):
-    seen = set()
-    for item in verts:
-        _require(isinstance(item, dict) and "id" in item, "each vertex needs an 'id'")
-        vid = item["id"]
-        _require(_is_int(vid), f"vertex id must be an integer, got {vid!r}")
-        _require(vid not in seen, f"duplicate vertex id {vid}")
-        seen.add(vid)
-        if "release" in item:
-            rel = item["release"]
-            _require(_is_num(rel), f"release of vertex {vid} must be a number")
-            if rel < 0:
-                raise NegativeValue(f"release of vertex {vid} is negative")
-
-
-def _scan_edges(edges, index):
-    for item in edges:
-        _require(isinstance(item, dict) and {"u", "v", "d"} <= item.keys(), "each edge needs u, v, d")
-        u, v, d = item["u"], item["v"], item["d"]
-        _require(_is_int(u) and _is_int(v), "edge endpoints must be integer ids")
-        _require(_is_num(d), "edge length must be a number")
-        if d < 0:
-            raise NegativeValue(f"edge {u}-{v} has negative length")
-        if u == v:
-            raise NotAPath(f"self-loop at vertex {u}")
-        if u not in index or v not in index:
-            raise NotAPath(f"edge {u}-{v} references an unknown vertex")
-
-
-def _vertex_table(verts):
-    """Vertex ids, each id's position, and the releases given by id."""
-    try:
-        ids = [item["id"] for item in verts]
-        index = dict(zip(ids, range(len(ids))))
-        release = {item["id"]: item["release"] for item in verts if "release" in item}
-        clean = (
-            _only(verts, dict)
-            and _only(ids, int)
-            and len(index) == len(ids)
-            and _plain_numbers(release.values())
-        )
-    except (KeyError, TypeError):
-        # only a vertex that is not an object, or whose id is missing or
-        # unhashable, gets here, and the scan rejects it
-        clean = False
-    if not clean:
-        _scan_vertices(verts)
-    return ids, index, release
-
-
-def _edge_table(edges, index):
-    """Endpoint positions a, b (numpy) and lengths d of the edges."""
-    try:
-        us = [item["u"] for item in edges]
-        vs = [item["v"] for item in edges]
-        ds = [item["d"] for item in edges]
-        clean = _only(edges, dict) and _only(us, int) and _only(vs, int) and _plain_numbers(ds)
-    except (KeyError, TypeError):
-        clean = False
-    if not clean:
-        _scan_edges(edges, index)
-    m = len(edges)
-    a = np.fromiter(map(index.get, us, repeat(-1)), np.intp, m)
-    b = np.fromiter(map(index.get, vs, repeat(-1)), np.intp, m)
-    if (a < 0).any() or (b < 0).any() or (a == b).any():
-        _scan_edges(edges, index)
-    return a, b, ds
-
-
-def _xor_walk(ids, depot_at, a, b, ds, deg):
-    """Labels and edge lengths in path order, for edges in any order:
-    from the depot when it is an endpoint, otherwise from the
-    smaller-labeled endpoint."""
-    ends = np.flatnonzero(deg == 1)
-    if len(ends) != 2:
-        raise NotAPath("graph is not a single simple path")
-    start = depot_at if deg[depot_at] == 1 else min(ends.tolist(), key=ids.__getitem__)
-    n = len(ids)
-    # one flat slot per vertex holds the XOR of its two neighbours, an
-    # endpoint's missing one being -1: XOR with where a walk came from
-    # gives where it goes
-    link = np.zeros(n, dtype=np.intp)
-    np.bitwise_xor.at(link, a, b)
-    np.bitwise_xor.at(link, b, a)
-    link[ends] ^= -1
-    link = link.tolist()
-    path = [start]
-    prev, cur = -1, start
-    for _ in range(n - 1):
-        prev, cur = cur, link[cur] ^ prev
-        if cur < 0:
-            break
-        path.append(cur)
-    # degrees are at most 2 and the start has degree 1, so the walk
-    # never turns back and stops at the other endpoint
-    if len(path) != n:
-        raise NotAPath("graph is disconnected")
-    # edge e joins path positions k and k + 1, k the nearer of its ends
-    pos = np.empty(n, dtype=np.intp)
-    pos[path] = np.arange(n)
-    steps = np.empty(n - 1, dtype=np.intp)
-    steps[np.minimum(pos[a], pos[b])] = np.arange(n - 1)
-    return tuple(map(ids.__getitem__, path)), tuple(map(ds.__getitem__, steps.tolist()))
-
-
 _ABSENT = object()
 
 
@@ -341,11 +230,11 @@ def _chained(verts, edges, depot):
 
     The chain is tested on the endpoint labels themselves, so the path is
     the first u followed by every v, edge k being step k, reversed when
-    it does not start where _xor_walk would.  It must list the vertex
-    ids in order, in reverse, or failing both as the same set of n
-    distinct ids; then there are no unknown endpoints, self-loops or
-    vertices of degree 0 or 3, and no index table is needed.  Types are
-    checked before labels are compared, since True == 1 == 1.0.
+    it does not start where _general's walk would.  It must list the
+    vertex ids in order, in reverse, or failing both as the same set of
+    n distinct ids; then there are no unknown endpoints, self-loops or
+    vertices of degree 0 or 3, and no per-item check is needed.  Types
+    are checked before labels are compared, since True == 1 == 1.0.
     """
     n = len(verts)
     if not (isinstance(edges, list) and len(edges) == n - 1 > 0 and type(depot) is int):
@@ -401,12 +290,12 @@ def parse_instance(doc):
 
     Raises MalformedDocument, NotAPath, UnknownDepot, NegativeValue, or
     OutOfRange when the numbers exceed MAX_MAGNITUDE (see
-    _check_magnitude, and _admit for the deadline).  Each check runs
-    over a whole list at once; the first offending item is named in the
-    message.  _chained takes a valid document whose edges chain along
-    its vertex ids; everything else, broken documents included, goes
-    through _general, so errors and their order do not depend on which
-    path looked first.
+    _check_magnitude, and _admit for the deadline).  _chained takes a
+    valid document whose edges chain along its vertex ids, checking
+    whole lists at once; everything else, broken documents included,
+    goes through _general, which checks item by item and names the
+    first offending item, so errors and their order do not depend on
+    which path looked first.
     """
     if isinstance(doc, (str, bytes, bytearray)):
         try:
@@ -435,10 +324,23 @@ def _deadline(doc):
 
 
 def _general(doc, verts, edges, depot):
-    """parse_instance's checks and walk for any document, raising what
-    an item-by-item parse raises first; returns (order, lengths,
+    """parse_instance's checks, item by item in the order the items are
+    listed, and its walk, for any document; returns (order, lengths,
     release, ds, deadline), ds the lengths as listed."""
-    ids, index, release = _vertex_table(verts)
+    index, release = {}, {}
+    for item in verts:
+        _require(isinstance(item, dict) and "id" in item, "each vertex needs an 'id'")
+        vid = item["id"]
+        _require(_is_int(vid), f"vertex id must be an integer, got {vid!r}")
+        _require(vid not in index, f"duplicate vertex id {vid}")
+        index[vid] = len(index)
+        if "release" in item:
+            rel = item["release"]
+            _require(_is_num(rel), f"release of vertex {vid} must be a number")
+            if rel < 0:
+                raise NegativeValue(f"release of vertex {vid} is negative")
+            release[vid] = rel
+    ids = list(index)
     n = len(ids)
 
     _require(_is_int(depot), "depot must be an integer id")
@@ -450,22 +352,58 @@ def _general(doc, verts, edges, depot):
         raise MalformedDocument(f"customer {vid} has no release date")
 
     _require(isinstance(edges, list), "edges must be an array")
-    a, b, ds = _edge_table(edges, index)
+    # nbrs[k] holds (position of the other end, length) per edge at ids[k]
+    nbrs = [[] for _ in ids]
+    ds = []
+    for item in edges:
+        _require(isinstance(item, dict) and {"u", "v", "d"} <= item.keys(), "each edge needs u, v, d")
+        u, v, d = item["u"], item["v"], item["d"]
+        _require(_is_int(u) and _is_int(v), "edge endpoints must be integer ids")
+        _require(_is_num(d), "edge length must be a number")
+        if d < 0:
+            raise NegativeValue(f"edge {u}-{v} has negative length")
+        if u == v:
+            raise NotAPath(f"self-loop at vertex {u}")
+        a, b = index.get(u), index.get(v)
+        if a is None or b is None:
+            raise NotAPath(f"edge {u}-{v} references an unknown vertex")
+        nbrs[a].append((b, d))
+        nbrs[b].append((a, d))
+        ds.append(d)
     if len(edges) != n - 1:
         raise NotAPath(f"a path on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    deg = np.bincount(np.concatenate((a, b)), minlength=n)
     if n > 1:
-        bad = np.flatnonzero((deg == 0) | (deg > 2))
-        if len(bad):
-            k = int(bad[0])
-            if deg[k] == 0:
-                raise NotAPath(f"vertex {ids[k]} is isolated")
-            raise NotAPath(f"vertex {ids[k]} has degree {deg[k]}")
+        for vid, at in zip(ids, nbrs):
+            if not at:
+                raise NotAPath(f"vertex {vid} is isolated")
+            if len(at) > 2:
+                raise NotAPath(f"vertex {vid} has degree {len(at)}")
 
     deadline = _deadline(doc)
     if n == 1:
         return (depot,), (), release, ds, deadline
-    return (*_xor_walk(ids, index[depot], a, b, ds, deg), release, ds, deadline)
+    ends = [k for k, at in enumerate(nbrs) if len(at) == 1]
+    if len(ends) != 2:
+        raise NotAPath("graph is not a single simple path")
+    # from the depot when it is an endpoint, otherwise from the
+    # smaller-labeled endpoint
+    start = index[depot]
+    if len(nbrs[start]) != 1:
+        start = min(ends, key=ids.__getitem__)
+    order, lengths = [ids[start]], []
+    prev, cur = -1, start
+    # degrees are at most 2 and the start has degree 1, so the walk
+    # never turns back and stops at the other endpoint
+    while True:
+        step = next((s for s in nbrs[cur] if s[0] != prev), None)
+        if step is None:
+            break
+        prev, (cur, d) = cur, step
+        order.append(ids[cur])
+        lengths.append(d)
+    if len(order) != n:
+        raise NotAPath("graph is disconnected")
+    return tuple(order), tuple(lengths), release, ds, deadline
 
 
 def _depths(lengths):

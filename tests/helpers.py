@@ -1,5 +1,5 @@
 """Shared fixtures: two small instances worked out by hand, and the
-item-by-item ingest that the bulk one in pathrd.instance must match.
+item-by-item ingest that pathrd.instance must match.
 
 EX1 is a one-sided path (depot at an extremity), EX2 has the depot in
 the middle.  The canonical forms and optimal values below were derived
@@ -11,6 +11,8 @@ it validated, oriented and canonicalized over flat arrays, kept here
 unchanged (apart from their names) as the reference for equivalence
 tests.  They know nothing of MAX_MAGNITUDE.  ref_deliveries is the
 per-position loop CanonicalSide.deliveries ran before it sliced.
+ref_raw_optimum is an oracle that shares none of the solvers' model:
+brute force over set partitions of a parsed instance's customers.
 
 long_run_sides and count_run_fills serve the tests of the distance
 kernel's runs, the stretches of a line it fills by slice,
@@ -258,6 +260,54 @@ def ref_split_at_depot(raw):
     left = [(v, raw.release[v], dist[v]) for v in raw.order[:pos]]
     right = [(v, raw.release[v], dist[v]) for v in raw.order[pos + 1 :]]
     return GeneralInstance(ref_canonicalize_side(left), ref_canonicalize_side(right))
+
+
+def _set_partitions(items):
+    """Every partition of the list items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for part in _set_partitions(items[1:]):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1 :]
+        yield [[first]] + part
+
+
+def ref_raw_optimum(raw, deadlines):
+    """(least makespan, least total distance per deadline or None where
+    none is met) of a parsed instance, by brute force over every set
+    partition of its customers into routes.
+
+    It knows only the path and the release rule: a route may serve
+    customers on both sides, is ready at its largest release, and costs
+    twice its farthest reach on each side; a partition's routes run
+    earliest-ready-first, which minimizes the makespan of a fixed set of
+    routes.  Nothing of canonical sides, dominance, riders or contiguity
+    is assumed.  Bell(n) partitions: 4140 at n = 8.
+    """
+    dist = ref_distances_from_depot(raw)
+    pos = raw.order.index(raw.depot)
+    left = set(raw.order[:pos])
+    best_time = None
+    best_distance = [None] * len(deadlines)
+    customers = [v for v in raw.order if v != raw.depot]
+    for part in _set_partitions(customers):
+        routes = []
+        for block in part:
+            far_left = max((dist[v] for v in block if v in left), default=0)
+            far_right = max((dist[v] for v in block if v not in left), default=0)
+            routes.append((max(raw.release[v] for v in block), 2 * far_left + 2 * far_right))
+        t = 0
+        for ready, cost in sorted(routes):
+            t = max(t, ready) + cost
+        total = sum(cost for _, cost in routes)
+        if best_time is None or t < best_time:
+            best_time = t
+        for k, deadline in enumerate(deadlines):
+            if t <= deadline and (best_distance[k] is None or total < best_distance[k]):
+                best_distance[k] = total
+    return best_time, best_distance
 
 
 def ref_deliveries(side, lo, hi):

@@ -1,10 +1,13 @@
-"""The bulk ingest in pathrd.instance against the item-by-item reference
-in helpers: equal instances, element types included, on valid
-documents, and the same error, type and message, on broken ones.  Then
-raw documents end to end, through every solver and the oracle."""
+"""pathrd.instance's ingest against the item-by-item reference in
+helpers: equal instances, element types included, on valid documents,
+and the same error, type and message, on broken ones, whether the
+list-wide chain test or the item-by-item general path takes them.
+Then raw documents end to end, through every solver, the oracle and a
+brute force over set partitions of the raw customers."""
 
 import copy
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -35,8 +38,16 @@ from pathrd import (
 )
 from pathrd import instance
 from pathrd.cli import BASELINE, FAST, SOLVERS, _run
+from pathrd.solution import LEFT
 
-from helpers import ref_canonicalize_side, ref_parse_instance, ref_split_at_depot
+from helpers import (
+    EX2_DOC,
+    ref_canonicalize_side,
+    ref_distances_from_depot,
+    ref_parse_instance,
+    ref_raw_optimum,
+    ref_split_at_depot,
+)
 
 # ints and halves from a small range, so releases, lengths and depot
 # distances tie often, across int and float
@@ -57,7 +68,7 @@ def assert_same_raw(new, ref):
 
 def assert_same_side(new, ref):
     # labels compare by value only: the reference takes path labels from
-    # edge endpoints, the bulk ingest from the vertex list, which differ
+    # edge endpoints, parse_instance from the vertex list, which differ
     # in type only where a decoded dict holds an int subclass
     assert new == ref
     assert _types(new.r) == _types(ref.r)
@@ -133,18 +144,18 @@ def _chains(edges):
 
 
 @contextmanager
-def xor_walks():
-    """A list that gets one entry per call of instance._xor_walk made
+def general_parses():
+    """A list that gets one entry per call of instance._general made
     inside the block."""
     calls = []
-    walk = instance._xor_walk
+    general = instance._general
 
     def spy(*args):
         calls.append(args)
-        return walk(*args)
+        return general(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instance, "_xor_walk", spy)
+        mp.setattr(instance, "_general", spy)
         yield calls
 
 
@@ -152,12 +163,13 @@ def xor_walks():
 @given(path_documents(chained=True))
 def test_chained_ingest_matches_reference(case):
     # edges listed along the path take the chain test; one edge turned
-    # around sends the document to the walk
+    # around, or a lone depot with no edge, sends the document to the
+    # general path
     doc, _ = case
-    with xor_walks() as calls:
+    with general_parses() as calls:
         assert_same_ingest(doc)
         assert_same_ingest(json.dumps(doc))
-    assert len(calls) == (0 if _chains(doc["edges"]) else 2)
+    assert len(calls) == (0 if doc["edges"] and _chains(doc["edges"]) else 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,8 +284,17 @@ def _mutations(order):
         doc["depot"] = _unused(order)
 
     def extra_edge(doc, draw):
-        u, v = draw(st.permutations(order))[:2]
-        doc["edges"].append({"u": u, "v": v, "d": 1})
+        # a self-loop when its ends coincide: the edges are checked one
+        # by one before they are counted
+        doc["edges"].append({"u": draw(st.sampled_from(order)), "v": draw(st.sampled_from(order)), "d": 1})
+
+    def moved_edge(doc, draw):
+        # an end edge of the path hung between two other vertices: an
+        # isolated vertex and a fork or a double edge, named in
+        # vertex-list order
+        end = draw(st.sampled_from([order[0], order[-1]]))
+        item = next(e for e in doc["edges"] if end in (e["u"], e["v"]))
+        item["u"], item["v"] = draw(st.permutations([v for v in order if v != end]))[:2]
 
     def missing_edge(doc, draw):
         doc["edges"].pop(draw(st.integers(0, len(doc["edges"]) - 1)))
@@ -322,7 +343,7 @@ def _mutations(order):
             "missing edge": missing_edge,
         })
     if len(order) > 3:
-        out.update({"star": star, "disconnected": disconnected})
+        out.update({"star": star, "disconnected": disconnected, "moved edge": moved_edge})
     return out
 
 
@@ -351,10 +372,35 @@ def _assert_mutation_raises_what_the_reference_raises(case, data):
     mutations = _mutations(order)
     name = data.draw(st.sampled_from(sorted(mutations)), label="mutation")
     mutations[name](doc, data.draw)
-    expect = _outcome(ref_parse_instance, copy.deepcopy(doc))
-    assert _outcome(parse_instance, doc) == expect
-    if expect is None:
-        assert_same_ingest(doc)
+    # parsed as drawn and with both lists reversed, so that of two
+    # offenders in one list each comes first once
+    backwards = {key: value[::-1] if key in ("vertices", "edges") and isinstance(value, list) else value
+                 for key, value in doc.items()}
+    for doc in (doc, backwards):
+        expect = _outcome(ref_parse_instance, copy.deepcopy(doc))
+        assert _outcome(parse_instance, doc) == expect
+        if expect is None:
+            assert_same_ingest(doc)
+
+
+_KEEP, _DROP = object(), object()
+
+
+def test_garbled_records_raise_what_the_reference_raises():
+    # every field of one vertex or edge kept, dropped or set to each junk
+    # value: an item's own checks run in a fixed order, which only an
+    # item broken twice shows
+    values = [_KEEP, _DROP, True, None, "x", math.nan, -1, -0.5, 99, 0, 2]
+    for items, k in (("vertices", 0), ("vertices", 1), ("edges", 0), ("edges", 1)):
+        keys = sorted(EX2_DOC[items][k])
+        for chosen in itertools.product(values, repeat=len(keys)):
+            doc = copy.deepcopy(EX2_DOC)
+            for key, value in zip(keys, chosen):
+                if value is _DROP:
+                    del doc[items][k][key]
+                elif value is not _KEEP:
+                    doc[items][k][key] = value
+            assert _outcome(parse_instance, doc) == _outcome(ref_parse_instance, copy.deepcopy(doc))
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,7 +525,7 @@ def test_large_chained_document_matches_reference():
     # write, forward, and backward with each edge turned around
     doc = generate_instance(40_000, 60_000, 10, 10**6, seed=4).to_document()
     backward = dict(doc, edges=[{"u": e["v"], "v": e["u"], "d": e["d"]} for e in doc["edges"][::-1]])
-    with xor_walks() as calls:
+    with general_parses() as calls:
         assert_same_ingest(doc)
         assert_same_ingest(backward)
     assert calls == []
@@ -495,8 +541,8 @@ def _benchmark_workloads():
 
 def test_generated_and_benchmark_documents_skip_the_walk():
     # a guard: the documents generate and the benchmark write must stay
-    # on the chain test over labels, past the index table and the walk,
-    # and one whose edges do not chain must still reach both
+    # on the chain test over labels, never reaching the general path,
+    # and one whose edges do not chain must still reach it
     def general(*args):
         raise AssertionError("general path ran")
 
@@ -521,8 +567,7 @@ def test_generated_and_benchmark_documents_skip_the_walk():
     rng.shuffle(scrambled["edges"])
     expect = [ref_parse_instance(doc) for doc in docs + [unchained, scrambled]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instance, "_edge_table", general)
-        mp.setattr(instance, "_xor_walk", general)
+        mp.setattr(instance, "_general", general)
         for doc, ref in zip(docs, expect):
             assert_same_raw(parse_instance(doc), ref)
         for doc in (unchained, scrambled):
@@ -600,3 +645,54 @@ def test_raw_documents_end_to_end(case, slack):
             solution = result[1]
             assert solution.value == expect
             assert validate_solution(inst, solution, deadline) == []
+
+
+def _assert_plan_serves_raw(raw, inst, solution, deadline=None):
+    # validate_solution checks the plan on the canonical sides; this
+    # checks it on the document: every customer delivered once, by a
+    # route on its side that leaves once it is released and reaches it
+    assert validate_solution(inst, solution, deadline) == []
+    dist = ref_distances_from_depot(raw)
+    left = raw.order[: raw.order.index(raw.depot)]
+    delivered = [v for route in solution.routes for v in route.deliveries]
+    assert sorted(delivered) == sorted(v for v in raw.order if v != raw.depot)
+    for route in solution.routes:
+        for v in route.deliveries:
+            assert (v in left) == (route.side == LEFT)
+            assert route.dispatch >= raw.release[v]
+            assert route.duration >= 2 * dist[v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path_documents(max_customers=8),
+    st.one_of(st.integers(1, 40), st.integers(1, 80).map(lambda x: x / 2)),
+    st.sampled_from([1, 10, 30]),
+)
+def test_raw_documents_meet_the_brute_force_optimum(case, slack, stretch):
+    # oracle_time and oracle_distance enumerate the canonical sides, as
+    # the solvers do; ref_raw_optimum knows only the path and the release
+    # rule, so a wrong lemma made in both _canonical and its reference
+    # shows here.  Releases stretched 10 or 30 times make routes wait
+    # and split, where a rider on the wrong route leaves before it is
+    # released.  Ints and halves keep every sum exact.
+    doc, _ = case
+    for item in doc["vertices"]:
+        if "release" in item:
+            item["release"] *= stretch
+    raw = parse_instance(doc)
+    inst = split_at_depot(raw)
+    runs = _solve_all(inst, TIME)
+    best = runs[FAST][1].value
+    deadlines = (best - 1, best, best + slack)
+    expect_time, expect_distance = ref_raw_optimum(raw, deadlines)
+    for _, solution in runs.values():
+        assert solution.value == expect_time
+        _assert_plan_serves_raw(raw, inst, solution)
+    for deadline, expect in zip(deadlines, expect_distance):
+        for result in _solve_all(inst, DISTANCE, deadline).values():
+            if result is None:
+                assert expect is None
+                continue
+            assert result[1].value == expect
+            _assert_plan_serves_raw(raw, inst, result[1], deadline)
