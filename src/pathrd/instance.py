@@ -25,10 +25,11 @@ document's own object, and a side builds its arrays
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -96,7 +97,8 @@ class CanonicalSide:
     tau are tuples of the document's own numbers (tau summed from its
     edge lengths), so an int stays an int and a float a float; the
     scalar loops index them.  arrays is the same numbers in numpy, for
-    the solvers' numpy steps.
+    the solvers' numpy steps, and carriers the positions with riders,
+    for deliveries.
     """
 
     r: tuple
@@ -126,15 +128,29 @@ class CanonicalSide:
                 assert self.r[i - 1] <= self.r[i]
                 assert self.tau[i - 1] > self.tau[i]
 
+    @cached_property
+    def carriers(self):
+        """The positions whose survivor carries riders, ascending.
+        Built once, on first use, so that a plan's routes splice their
+        deliveries in time linear in the side, unless canonicalization
+        or random_canonical_side handed them over."""
+        return list(compress(range(len(self.riders)), self.riders))
+
     def deliveries(self, lo, hi):
         """Original labels served by a route over positions lo..hi
-        inclusive, each survivor followed by its riders."""
-        if not any(self.riders[lo : hi + 1]):
+        inclusive, each survivor followed by its riders: the slices of
+        labels between the carriers in the block, and their riders."""
+        carriers = self.carriers
+        first = bisect_left(carriers, lo)
+        end = bisect_right(carriers, hi, first)
+        if first == end:
             return tuple(self.labels[lo : hi + 1])
         out = []
-        for i in range(lo, hi + 1):
-            out.append(self.labels[i])
-            out.extend(self.riders[i])
+        for p in carriers[first:end]:
+            out += self.labels[lo : p + 1]
+            out += self.riders[p]
+            lo = p + 1
+        out += self.labels[lo : hi + 1]
         return tuple(out)
 
 
@@ -147,6 +163,13 @@ def _with_arrays(side, r, tau):
     for view in views:
         view.flags.writeable = False
     vars(side)["arrays"] = views
+    return side
+
+
+def _with_carriers(side, positions):
+    """side, its carriers set to positions, which must equal what the
+    property computes; they go where arrays go (see _with_arrays)."""
+    vars(side)["carriers"] = positions
     return side
 
 
@@ -436,6 +459,7 @@ def _canonical(labels, r, tau):
     kept = np.flatnonzero(keep)
     surv = perm[kept].tolist()
     riders = [()] * len(surv)
+    carriers = []
     if len(surv) < n:
         # the customers between two survivors in that order ride on the
         # later one, so each survivor j with gap[j] > 0 takes the next
@@ -444,14 +468,16 @@ def _canonical(labels, r, tau):
         gap = np.diff(kept, prepend=-1) - 1
         hosts = np.flatnonzero(gap)
         ends = np.cumsum(gap[hosts])
-        for j, start, end in zip(hosts.tolist(), (ends - gap[hosts]).tolist(), ends.tolist()):
+        carriers = hosts.tolist()
+        for j, start, end in zip(carriers, (ends - gap[hosts]).tolist(), ends.tolist()):
             riders[j] = rider_labels[start:end]
-    return CanonicalSide(
+    side = CanonicalSide(
         r=_gather(r, surv),
         tau=_gather(tau, surv),
         labels=_gather(labels, surv),
         riders=tuple(riders),
     )
+    return _with_carriers(side, carriers)
 
 
 def _gather(values, at):
@@ -571,4 +597,4 @@ def random_canonical_side(n, seed, max_wait=3, max_step=5):
         labels=tuple(range(1, n + 1)),
         riders=((),) * n,
     )
-    return _with_arrays(side, r, tau)
+    return _with_carriers(_with_arrays(side, r, tau), [])

@@ -19,9 +19,11 @@ kernel's runs, the stretches of a line it fills by slice,
 assert_matches_baseline compares a fast distance solver with its
 baseline, and ref_distance_line fills one line of the distance table
 from its definition.  long_time_run_sides and count_time_run_fills do
-the same for the time kernel's runs, and ref_time_line is the time
+the same for the time kernel's runs, dense_time_sides and
+count_time_block_fills for its blocks, and ref_time_line is the time
 kernel as it was before it filled runs, state by state, kept unchanged
-(apart from its name) as the bitwise reference for the run fills.
+(apart from its name and the window it hands _check_line) as the
+bitwise reference for the run and block fills.
 """
 
 import dataclasses
@@ -535,7 +537,7 @@ def ref_time_line(r, tau, c, pred, merge=False, check=False):
             if cand[0][1] <= k:
                 cand.popleft()
         if check:
-            _check_line(c[:i], tau, ri, k, cand)
+            _check_line(c[:i], tau, ri, k, [v for v, _ in cand], [w for _, w in cand])
         if k >= 0:
             best = ri + 2 * tau[k]
             bj = k
@@ -615,11 +617,38 @@ def count_time_run_fills(monkeypatch):
     runs = []
     fill = time_general._time_run
 
-    def counted(side, c, pred, merge, check, i, k, cand):
-        last = fill(side, c, pred, merge, check, i, k, cand)
+    def counted(side, c, pred, merge, check, i, k, *window):
+        last = fill(side, c, pred, merge, check, i, k, *window)
         if last > i:
             runs.append((i + 1, last, merge))
         return last
 
     monkeypatch.setattr(time_general, "_time_run", counted)
     return runs
+
+
+def count_time_block_fills(monkeypatch):
+    """(first state, last state, merge) of every stretch of blocks the
+    time kernel fills, 1-D or in a 2-D row, in the order they are
+    filled; merge tells a 2-D row that holds the left term from one
+    that does not."""
+    blocks = []
+    fill = time_general._time_block
+
+    def counted(side, c, pred, merge, check, i, k, *window):
+        last, k = fill(side, c, pred, merge, check, i, k, *window)
+        blocks.append((i + 1, last, merge))
+        return last, k
+
+    monkeypatch.setattr(time_general, "_time_block", counted)
+    return blocks
+
+
+def dense_time_sides():
+    """Many-route sides of raw-dense's family, random_canonical_side(n,
+    max_wait=50, max_step=2), a few thousand customers each: long enough
+    that their time lines take blocks of time_general._BLOCK states."""
+    return [
+        random_canonical_side(n, seed=seed, max_wait=50, max_step=2)
+        for n, seed in ((2500, 801), (4000, 802))
+    ]

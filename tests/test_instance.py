@@ -261,6 +261,52 @@ def test_deliveries_match_item_by_item_reference(riders):
                 assert got == ref_deliveries(side, lo, hi)
 
 
+def _carrying(side, positions, rng):
+    """side with one to three riders on each of the given positions and
+    none elsewhere."""
+    packs = tuple(
+        tuple(range(1000 * (p + 1), 1000 * (p + 1) + rng.randint(1, 3))) if p in positions else ()
+        for p in range(side.n)
+    )
+    return dataclasses.replace(side, riders=packs)
+
+
+def test_deliveries_splice_riders_wherever_they_sit():
+    # riders on no position, on every one, at random, and on a block's
+    # own ends or just outside them: the slices between carriers give
+    # ref_deliveries' labels, in its order
+    rng = random.Random(23)
+    for n in (1, 2, 3, 7, 30):
+        side = random_canonical_side(n, seed=n)
+        layouts = [set(), set(range(n)), {p for p in range(n) if rng.random() < 0.3}]
+        for positions in layouts:
+            carried = _carrying(side, positions, rng)
+            assert carried.carriers == sorted(positions)
+            for lo in range(n):
+                for hi in range(lo, n):
+                    got = carried.deliveries(lo, hi)
+                    assert type(got) is tuple
+                    assert got == ref_deliveries(carried, lo, hi)
+        for lo in range(n):
+            for hi in range(lo, n):
+                for positions in ({lo}, {hi}, {lo, hi}, {lo - 1, hi + 1}):
+                    carried = _carrying(side, positions, rng)
+                    assert carried.deliveries(lo, hi) == ref_deliveries(carried, lo, hi)
+
+
+def test_handed_over_carriers_are_the_computed_ones():
+    # canonicalization and random_canonical_side set carriers as they
+    # build a side; a copy without them computes the same positions
+    rng = random.Random(24)
+    sides = [random_canonical_side(50, seed=5)]
+    for _ in range(30):
+        members = [(i, rng.randint(0, 30), rng.randint(0, 30)) for i in range(rng.randint(0, 40))]
+        sides.append(canonicalize_side(members))
+    assert any(side.carriers for side in sides)
+    for side in sides:
+        assert "carriers" in vars(side) or side is EMPTY_SIDE
+        assert side.carriers == dataclasses.replace(side).carriers
+
 members = st.lists(
     st.tuples(st.integers(0, 10**6), st.integers(0, 30), st.integers(0, 30)),
     max_size=25,

@@ -20,7 +20,9 @@ from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 
 from helpers import (
     EX1_SIDE,
+    count_time_block_fills,
     count_time_run_fills,
+    dense_time_sides,
     long_time_run_sides,
     mixed,
     ref_time_tables,
@@ -120,8 +122,20 @@ def _random_side(rng):
 
 
 def test_linear_matches_quadratic_everywhere():
-    rng = random.Random(42)
-    for _ in range(400):
+    _assert_linear_matches_quadratic(random.Random(42), 400)
+
+
+def test_blocks_of_any_length_match_quadratic(monkeypatch):
+    # blocks one state long or more, in chunks of 3, on short lines
+    monkeypatch.setattr(time_general, "_BLOCK", 1)
+    monkeypatch.setattr(time_general, "_CHUNK", 3)
+    blocks = count_time_block_fills(monkeypatch)
+    _assert_linear_matches_quadratic(random.Random(43), 400)
+    assert len(blocks) > 100
+
+
+def _assert_linear_matches_quadratic(rng, count):
+    for _ in range(count):
         side = _random_side(rng)
         qt, qs = solve_time_quadratic(side)
         lt, ls = solve_time_linear(side, check=True)
@@ -237,15 +251,92 @@ def test_check_asserts_every_state_a_run_fills(monkeypatch):
     states = []
     check_line = time_general._check_line
 
-    def recorded(line, tau, release, k, window):
+    def recorded(line, tau, release, k, values, indices):
         states.append(len(line))
-        check_line(line, tau, release, k, window)
+        check_line(line, tau, release, k, values, indices)
 
     monkeypatch.setattr(time_general, "_check_line", recorded)
     runs = count_time_run_fills(monkeypatch)
     side = long_time_run_sides()["stairs"]
     solve_time_linear(side, check=True)
     assert len(runs) >= 3
+    assert sorted(states) == list(range(1, side.n + 1))
+
+
+def _filled(fills):
+    return sum(last - first + 1 for first, last, _ in fills)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_dense_int_lines_fill_blocks_across_chunk_seams(chunk, monkeypatch):
+    # raw-dense's family: after the one-route run at its start, an int
+    # line fills most of its states by blocks, whose chunks of 5 or 23
+    # states carry the running minimum and its pred across each seam
+    monkeypatch.setattr(time_general, "_CHUNK", CHUNKS[chunk])
+    blocks = count_time_block_fills(monkeypatch)
+    runs = count_time_run_fills(monkeypatch)
+    for side in dense_time_sides():
+        del blocks[:], runs[:]
+        _assert_matches_reference(side, check=True)
+        assert _filled(blocks) > side.n // 5
+        assert runs[0][0] == 2 and blocks[0][0] > runs[0][1]
+
+
+FLOAT_KINDS = {
+    **{name: (lambda s, scale=scale: rescaled(s, *scale)) for name, scale in SCALES.items() if name != "int"},
+    **{f"mixed {which}": (lambda s, which=which: mixed(s, which)) for which in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("kind", FLOAT_KINDS)
+def test_dense_float_and_mixed_lines_take_no_blocks(kind, monkeypatch):
+    # a block adds in int64, so a line with a float in it keeps its
+    # runs and leaves every other state to the scalar loop
+    blocks = count_time_block_fills(monkeypatch)
+    runs = count_time_run_fills(monkeypatch)
+    for base in dense_time_sides():
+        before = len(runs)
+        _assert_matches_reference(FLOAT_KINDS[kind](base), check=True)
+        assert len(runs) > before
+    assert blocks == []
+
+
+def test_blocks_fill_most_of_a_dense_line(monkeypatch):
+    # at a tenth of raw-dense's size, one stretch of blocks fills all
+    # but the run at the start and a tail too short for blocks
+    blocks = count_time_block_fills(monkeypatch)
+    runs = count_time_run_fills(monkeypatch)
+    side = random_canonical_side(10**4, seed=803, max_wait=50, max_step=2)
+    _assert_matches_reference(side)
+    assert len(blocks) == 1
+    assert _filled(runs) + _filled(blocks) > 0.8 * side.n
+
+
+def test_blocks_that_reach_the_last_state_or_tie(monkeypatch):
+    # a block that ends at the line's last state, which pushes no a;
+    # and lines on which a state's released candidate ties the least a
+    # the block itself pushed, where the released candidate keeps it
+    blocks = count_time_block_fills(monkeypatch)
+    side = random_canonical_side(600, seed=2, max_wait=8, max_step=1)
+    _assert_matches_reference(side, check=True)
+    assert blocks[-1][1] == side.n
+    for seed in (0, 1):
+        _assert_matches_reference(random_canonical_side(2000, seed=seed, max_wait=8, max_step=1), check=True)
+
+
+def test_check_asserts_every_state_a_block_fills(monkeypatch):
+    states = []
+    check_line = time_general._check_line
+
+    def recorded(line, tau, release, k, values, indices):
+        states.append(len(line))
+        check_line(line, tau, release, k, values, indices)
+
+    monkeypatch.setattr(time_general, "_check_line", recorded)
+    blocks = count_time_block_fills(monkeypatch)
+    side = dense_time_sides()[0]
+    solve_time_linear(side, check=True)
+    assert _filled(blocks) > 500
     assert sorted(states) == list(range(1, side.n + 1))
 
 

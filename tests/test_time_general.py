@@ -21,7 +21,10 @@ from helpers import (
     EX2_GENERAL,
     EX2_LEFT,
     LEFT_CUT_CUSTOMER,
+    count_time_block_fills,
     count_time_run_fills,
+    dense_time_sides,
+    line_side,
     long_time_run_sides,
     rescaled,
     typed,
@@ -119,8 +122,22 @@ def _random_instance(rng):
 
 
 def test_minqueue_matches_cubic_everywhere():
-    rng = random.Random(14)
-    for _ in range(250):
+    _assert_minqueue_matches_cubic(random.Random(14), 250)
+
+
+def test_blocks_of_any_length_match_cubic(monkeypatch):
+    # blocks one state long or more, in chunks of 3: small tables take
+    # blocks in merged rows too, where a block's own least a can beat a
+    # left term that beats the released candidate
+    monkeypatch.setattr(time_general, "_BLOCK", 1)
+    monkeypatch.setattr(time_general, "_CHUNK", 3)
+    blocks = count_time_block_fills(monkeypatch)
+    _assert_minqueue_matches_cubic(random.Random(15), 250)
+    assert any(merge for *_, merge in blocks)
+
+
+def _assert_minqueue_matches_cubic(rng, count):
+    for _ in range(count):
         inst = _random_instance(rng)
         tc, sc = solve_time_2d_cubic(inst)
         tm, sm = solve_time_2d_minqueue(inst, check=True)
@@ -187,3 +204,38 @@ def test_left_term_ends_a_row_run(monkeypatch):
     assert trace.pred[1][40] == 0
     assert trace.pred[1][41] == (LEFT, 0)
     assert trace.c == solve_time_2d_cubic(inst)[0].c
+
+
+# two left customers, the second released at 4000 one unit out: beside
+# dense_time_sides()[0], its term wins some states inside row 2's
+# blocks and loses the others
+BLOCK_LEFT = line_side([0, 4000], [3, 1])
+
+
+@pytest.mark.parametrize("chunk", [time_general._CHUNK, 23], ids=["default", "23"])
+def test_merged_row_blocks_match_cubic(chunk, monkeypatch):
+    monkeypatch.setattr(time_general, "_CHUNK", chunk)
+    blocks = count_time_block_fills(monkeypatch)
+    inst = GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])
+    tc, sc = solve_time_2d_cubic(inst)
+    tm, sm = solve_time_2d_minqueue(inst, check=True)
+    assert _typed_table(tm.c) == _typed_table(tc.c)
+    assert tm.pred == tc.pred
+    assert sm == sc
+    merged = [(first, last) for first, last, merge in blocks if merge]
+    assert len(merged) == 2
+    first, last = merged[1]
+    assert {type(tm.pred[2][j]) for j in range(first, last + 1)} == {int, tuple}
+
+
+def test_float_tables_take_no_blocks(monkeypatch):
+    # one float side makes the table float, so no row adds in int64; the
+    # fast table's entries keep their own types, as without blocks
+    blocks = count_time_block_fills(monkeypatch)
+    inst = GeneralInstance(rescaled(BLOCK_LEFT, 0.5), dense_time_sides()[0])
+    tm, sm = solve_time_2d_minqueue(inst, check=True)
+    tc, sc = solve_time_2d_cubic(inst)
+    assert tm.c == tc.c
+    assert tm.pred == tc.pred
+    assert sm == sc
+    assert blocks == []
