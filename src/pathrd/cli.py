@@ -188,10 +188,14 @@ def _report(value, ok, what):
     return value
 
 
+def _is_str(x):
+    return isinstance(x, str)
+
+
 def _solution_from_report(report):
     routes = tuple(
         Route(
-            side=_report(item["side"], lambda side: isinstance(side, str), "side"),
+            side=_report(item["side"], _is_str, "side"),
             lo=_report(item["lo"], _is_int, "lo"),
             hi=_report(item["hi"], _is_int, "hi"),
             dispatch=_report(item["dispatch"], _is_num, "dispatch"),
@@ -201,7 +205,8 @@ def _solution_from_report(report):
         for item in report["routes"]
     )
     claims = [_report(item["completion"], _is_num, "completion") for item in report["routes"]]
-    return Solution(report["objective"], _report(report["value"], _is_num, "value"), routes), claims
+    objective = _report(report["objective"], _is_str, "objective")
+    return Solution(objective, _report(report["value"], _is_num, "value"), routes), claims
 
 
 def _emit(text, out_path, parser):
@@ -433,7 +438,8 @@ def cmd_validate(args):
     try:
         with open(args.solution) as fh:
             report = json.load(fh)
-        infeasible = report.get("status") == "infeasible"
+        status = _report(report.get("status"), lambda s: s in ("optimal", "infeasible"), "status")
+        infeasible = status == "infeasible"
         objective = report.get("objective")
         solution, claims = (None, None) if infeasible else _solution_from_report(report)
         deadline = report.get("deadline")

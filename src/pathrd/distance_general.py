@@ -62,8 +62,7 @@ __all__ = ["DistDpTrace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
 # state RUN below still meets the front's slack.  Lines cut into many
 # routes hold runs of 1-20 states: filling at every front made their
 # distance solves 1.5-1.9x slower than the scalar loop alone, RUN = 16
-# left a two-sided grid 1.05-1.12x slower, and 32 or 64 no slower.  The
-# time kernel's runs, in time_general, use the same length.
+# left a two-sided grid 1.05-1.12x slower, and 32 or 64 no slower.
 RUN = 32
 
 

@@ -7,7 +7,7 @@ served, is the one row of time_general's table.  solve_time_linear and
 solve_time_quadratic are the one row of solve_time_2d_minqueue and
 solve_time_2d_cubic on GeneralInstance(EMPTY_SIDE, side), their routes
 named for the side they serve; time_general states the recurrence, the
-line kernel and its runs.
+line kernel and its blocks.
 """
 
 from .instance import EMPTY_SIDE, GeneralInstance

@@ -32,29 +32,23 @@ merges the row's right term into it in place: O(n_l * n_r) in all.
 The column step advances n_r + 1 lines by one state each, so it is
 written inline rather than as a per-state call of the kernel.
 
-While the cursor k holds and its released candidate wins, c[i] =
-r[i-1] + 2 tau[k] and pred[i] = k: a run.  It ends where the cursor
-moves or the window front wins, two thresholds on the nondecreasing r
-that a bisect finds each, or where one of the run's own a_j undercuts,
-or, in a merged row, the left term already in the row wins, which numpy
-finds over chunks of the run, sliced from the side's arrays, with the
-same float operations the scalar loop makes; so the left term keeps its
-ties.  A run whose cursor holds past RUN states is filled by slice, and
-the window left behind is rebuilt from the run's suffix minima.  On a
-one-route line the whole line is one run.
-
-Where no run starts, a line of an int table takes blocks.  The states
-i+1..e with r[e-1] < c[i] are all released before c[i], so each one's
-cursor lies among the states up to i, whose c are known, and states i
-on all stay in its window: numpy fills the block with the scalar loop's
-int operations, the cursors by a searchsorted over the known c, the
-window's least a past each cursor from those states' suffix minima,
-and the block's own a by a running minimum.  Blocks follow each other
-from the last state of the one before while they are _BLOCK states
-long; the window lists are rebuilt once, when the scalar loop resumes.
-Float tables, and lines whose blocks are shorter than _BLOCK, such as
-grid-2d's rows, stay on the scalar loop and runs.  Column steps fill
-neither.
+A line of a table whose numbers are all within MAX_MAGNITUDE takes
+blocks.  The states i+1..e with r[e-1] < c[i] are all released before
+c[i], so each one's cursor lies among the states up to i, whose c are
+known, and states i on all stay in its window: numpy fills the block,
+the cursors by a searchsorted over the known c, the window's least a
+past each cursor from those states' suffix minima, and the block's own
+a by a running minimum.  It decides in int64 on an int table and in
+float64 otherwise, both exact there, so each state takes the scalar
+loop's winner, and it writes each entry with the scalar loop's type.
+Blocks follow each other from the last state of the one before while
+they are _BLOCK states long; the window lists are rebuilt once, when
+the scalar loop resumes.  A stretch where the cursor k holds and its
+released candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends
+once r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from
+its first state, and a one-route line is one chain of blocks.  Lines
+whose blocks are shorter than _BLOCK, such as grid-2d's rows, and
+column steps stay on the scalar loop.
 """
 
 from bisect import bisect_left, bisect_right
@@ -63,15 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance_general import RUN
 from .instance import MAX_MAGNITUDE, table_dtype
 from .solution import LEFT, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
 
-# Fills are written into c in numpy slices of at most this many states,
-# each before the next is converted, so a run or a block holds O(1)
-# memory for its own states; when a fill is tried is RUN's and _BLOCK's
+# Blocks are written into c in numpy slices of at most this many
+# states, each before the next is converted, so a block holds O(1)
+# memory for its own states; when a block is tried is _BLOCK's
 # business, not this length's.
 _CHUNK = 4096
 
@@ -123,7 +116,7 @@ def _check_line(line, tau, release, k, values, indices):
     assert list(zip(values, indices)) == chain[::-1]
 
 
-def _time_line(side, c, pred, merge=False, check=False, ints=False):
+def _time_line(side, c, pred, merge=False, check=False, dtype=None):
     """Fill c[1..n] and pred[1..n] of side's line from the given c[0],
     n = side.n; pred[i] is the raw j the minimum was taken at.
 
@@ -131,13 +124,11 @@ def _time_line(side, c, pred, merge=False, check=False, ints=False):
     candidate, which the kernel reads before it overwrites them; the
     candidate wins ties.  c[0] may exceed the first releases, so the
     cursor starts at -1 and state 0 enters the window like any other.
-    The first state whose released candidate beats the window with a
-    new cursor probes for a run, and _time_run fills it when the cursor
-    holds RUN states on.  With ints, every number of the table is an
-    int within MAX_MAGNITUDE, and where no run starts a state probes
-    for a block, which _time_block fills when it is _BLOCK states long.
-    check=True asserts _check_line at every state, the ones a fill
-    writes included.
+    With dtype, every number of the table is within MAX_MAGNITUDE, and
+    each state with a cursor probes for a block, which _time_block
+    fills, deciding in dtype, when it is _BLOCK states long.
+    check=True asserts _check_line at every state, the ones a block
+    fills included.
     """
     # the window: values[head:] and indices[head:] hold the (a_j, j),
     # a_j = c[j] + 2 tau[j], j in (k, i-1], that no later a undercuts,
@@ -148,17 +139,14 @@ def _time_line(side, c, pred, merge=False, check=False, ints=False):
     indices = [-1]
     head = 1
     k = -1
-    tried = -1
-    fill = False
     r = side.r
     tau = side.tau
     n = len(r)
-    stop = n + 1 - RUN
     # blocks start before state reach
-    reach = n + 1 - _BLOCK if ints and n >= _BLOCK else 0
+    reach = n + 1 - _BLOCK if dtype is not None and n >= _BLOCK else 0
     i = 1
     while i <= n:
-        # the scalar loop; a fill leaves it, to resume past the fill
+        # the scalar loop; a block leaves it, to resume past the block
         for i in range(i, n + 1):
             last = i - 1
             ri = r[last]
@@ -188,11 +176,6 @@ def _time_line(side, c, pred, merge=False, check=False, ints=False):
                 if k < last and values[head] < best:
                     best = values[head]
                     bj = indices[head]
-                elif k > tried:
-                    # the released candidate beats the window, and the
-                    # cursor is new
-                    tried = k
-                    fill = True
             else:
                 best = values[head]
                 bj = indices[head]
@@ -201,18 +184,8 @@ def _time_line(side, c, pred, merge=False, check=False, ints=False):
                 bj = pred[i]
             c[i] = best
             pred[i] = bj
-            if fill:
-                # a run may follow if the cursor holds to state i + RUN;
-                # that only gets less likely as i grows, so each cursor
-                # is probed once, here where c[k + 1] is known
-                fill = False
-                if i < stop and r[i + RUN - 1] < c[k + 1]:
-                    end = _time_run(side, c, pred, merge, check, i, k, values, indices, head)
-                    if end > i:
-                        i = end + 1
-                        break
             if i < reach and k >= 0 and r[i + _BLOCK - 1] < best:
-                i, k = _time_block(side, c, pred, merge, check, i, k, values, indices, head)
+                i, k = _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype)
                 head = 1
                 i += 1
                 break
@@ -230,110 +203,11 @@ def _chain(values):
     return np.append(keep, len(values) - 1)
 
 
-def _push(values, indices, head, kept, js):
-    """Push a chain of suffix minima onto the window: drop the entries
-    past head that its least value, the first, undercuts, then append it."""
-    cut = bisect_right(values, kept[0], head)
-    del values[cut:]
-    del indices[cut:]
-    values.extend(kept)
-    indices.extend(js)
-
-
-def _time_run(side, c, pred, merge, check, i, k, values, indices, head):
-    """Fill the run that follows state i, whose released candidate won
-    with cursor k, and return the run's last state (i when none).
-
-    Each state m of a run takes c[m] = r[m-1] + 2 tau[k] and pred[m] = k.
-    The run ends before the first state where the cursor moves, the
-    window front wins, one of the run's own a_j undercuts, or, with
-    merge, the other side's candidate wins; the first two are bisects,
-    the last two numpy tests, in chunks of _CHUNK states sliced from
-    side.arrays and written straight into c.  The window ends as the
-    scalar loop would hold it: its entries up to the run's least a,
-    then the run's suffix-minimum a_j, equal values kept; head stays,
-    as the cursor does.
-    """
-    r = side.r
-    tau = side.tau
-    n = len(r)
-    p = i + RUN
-    two = 2 * tau[k]
-    front = values[head] if len(values) > head else None
-    prev = c[i] + 2 * tau[i]
-    # the other O(1) probes at state p, the cursor's passed: a run that
-    # fails one ends within RUN states and is left to the scalar loop,
-    # and as both thresholds hold up to p, their bisects start there
-    top = r[p - 1] + two
-    if (front is not None and top > front) or top > prev or (merge and c[p] <= top):
-        return i
-    # the numpy tests run in float64 unless every number is an int, and
-    # float64 adds integers exactly below 2**53; the margin covers the
-    # rounding of this bound itself when a float release takes part
-    floats = two.__class__ is float
-    if not floats and r[-1] + 2 * two > MAX_MAGNITUDE - 4:
-        return i
-    end = bisect_left(r, c[k + 1], p, n)
-    if front is not None:
-        # x + two rounds monotonically, so the key keeps r's order
-        end = bisect_right(r, front, p, end, key=lambda x: x + two)
-    # a float two makes every entry a float, so the chunks convert to
-    # float64 as Python's sums would, an object slice of ints past int64
-    # included; otherwise they keep the arrays' dtype, int64 exactly
-    # when the line holds only ints
-    dt = float if floats else None
-    rv, tv = side.arrays
-    if check:
-        start = _snapshot(c, pred, i, end, k, values, indices, head)
-    low = prev
-    lo = i + 1
-    while True:
-        # states lo..hi-1 take best; state lo pushes prev = a_{lo-1} and
-        # the others a_lo..a_{hi-2}; low is the least a pushed before lo
-        hi = min(end + 1, lo + _CHUNK)
-        best = np.asarray(rv[lo - 1 : hi - 1], dt) + two
-        av = best[:-1] + 2 * np.asarray(tv[lo : hi - 1], dt)
-        window = np.minimum.accumulate(np.concatenate(((min(low, prev),), av)))
-        bad = best > window
-        if merge:
-            bad |= np.array(c[lo:hi], float) <= best
-        (cut,) = bad.nonzero()
-        if len(cut):
-            hi = lo + int(cut[0])
-            if hi == lo:
-                break
-        if floats or best.dtype.kind == "i":
-            c[lo:hi] = best[: hi - lo].tolist()
-        else:
-            c[lo:hi] = [x + two for x in r[lo - 1 : hi - 1]]
-        pred[lo:hi] = [k] * (hi - lo)
-        # push prev, then the chunk's a: the chunk's own suffix minima
-        # stay
-        _push(values, indices, head, [prev], [lo - 1])
-        pushed = av[: hi - lo - 1]
-        if len(pushed):
-            keep = _chain(pushed)
-            js = (keep + lo).tolist()
-            if floats or pushed.dtype.kind == "i":
-                kept = pushed[keep].tolist()
-            else:
-                kept = [c[j] + 2 * tau[j] for j in js]
-            _push(values, indices, head, kept, js)
-        if len(cut) or hi > end:
-            break
-        low = window[-1]
-        prev = c[hi - 1] + 2 * tau[hi - 1]
-        lo = hi
-    if check:
-        _replay(side, c, pred, merge, i, hi - 1, start, k, values[head:], indices[head:])
-    return hi - 1
-
-
-def _time_block(side, c, pred, merge, check, i, k, values, indices, head):
+def _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype):
     """Fill blocks from state i on, where the cursor is k >= 0 and a
     block of _BLOCK states starts, and return the last state filled and
     the cursor there; the window lists then hold the window there, head
-    at 1 past one dead entry.
+    at 1 past one dead entry, unless the blocks reach state n.
 
     A block is the states i+1..e with r[e-1] < c[i].  Each of them is
     released before c[i], so its cursor k_m lies among k..i-1, whose c
@@ -343,16 +217,31 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head):
     candidate winning first, unless Y_m = min(a_i..a_{m-1}) undercuts
     it.  A state that takes Y pushes an a above Y, so Y is also the
     running minimum of a_i and the X_j + 2 tau[j], j < m, and pred its
-    first record.  The cursors are a searchsorted over c[k+1..i-1], the
-    least a past each a lookup in that range's suffix minima.  Blocks
+    first record.  The cursors are a searchsorted over c[k+1..i-1],
+    skipped for a chunk whose first and last state's bisects give one
+    cursor, and the least a past each a lookup in that range's suffix
+    minima.  Blocks
     follow each other, the next from state e with e's cursor, while
     they are _BLOCK states long; each is written into c in chunks of
     _CHUNK states.  The window left behind, the suffix minima of the a
     past the last cursor, is rebuilt from c once, at the end.
+
+    Every comparison is made in dtype, int64 for an int table and
+    float64 otherwise: both hold every number of the table exactly, and
+    float64 adds as Python's floats do, so each state takes the scalar
+    loop's winner.  An int table writes the chunk's values as they are.
+    So does a chunk whose states all take one cursor's released
+    candidate, r[m-1] + 2 tau[k], when 2 tau[k] is a float; when it is
+    an int, the chunk adds it to each release in Python.  Every other
+    chunk of a float table writes each value from its source,
+    r[m-1] + 2 tau[j], c[j] + 2 tau[j] or the other side's candidate,
+    so each keeps the scalar loop's type.
     """
     r = side.r
+    tau = side.tau
     n = len(r)
     rv, tv = side.arrays
+    ints = dtype.kind == "i"
     if check:
         start = _snapshot(c, pred, i, n, k, values, indices, head)
     first = i
@@ -361,41 +250,72 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head):
         if e - i < _BLOCK:
             break
         base = k
-        known = np.fromiter(c[k + 1 : i], np.int64, i - k - 1)
+        known = np.fromiter(c[k + 1 : i], dtype, i - k - 1)
         twos = 2 * tv[k:i]
         least, at = _suffix_minima(known + twos[1:], k + 1)
         # the least a and X + 2 tau pushed since state i, and the first j
         # it was reached at
-        low = c[i] + 2 * side.tau[i]
+        low = c[i] + 2 * tau[i]
         low_j = i
         lo = i + 1
         while lo <= e:
             hi = min(e + 1, lo + _CHUNK)
             rel = rv[lo - 1 : hi - 1]
-            # each state's cursor, less base
-            cur = np.searchsorted(known, rel, "right")
+            # each state's cursor, less base: one for the whole chunk
+            # when its first and last state share it
+            cur = bisect_right(c, r[lo - 1], base + 1, i) - base - 1
+            if cur != bisect_right(c, r[hi - 2], base + 1, i) - base - 1:
+                cur = np.searchsorted(known, rel, "right")
             x = rel + twos[cur]
             front = least[cur]
-            xj = np.where(front < x, at[cur], cur + base)
+            # the window's front beats the released candidate
+            won = front < x
             x = np.minimum(x, front)
             if merge:
-                other = np.fromiter(c[lo:hi], np.int64, hi - lo)
+                other = np.fromiter(c[lo:hi], dtype, hi - lo)
                 took = other <= x
                 x = np.minimum(x, other)
             # state m pushes Z_m = X_m + 2 tau[m] for the states after it
             z = x[:-1] + 2 * tv[lo : hi - 1]
             seen = np.concatenate(((low,), z))
             y = np.minimum.accumulate(seen)
-            c[lo:hi] = np.minimum(x, y).tolist()
             # the j at which each record of the running minimum was set
             records = np.concatenate(((low_j,), (seen[1:] < y[:-1]).nonzero()[0] + lo))
-            (lose,) = (y < x).nonzero()
-            if len(lose):
-                xj[lose] = records[np.searchsorted(records[1:], lose + lo)]
-            js = xj.tolist()
+            lose = y < x
+            # an a wins, from before the block or in it
+            won |= lose
+            lost = won
             if merge:
-                js = [q if t else j for q, j, t in zip(pred[lo:hi], js, (took & (x <= y)).tolist())]
-            pred[lo:hi] = js
+                kept = took & ~lose
+                lost = won | kept
+            if cur.__class__ is int and not lost.any():
+                # one cursor's released candidate takes every state
+                w = cur + base
+                two = 2 * tau[w]
+                pred[lo:hi] = [w] * (hi - lo)
+                if ints or two.__class__ is float:
+                    c[lo:hi] = x.tolist()
+                else:
+                    c[lo:hi] = [v + two for v in r[lo - 1 : hi - 1]]
+            else:
+                xj = np.where(won, at[cur], cur + base)
+                (at_y,) = lose.nonzero()
+                xj[at_y] = records[np.searchsorted(records[1:], at_y + lo)]
+                js = xj.tolist()
+                if merge:
+                    js = [q if t else j for q, j, t in zip(pred[lo:hi], js, kept.tolist())]
+                pred[lo:hi] = js
+                if ints:
+                    c[lo:hi] = np.minimum(x, y).tolist()
+                else:
+                    # each value from its source: 0 the other side's
+                    # candidate, kept, 1 the released one, 2 an a
+                    how = np.where(won, 2, 1)
+                    if merge:
+                        how[kept] = 0
+                    for m, j, h in zip(range(lo, hi), js, how.tolist()):
+                        if h:
+                            c[m] = (c[j] if h == 2 else r[m - 1]) + 2 * tau[j]
             low, low_j = y[-1], int(records[-1])
             if hi <= e:
                 # the next chunk's states see this one's last Z too
@@ -403,12 +323,15 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head):
                 if last < low:
                     low, low_j = last, hi - 1
             lo = hi
-        k = int(cur[-1]) + base
+        k = bisect_right(c, r[e - 1], base + 1, i) - 1
         i = e
-    a = np.fromiter(c[k + 1 : i], np.int64, i - k - 1) + 2 * tv[k + 1 : i]
-    keep = _chain(a)
-    values[:] = [_DEAD] + a[keep].tolist()
-    indices[:] = [-1] + (keep + (k + 1)).tolist()
+    if i == n and not check:
+        # the scalar loop has no state left to read the window
+        return i, k
+    a = np.fromiter(c[k + 1 : i], dtype, i - k - 1) + 2 * tv[k + 1 : i]
+    js = (_chain(a) + (k + 1)).tolist()
+    values[:] = [_DEAD] + [c[j] + 2 * tau[j] for j in js]
+    indices[:] = [-1] + js
     if check:
         _replay(side, c, pred, merge, first, i, start, k, values[1:], indices[1:])
     return i, k
@@ -420,7 +343,7 @@ def _suffix_minima(a, j0):
     a past a cursor, and its pred.  Past the end there is no a: _NONE,
     above every number of a block line, at j = -1."""
     n = len(a)
-    least = np.full(n + 1, _NONE)
+    least = np.full(n + 1, _NONE, a.dtype)
     at = np.full(n + 1, -1)
     if n:
         least[:n] = np.minimum.accumulate(a[::-1])[::-1]
@@ -527,11 +450,11 @@ def solve_time_2d_minqueue(inst, check=False):
     c[0][0] = np.zeros((), dt).item()
     # every entry is at most the last release plus one round trip to
     # each side's far end, and every sum a block makes one more such
-    # trip: an int table within MAX_MAGNITUDE adds exactly in int64, so
-    # its rows take blocks
+    # trip: within MAX_MAGNITUDE, int64 and float64 hold them all
+    # exactly, so the rows take blocks, in the table's dtype
     sides = [side for side in (inst.left, inst.right) if side.n]
     bound = max((side.r[-1] for side in sides), default=0) + 4 * sum(side.tau[0] for side in sides)
-    ints = dt.kind == "i" and bound <= MAX_MAGNITUDE
+    blocks = dt if bound <= MAX_MAGNITUDE else None
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     # per column, for the left term: a cursor over the released rows
     # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
@@ -575,5 +498,5 @@ def solve_time_2d_minqueue(inst, check=False):
                 pi[j] = left_of[w]
         if nr:
             # the right term along the row; the left term wins ties
-            _time_line(inst.right, ci, pi, i > 0, check, ints)
+            _time_line(inst.right, ci, pi, i > 0, check, blocks)
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

@@ -18,12 +18,12 @@ long_run_sides and count_run_fills serve the tests of the distance
 kernel's runs, the stretches of a line it fills by slice,
 assert_matches_baseline compares a fast distance solver with its
 baseline, and ref_distance_line fills one line of the distance table
-from its definition.  long_time_run_sides and count_time_run_fills do
-the same for the time kernel's runs, dense_time_sides and
-count_time_block_fills for its blocks, and ref_time_line is the time
-kernel as it was before it filled runs, state by state, kept unchanged
-(apart from its name and the window it hands _check_line) as the
-bitwise reference for the run and block fills.
+from its definition.  long_time_run_sides and dense_time_sides hold
+time lines with long runs and with many routes, count_time_block_fills
+lists the time kernel's blocks, and ref_time_line is the time kernel
+as it was before it filled runs, state by state, kept unchanged (apart
+from its name and the window it hands _check_line) as the bitwise
+reference for the block fills.
 """
 
 import dataclasses
@@ -575,11 +575,17 @@ def line_side(r, tau):
 LEFT_CUT_CUSTOMER = line_side([5], [1])
 
 
+# A block length that the lines of long_time_run_sides(), 60 to 240
+# states long, reach: tests monkeypatch time_general._BLOCK to it.
+SHORT_BLOCK = 32
+
+
 def long_time_run_sides():
-    """Sides whose time lines hold runs far longer than RUN, by name: a
-    one-route side, which is one run; a side that waits up to 20; a
-    staircase; and one side for each way a run ends, its run from state
-    2 (22 for "front") to the state named:
+    """Sides whose time lines hold long runs, stretches of states that
+    all take one cursor's released candidate, by name: a one-route side,
+    which is one run; a side that waits up to 20; a staircase; and one
+    side for each way a run ends, its run from state 2 (22 for "front")
+    to the state named:
 
     - "cursor": releases 0 jump to c[1] = 200 after state 60, so the
       cursor moves at state 61;
@@ -607,24 +613,6 @@ def long_time_run_sides():
         ),
         "left": line_side([3 * j for j in range(60)], [100] + [60 - j for j in range(1, 60)]),
     }
-
-
-def count_time_run_fills(monkeypatch):
-    """(first state, last state, merge) of every run the time kernel
-    fills by slice, 1-D or in a 2-D row, in the order they are filled;
-    merge tells a 2-D row that holds the left term from one that does
-    not."""
-    runs = []
-    fill = time_general._time_run
-
-    def counted(side, c, pred, merge, check, i, k, *window):
-        last = fill(side, c, pred, merge, check, i, k, *window)
-        if last > i:
-            runs.append((i + 1, last, merge))
-        return last
-
-    monkeypatch.setattr(time_general, "_time_run", counted)
-    return runs
 
 
 def count_time_block_fills(monkeypatch):

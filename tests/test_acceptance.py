@@ -417,10 +417,10 @@ def test_two_sided_time_scaling(capsys):
 
 
 def test_distance_solve_undercuts_time_solve(capsys):
-    # the yardstick is the time kernel before runs, state by state:
-    # on this one-route side the kernel's runs fill the whole line, so
-    # holding distance to half of today's time solve would gate the time
-    # kernel's speed, not the distance solver's
+    # the yardstick is the time kernel before runs and blocks, state by
+    # state: on this one-route side one chain of blocks fills the whole
+    # line, so holding distance to half of today's time solve would gate
+    # the time kernel's speed, not the distance solver's
     with reported(
         capsys, 13, "scaling: on check 6's 2e6-customer side, a distance solve "
         "at the time optimum takes at most half a state-by-state time pass"

@@ -550,6 +550,10 @@ def test_validate_rejects_non_report(x1_path, tmp_path, capsys):
         *(json.dumps({"status": "optimal", "objective": "time", "value": 41,
                       "routes": [dict(route, side=side, deliveries=[1, 2, 3], completion=41)]})
           for side in (["right"], {"right": 1}, 1)),
+        # right routes under a status that is neither optimal nor infeasible
+        *(json.dumps({**status, "objective": "time", "value": 41,
+                      "routes": [dict(route, deliveries=[1, 2, 3], completion=41)]})
+          for status in ({"status": "garbage"}, {"status": ["optimal"]}, {})),
     ):
         bad.write_text(text)
         code, _, _ = run(["validate", "--instance", x1_path, "--solution", str(bad)], capsys)
@@ -570,6 +574,8 @@ def _first_route(report):
         ("time", lambda r: _first_route(r).update(dispatch=True)),
         ("time", lambda r: _first_route(r).update(duration=float("inf"))),
         ("time", lambda r: r.update(value=float("nan"))),
+        ("time", lambda r: r.update(objective=["time"])),
+        ("time", lambda r: r.update(objective={"time": 1})),
         ("distance", lambda r: _first_route(r).update(dispatch=float("nan"))),
         ("distance", lambda r: r.update(deadline=float("nan"))),
         ("distance", lambda r: r.update(deadline=True)),
@@ -577,8 +583,8 @@ def _first_route(report):
     ],
     ids=[
         "true-label", "false-lo", "float-hi", "nan-dispatch", "true-dispatch",
-        "inf-duration", "nan-value", "nan-dispatch-distance", "nan-deadline",
-        "true-deadline", "nan-deadline-infeasible",
+        "inf-duration", "nan-value", "list-objective", "dict-objective",
+        "nan-dispatch-distance", "nan-deadline", "true-deadline", "nan-deadline-infeasible",
     ],
 )
 def test_validate_rejects_bad_report_numbers(x1_path, tmp_path, capsys, objective, mangle):

@@ -3,7 +3,9 @@
 Every import sits at module level, so importing a module is all it
 ever imports.  The 1-D modules, time_extremity and distance_extremity,
 are views over the 2-D modules that hold each objective's DP, so within
-pathrd only the package's __init__ imports them.
+pathrd only the package's __init__ imports them.  The two DP modules,
+time_general and distance_general, stand apart: neither imports the
+other.
 """
 
 import ast
@@ -47,5 +49,17 @@ def test_only_the_package_imports_the_1d_views():
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and _imported_modules(node) & VIEWS:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_dp_modules_import_nothing_from_each_other():
+    dps = {"time_general", "distance_general"}
+    found = []
+    for path in SOURCES:
+        if path.stem not in dps:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _imported_modules(node) & (dps - {path.stem}):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

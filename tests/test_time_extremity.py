@@ -20,8 +20,8 @@ from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 
 from helpers import (
     EX1_SIDE,
+    SHORT_BLOCK,
     count_time_block_fills,
-    count_time_run_fills,
     dense_time_sides,
     long_time_run_sides,
     mixed,
@@ -198,53 +198,57 @@ SCALES = {
 }
 
 
-# the kernel's numpy chunk length; one that cuts these runs into many
-# chunks, so that a run's state is carried across their seams; and one
-# at which the "own a" run from state 2 is cut at state 94 = 2 + 4 * 23,
-# the first state of a chunk, which then fills nothing
+# the kernel's numpy chunk length; one that cuts these lines' blocks
+# into many chunks, so that a block's running minimum is carried across
+# their seams; and one at which the "own a" side's state 94, where one of
+# the block's own a first undercuts, is the first of a chunk from state
+# 2, 2 + 4 * 23
 CHUNKS = {"default": time_general._CHUNK, "5": 5, "23": 23}
-
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("scale", SCALES)
 def test_long_time_runs_match_reference(scale, chunk, monkeypatch):
     monkeypatch.setattr(time_general, "_CHUNK", CHUNKS[chunk])
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
-        before = len(runs)
+        before = len(blocks)
         _assert_matches_reference(rescaled(base, *SCALES[scale]), check=True)
-        assert len(runs) > before, name
+        assert len(blocks) > before, name
 
 
 def test_each_way_a_run_ends(monkeypatch):
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     sides = long_time_run_sides()
     ends = {
-        # name: (the first run, the state past it, its pred there): the
-        # front is a state from before the run, the own a one of the run's
+        # name: (the first stretch of blocks, the state where the run
+        # ends, its pred there): the front is a state from before the
+        # run, the own a one of the run's, and both win inside a block
         "cursor": ((2, 60, False), 61, 60),
-        "front": ((22, 60, False), 61, 11),
-        "own a": ((2, 93, False), 94, 41),
+        "front": ((12, 80, False), 61, 11),
+        "own a": ((2, 120, False), 94, 41),
     }
-    for name, (run, after, winner) in ends.items():
+    for name, (block, end, winner) in ends.items():
         side = sides[name]
-        del runs[:]
+        del blocks[:]
         trace, _ = solve_time_linear(side, check=True)
-        assert runs[0] == run
-        assert trace.pred[after] == winner
+        assert blocks[0] == block
+        assert trace.pred[end - 1] != winner == trace.pred[end]
         _assert_matches_reference(side)
-    # the cursor moved: state 61 is released exactly at c[1], which the
-    # run kept waiting for
+    # the cursor moved: state 61 is released exactly at c[1], which ends
+    # the block from state 1, and the next block from state 60 is empty
     cursor = sides["cursor"]
     c = solve_time_linear(cursor)[0].c
     assert cursor.r[59] < c[1] == cursor.r[60]
-    # a front that wins within RUN states of a new cursor leaves every
-    # state to the scalar loop
+    # a front that wins 20 states after the cursor moves, at state 41:
+    # the block from state 11 fills through it like any other
     front = sides["front"]
     short = dataclasses.replace(front, r=front.r[:40] + (2029,) * 40)
-    del runs[:]
+    del blocks[:]
     _assert_matches_reference(short, check=True)
-    assert runs == []
+    assert blocks == [(12, 80, False)]
+    assert solve_time_linear(short)[0].pred[40:42] == [10, 11]
 
 
 def test_check_asserts_every_state_a_run_fills(monkeypatch):
@@ -256,10 +260,12 @@ def test_check_asserts_every_state_a_run_fills(monkeypatch):
         check_line(line, tau, release, k, values, indices)
 
     monkeypatch.setattr(time_general, "_check_line", recorded)
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     side = long_time_run_sides()["stairs"]
     solve_time_linear(side, check=True)
-    assert len(runs) >= 3
+    # one chain of blocks fills every state past the first
+    assert blocks == [(2, side.n, False)]
     assert sorted(states) == list(range(1, side.n + 1))
 
 
@@ -269,17 +275,16 @@ def _filled(fills):
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_dense_int_lines_fill_blocks_across_chunk_seams(chunk, monkeypatch):
-    # raw-dense's family: after the one-route run at its start, an int
-    # line fills most of its states by blocks, whose chunks of 5 or 23
-    # states carry the running minimum and its pred across each seam
+    # raw-dense's family: from the one-route stretch at its start on, an
+    # int line fills most of its states by blocks, whose chunks of 5 or
+    # 23 states carry the running minimum and its pred across each seam
     monkeypatch.setattr(time_general, "_CHUNK", CHUNKS[chunk])
     blocks = count_time_block_fills(monkeypatch)
-    runs = count_time_run_fills(monkeypatch)
     for side in dense_time_sides():
-        del blocks[:], runs[:]
+        del blocks[:]
         _assert_matches_reference(side, check=True)
         assert _filled(blocks) > side.n // 5
-        assert runs[0][0] == 2 and blocks[0][0] > runs[0][1]
+        assert blocks[0][0] == 2
 
 
 FLOAT_KINDS = {
@@ -289,27 +294,24 @@ FLOAT_KINDS = {
 
 
 @pytest.mark.parametrize("kind", FLOAT_KINDS)
-def test_dense_float_and_mixed_lines_take_no_blocks(kind, monkeypatch):
-    # a block adds in int64, so a line with a float in it keeps its
-    # runs and leaves every other state to the scalar loop
+def test_dense_float_and_mixed_lines_take_blocks(kind, monkeypatch):
+    # once a float takes part a block decides in float64 and writes each
+    # value from its source, so the entries keep the scalar loop's types
     blocks = count_time_block_fills(monkeypatch)
-    runs = count_time_run_fills(monkeypatch)
     for base in dense_time_sides():
-        before = len(runs)
+        del blocks[:]
         _assert_matches_reference(FLOAT_KINDS[kind](base), check=True)
-        assert len(runs) > before
-    assert blocks == []
+        assert _filled(blocks) > base.n // 5
 
 
 def test_blocks_fill_most_of_a_dense_line(monkeypatch):
     # at a tenth of raw-dense's size, one stretch of blocks fills all
-    # but the run at the start and a tail too short for blocks
+    # but the first state and a tail too short for blocks
     blocks = count_time_block_fills(monkeypatch)
-    runs = count_time_run_fills(monkeypatch)
     side = random_canonical_side(10**4, seed=803, max_wait=50, max_step=2)
     _assert_matches_reference(side)
     assert len(blocks) == 1
-    assert _filled(runs) + _filled(blocks) > 0.8 * side.n
+    assert _filled(blocks) > 0.8 * side.n
 
 
 def test_blocks_that_reach_the_last_state_or_tie(monkeypatch):
@@ -342,51 +344,58 @@ def test_check_asserts_every_state_a_block_fills(monkeypatch):
 
 def test_near_2_53_sweep_matches_reference(monkeypatch):
     # the float corpus of the rounding-tie sweep: there the ulp is 1 or
-    # 2, and c and pred must still be the scalar loop's
-    runs = count_time_run_fills(monkeypatch)
+    # 2, and c and pred must still be the scalar loop's; the lines are
+    # 80 states long, so blocks are let in from SHORT_BLOCK states
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     for seed in range(100):
         for wait in (0, 1, 3, 20):
             base = random_canonical_side(80, seed=seed, max_wait=wait, max_step=1)
             for scale in (0.2, 0.37, 0.3):
                 for shift in (float(2**52), 1.5 * 2**52):
                     _assert_matches_reference(rescaled(base, scale, shift))
-    assert len(runs) >= 1000
+    assert len(blocks) >= 1000
 
 
 def test_mixed_int_and_float_entries_keep_their_types(monkeypatch):
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
         for which in (1, 2, 3):
-            before = len(runs)
+            before = len(blocks)
             side = mixed(base, which)
             _assert_matches_reference(side)
-            assert len(runs) > before, (name, which)
+            assert len(blocks) > before, (name, which)
     # both types do reach the tables
     c = solve_time_linear(mixed(long_time_run_sides()["stairs"], 1))[0].c
     assert {type(v) for v in c} == {int, float}
 
 
-def test_mixed_entries_past_2_53_stay_exact():
+def test_mixed_entries_past_2_53_stay_exact(monkeypatch):
     # beyond the admissible input, float64 no longer holds every sum of
-    # ints: the kernel leaves a run that adds ints to the scalar loop
-    # rather than test it in numpy
+    # ints: past MAX_MAGNITUDE a line takes no block, and the scalar
+    # loop fills every state
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
         for scale in (1, 3):
             for which in (1, 2, 3):
                 _assert_matches_reference(mixed(rescaled(base, scale, 2**53 + 1), which))
+    assert blocks == []
 
 
 def test_float_runs_over_releases_past_int64_stay_exact(monkeypatch):
     # beyond the admissible input, ints past int64 give the releases
-    # object arrays; beside float depot distances a run still adds in
-    # float64, as Python's int + float does
-    runs = count_time_run_fills(monkeypatch)
+    # object arrays; past MAX_MAGNITUDE a line takes no block, and the
+    # scalar loop adds int + float as Python does
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
         side = rescaled(base, 2**12, 2**64)
         side = dataclasses.replace(side, tau=tuple(map(float, side.tau)))
         assert side.arrays[0].dtype == object
         _assert_matches_reference(side)
-    assert len(runs) >= len(long_time_run_sides())
+    assert blocks == []
 
 
 @pytest.mark.xfail(strict=True, reason="rounding ties between predecessors pick the larger j")

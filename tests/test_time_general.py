@@ -8,6 +8,7 @@ from pathrd import (
     canonicalize_side,
     generate_instance,
     oracle_time,
+    random_canonical_side,
     split_at_depot,
     validate_solution,
 )
@@ -21,8 +22,8 @@ from helpers import (
     EX2_GENERAL,
     EX2_LEFT,
     LEFT_CUT_CUSTOMER,
+    SHORT_BLOCK,
     count_time_block_fills,
-    count_time_run_fills,
     dense_time_sides,
     line_side,
     long_time_run_sides,
@@ -170,10 +171,11 @@ def _typed_table(c):
 @pytest.mark.parametrize("chunk", [time_general._CHUNK, 5], ids=["default", "5"])
 @pytest.mark.parametrize("scale", [(1, 0), (0.37, 0)], ids=["int", "x0.37"])
 def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
-    # the right side holds the runs; each pair fills some in rows that
+    # the right side holds the runs; each pair fills blocks in rows that
     # merge the left term, in numpy chunks of the kernel's length or 5
     monkeypatch.setattr(time_general, "_CHUNK", chunk)
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     sides = long_time_run_sides()
     sides["left cut"] = LEFT_CUT_CUSTOMER
     pairs = [
@@ -185,22 +187,24 @@ def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
     ]
     for left, right in pairs:
         inst = GeneralInstance(rescaled(sides[left], *scale), rescaled(sides[right], *scale))
-        del runs[:]
+        del blocks[:]
         tc, sc = solve_time_2d_cubic(inst)
         tm, sm = solve_time_2d_minqueue(inst, check=True)
         assert _typed_table(tm.c) == _typed_table(tc.c)
         assert tm.pred == tc.pred
         assert sm == sc
-        assert any(merge for _, _, merge in runs), (left, right)
+        assert any(merge for _, _, merge in blocks), (left, right)
 
 
 def test_left_term_ends_a_row_run(monkeypatch):
-    runs = count_time_run_fills(monkeypatch)
+    monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
+    blocks = count_time_block_fills(monkeypatch)
     inst = GeneralInstance(LEFT_CUT_CUSTOMER, long_time_run_sides()["left"])
     trace, _ = solve_time_2d_minqueue(inst, check=True)
-    # row 0 is one run; in row 1 the released candidate beats the left
-    # term from state 5 to 40, and the left term wins at state 41
-    assert runs == [(2, 40, False), (5, 40, True)]
+    # row 0 is one block; in row 1 a block fills states 5 to 60, where
+    # the released candidate beats the left term up to state 40 and the
+    # left term wins from state 41
+    assert blocks == [(2, 60, False), (5, 60, True)]
     assert trace.pred[1][40] == 0
     assert trace.pred[1][41] == (LEFT, 0)
     assert trace.c == solve_time_2d_cubic(inst)[0].c
@@ -228,9 +232,27 @@ def test_merged_row_blocks_match_cubic(chunk, monkeypatch):
     assert {type(tm.pred[2][j]) for j in range(first, last + 1)} == {int, tuple}
 
 
-def test_float_tables_take_no_blocks(monkeypatch):
-    # one float side makes the table float, so no row adds in int64; the
-    # fast table's entries keep their own types, as without blocks
+def test_left_term_inside_a_one_cursor_chunk(monkeypatch):
+    # in row 1, with blocks from 8 states and chunks of 16, state 82 is
+    # a chunk of its own that keeps one cursor and where no a wins, but
+    # the left term does: such a chunk is no run, and keeps the left pred
+    monkeypatch.setattr(time_general, "_BLOCK", 8)
+    monkeypatch.setattr(time_general, "_CHUNK", 16)
+    blocks = count_time_block_fills(monkeypatch)
+    inst = GeneralInstance(line_side([100], [1]), random_canonical_side(120, seed=3, max_wait=20, max_step=2))
+    tm, sm = solve_time_2d_minqueue(inst, check=True)
+    tc, sc = solve_time_2d_cubic(inst)
+    assert tm.c == tc.c
+    assert tm.pred == tc.pred
+    assert sm == sc
+    assert tm.pred[1][82] == (LEFT, 0)
+    assert any(merge and first <= 82 <= last for first, last, merge in blocks)
+
+
+def test_float_tables_take_blocks(monkeypatch):
+    # one float side makes the table float, so its rows' blocks decide
+    # in float64; the right side's int releases and depot distances keep
+    # the entries they make ints, as the scalar loop does
     blocks = count_time_block_fills(monkeypatch)
     inst = GeneralInstance(rescaled(BLOCK_LEFT, 0.5), dense_time_sides()[0])
     tm, sm = solve_time_2d_minqueue(inst, check=True)
@@ -238,4 +260,5 @@ def test_float_tables_take_no_blocks(monkeypatch):
     assert tm.c == tc.c
     assert tm.pred == tc.pred
     assert sm == sc
-    assert blocks == []
+    assert any(merge for *_, merge in blocks)
+    assert {type(v) for row in tm.c for v in row} == {int, float}
