@@ -32,19 +32,26 @@ that one has the most slack.  The kernel keeps that state as one index,
 the front f, which only moves down.  A front that misses the threshold
 slides to the smallest index of the next group below it, and a new
 state whose lam equals lam[f] becomes the front.  Each state is passed
-over once: O(n) per line.  The fast solver is that kernel plus a column
-step.  Row by row from the bottom, the column step first moves every
-column's front by one row and writes the left term into the row; then
-one call of _distance_line merges the row's right term into it in
-place: O(n_l n_r) in all.  The column step moves n_r + 1 lines by one
-state each, so it is written inline.
+over once: O(n) per line.  The fast solver runs that kernel once per
+row, from the bottom, in one sweep: above the bottom row, each state q
+of the row first moves column q's front down one row, the column's
+line gaining the state below, and takes the left term, then takes the
+right term from the row's front, the left term winning ties:
+O(n_l n_r) in all.  A front's slack stays fixed while it holds, so the
+row's front keeps its lam and slack in locals and each column's in
+lists beside its index, read once per move.  A left-only instance is
+one line, the left side's: one call of the kernel.
 
 While f holds, lam[p] = lam[f] - 2 tau[p] on every state whose
 threshold f's slack meets, and as tau grows those states run down to a
 bound one bisect finds.  A run longer than RUN is filled by slice
 assignment, its values top - 2 tau computed by one int64 operation over
 the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
-list comprehension elsewhere (_run_values).  Column steps fill no runs.
+list comprehension elsewhere (_run_values).  Only lines without column
+work fill runs: 1-D lines and a 2-D solve's bottom row.  A row above it
+takes every state's column step anyway, and a run there would spare
+only the right term's slack test; taking a run's left terms first and
+merging them by slice made one-route pairs slower than the scalar loop.
 """
 
 from bisect import bisect_left
@@ -64,6 +71,9 @@ __all__ = ["DistDpTrace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
 # distance solves 1.5-1.9x slower than the scalar loop alone, RUN = 16
 # left a two-sided grid 1.05-1.12x slower, and 32 or 64 no slower.
 RUN = 32
+
+# the slack of a column with no front, which meets no threshold
+_NO_SLACK = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -127,88 +137,136 @@ def _run_values(top, side, lo, hi):
     return [top - 2 * t for t in tau[lo:hi]]
 
 
-def _distance_line(side, lam, succ, merge=False, check=False):
+def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     """Fill lam[0..n-1] and succ[0..n-1] of side's line from the given
     lam[n], n = side.n, which may be 0; None marks an absent state, and
-    succ[p] is the raw q the maximum came from.
+    succ[p] is the raw q the maximum came from.  two, when given, is
+    [2 * t for t in side.tau], doubled once for the many rows of a 2-D
+    solve.
 
-    f is the front, -1 when there is none.  With merge, lam[p] and
-    succ[p] already hold the other side's candidate, None when it is
-    absent, which the kernel reads before it overwrites them; the
-    candidate wins ties.  check=True asserts _check_top at every state,
-    the ones a run fills included.
+    f is the front, -1 when there is none; top and slack, its lam and
+    slack, are read once each time f moves.  With cols, the line is row
+    `row` of a 2-D table above its bottom row, cols = (left_side, table,
+    row, fronts, tops, slacks, left_of): each state q, n included, first
+    moves column q's front down one row and takes its left term, then
+    takes the right term from the row's front, and the left term wins
+    ties.  Column q's front row is fronts[q], its lam tops[q], None when
+    there is none, and its slack slacks[q], _NO_SLACK when there is
+    none, so its slack test reads one list; its moves are
+    left_of[w] = (LEFT, w).  Only lines without cols fill runs.
+    check=True asserts _check_top at every state, the ones a run fills
+    included, and at every column's front.
     """
     r = side.r
     tau = side.tau
     n = len(r)
-    f = -1 if lam[n] is None else n
+    left = None
+    if cols is None:
+        p = n - 1
+        f = -1 if lam[n] is None else n
+        if f > 0:
+            top = lam[f]
+            slack = top - r[f - 1]
+    else:
+        left_side, table, row, fronts, tops, slacks, left_of = cols
+        rl = left_side.r
+        lthreshold = 2 * left_side.tau[row]
+        below = table[row + 1]
+        # state n has no right term: it takes the left term alone
+        p = n
+        f = -1
     fresh = True
-    p = n - 1
     while p >= 0:
         # the scalar loop; a run fill leaves it, to resume below the run
         for p in range(p, -1, -1):
-            threshold = 2 * tau[p]
+            if cols is not None:
+                # column p gains state row + 1, which leads its front's
+                # group, or starts one, when its lam equals the front's
+                v = below[p]
+                ctop = tops[p]
+                if v is not None and (v == ctop or ctop is None):
+                    fronts[p] = row + 1
+                    tops[p] = ctop = v
+                    slacks[p] = cslack = v - rl[row]
+                else:
+                    cslack = slacks[p]
+                if cslack >= lthreshold:
+                    left = ctop - lthreshold
+                else:
+                    left = None
+                    if ctop is not None:
+                        cf = fronts[p]
+                        while True:
+                            # pop: slide to the smallest index of the
+                            # next lower group
+                            cf -= 1
+                            if cf == row:
+                                cf = -1
+                                ctop = None
+                                cslack = _NO_SLACK
+                                break
+                            ctop = table[cf][p]
+                            while cf - 1 > row and table[cf - 1][p] == ctop:
+                                cf -= 1
+                            cslack = ctop - rl[cf - 1]
+                            if cslack >= lthreshold:
+                                left = ctop - lthreshold
+                                break
+                        fronts[p] = cf
+                        tops[p] = ctop
+                        slacks[p] = cslack
+                if check:
+                    _check_top([line[p] for line in table], rl, left_side.tau, row, fronts[p])
             value = None
-            while f >= 0:
-                top = lam[f]
-                slack = top - r[f - 1]
-                if slack >= threshold:
+            if f >= 0:
+                threshold = 2 * tau[p] if two is None else two[p]
+                while slack < threshold:
+                    # pop: slide to the smallest index of the next lower group
+                    fresh = True
+                    f -= 1
+                    if f == p:
+                        f = -1
+                        break
+                    top = lam[f]
+                    while f - 1 > p and lam[f - 1] == top:
+                        f -= 1
+                    slack = top - r[f - 1]
+                else:
                     value = top - threshold
                     q = f
-                    break
-                # pop: slide to the smallest index of the next lower group
-                fresh = True
-                f -= 1
-                if f == p:
-                    f = -1
-                    break
-                low = lam[f]
-                while f - 1 > p and lam[f - 1] == low:
-                    f -= 1
-            if fresh and value is not None:
-                fresh = False
-                # a run: every state from p down to the lowest whose
-                # threshold slack meets takes top - 2 tau from f; as
-                # lam[p] < top, none of them joins f's group
-                if (
-                    p >= RUN
-                    and slack >= 2 * tau[p - RUN]
-                    and value < top
-                    and (not merge or lam[p] is None or lam[p] < top)
-                ):
-                    a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
-                    vals = _run_values(top, side, a, p + 1)
-                    if merge:
-                        others = lam[a : p + 1]
-                        preds = succ[a : p + 1]
-                        succ[a : p + 1] = [
-                            f if o is None or o < v else w
-                            for o, v, w in zip(others, vals, preds)
-                        ]
-                        lam[a : p + 1] = [
-                            v if o is None or o < v else o for o, v in zip(others, vals)
-                        ]
-                    else:
-                        lam[a : p + 1] = vals
-                        succ[a : p + 1] = [f] * len(vals)
-                    if check:
-                        for s in range(p, a - 1, -1):
-                            _check_top(lam, r, tau, s, f)
-                    p = a - 1
-                    break
-            if check:
+                    if fresh:
+                        fresh = False
+                        # a run: every state from p down to the lowest whose
+                        # threshold slack meets takes top - 2 tau from f; as
+                        # lam[p] < top, none of them joins f's group
+                        if (
+                            cols is None
+                            and p >= RUN
+                            and slack >= 2 * tau[p - RUN]
+                            and value < top
+                        ):
+                            a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
+                            lam[a : p + 1] = _run_values(top, side, a, p + 1)
+                            succ[a : p + 1] = [f] * (p + 1 - a)
+                            if check:
+                                for s in range(p, a - 1, -1):
+                                    _check_top(lam, r, tau, s, f)
+                            p = a - 1
+                            break
+            if check and p < n:
                 _check_top(lam, r, tau, p, f)
-            if merge:
-                other = lam[p]
-                if other is not None and (value is None or other >= value):
-                    value = other
-                    q = succ[p]
+            if left is not None and (value is None or left >= value):
+                value = left
+                q = left_of[fronts[p]]
             if value is not None:
                 lam[p] = value
                 succ[p] = q
                 # an equal value joins the front's group, which p now leads
                 if f < 0 or value == top:
                     f = p
+                    top = value
+                    if p:
+                        slack = value - r[p - 1]
                     fresh = True
         else:
             break
@@ -276,49 +334,36 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     """Front-index solver in O(n_l n_r); lam matches
     solve_distance_2d_cubic.  check=True asserts _check_top for every
     column and row front at every state."""
-    nl = inst.left.n
-    nr = inst.right.n
-    rl, taul = inst.left.r, inst.left.tau
-    # shared left moves for the column step; the row kernel's bare w is a right move
-    left_of = [(LEFT, w) for w in range(nl + 1)]
-    lam = [[None] * (nr + 1) for _ in range(nl + 1)]
-    succ = [[None] * (nr + 1) for _ in range(nl + 1)]
-    lam[nl][nr] = deadline
-    # column fronts serve the left term and live for the whole sweep; an
-    # empty left side steps no column
-    fronts = [-1] * (nr + 1) if nl else []
-    for p in range(nl, -1, -1):
-        lp = lam[p]
-        sp = succ[p]
-        if p < nl:
-            # column step: each column's line gains state p + 1 and
-            # yields its left term at row p
-            threshold = 2 * taul[p]
-            below = lam[p + 1]
-            for q in range(nr + 1):
-                f = fronts[q]
-                v = below[q]
-                if v is not None and (f < 0 or lam[f][q] == v):
-                    f = p + 1
-                while f >= 0:
-                    top = lam[f][q]
-                    if top - rl[f - 1] >= threshold:
-                        lp[q] = top - threshold
-                        sp[q] = left_of[f]
-                        break
-                    f -= 1
-                    if f == p:
-                        f = -1
-                        break
-                    low = lam[f][q]
-                    while f - 1 > p and lam[f - 1][q] == low:
-                        f -= 1
-                fronts[q] = f
-                if check:
-                    _check_top([row[q] for row in lam], rl, taul, p, f)
-        if nr:
-            # the right term along the row; the left term wins ties
-            _distance_line(inst.right, lp, sp, p < nl, check)
+    left = inst.left
+    right = inst.right
+    nl = left.n
+    nr = right.n
+    if not nr:
+        # an empty right side leaves one line, the left side's
+        line = [None] * nl + [deadline]
+        moves = [None] * (nl + 1)
+        _distance_line(left, line, moves, check)
+        left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
+        lam = [[v] for v in line]
+        succ = [[left_of[w]] for w in moves]
+    else:
+        lam = [[None] * (nr + 1) for _ in range(nl + 1)]
+        succ = [[None] * (nr + 1) for _ in range(nl + 1)]
+        lam[nl][nr] = deadline
+        if not nl:
+            _distance_line(right, lam[0], succ[0], check)
+        else:
+            two = [2 * t for t in right.tau]
+            _distance_line(right, lam[nl], succ[nl], check, two)
+            # the left moves, shared; the row kernel's bare w is a right move
+            left_of = [(LEFT, w) for w in range(nl + 1)]
+            # column fronts serve the left term and live for the whole sweep
+            fronts = [-1] * (nr + 1)
+            tops = [None] * (nr + 1)
+            slacks = [_NO_SLACK] * (nr + 1)
+            for p in range(nl - 1, -1, -1):
+                cols = (left, lam, p, fronts, tops, slacks, left_of)
+                _distance_line(right, lam[p], succ[p], check, two, cols)
     trace = DistDpTrace(lam, succ)
     if deadline < 0 or lam[0][0] is None:
         raise Infeasible(f"no plan finishes by {deadline}", trace)

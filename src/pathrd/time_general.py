@@ -30,7 +30,9 @@ advances every column's cursor and window, a deque of (a, w), by one
 row and writes the left term into the row; then one call of _time_line
 merges the row's right term into it in place: O(n_l * n_r) in all.
 The column step advances n_r + 1 lines by one state each, so it is
-written inline rather than as a per-state call of the kernel.
+written inline rather than as a per-state call of the kernel.  A
+left-only instance is one line, the left side's: one call of the
+kernel.
 
 A line of a table whose numbers are all within MAX_MAGNITUDE takes
 blocks.  The states i+1..e with r[e-1] < c[i] are all released before
@@ -442,12 +444,9 @@ def solve_time_2d_minqueue(inst, check=False):
     nr = inst.right.n
     rl = inst.left.r
     taul = inst.left.tau
-    # shared left moves for the column step; the row kernel's bare w is a right move
-    left_of = [(LEFT, w) for w in range(nl + 1)]
-    c = [[0] * (nr + 1) for _ in range(nl + 1)]
     # the origin is the table dtype's zero, as in the cubic baseline
     dt = table_dtype(inst.left, inst.right)
-    c[0][0] = np.zeros((), dt).item()
+    origin = np.zeros((), dt).item()
     # every entry is at most the last release plus one round trip to
     # each side's far end, and every sum a block makes one more such
     # trip: within MAX_MAGNITUDE, int64 and float64 hold them all
@@ -455,6 +454,19 @@ def solve_time_2d_minqueue(inst, check=False):
     sides = [side for side in (inst.left, inst.right) if side.n]
     bound = max((side.r[-1] for side in sides), default=0) + 4 * sum(side.tau[0] for side in sides)
     blocks = dt if bound <= MAX_MAGNITUDE else None
+    if not nr:
+        # an empty right side leaves one line, the left side's
+        line = [origin] + [0] * nl
+        moves = [None] * (nl + 1)
+        _time_line(inst.left, line, moves, False, check, blocks)
+        left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
+        c = [[v] for v in line]
+        pred = [[left_of[w]] for w in moves]
+        return TimeDpTrace(c, pred), _build_solution(inst, c, pred)
+    # shared left moves for the column step; the row kernel's bare w is a right move
+    left_of = [(LEFT, w) for w in range(nl + 1)]
+    c = [[0] * (nr + 1) for _ in range(nl + 1)]
+    c[0][0] = origin
     pred = [[None] * (nr + 1) for _ in range(nl + 1)]
     # per column, for the left term: a cursor over the released rows
     # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
@@ -496,7 +508,6 @@ def solve_time_2d_minqueue(inst, check=False):
                     best, w = win[0]
                 ci[j] = best
                 pi[j] = left_of[w]
-        if nr:
-            # the right term along the row; the left term wins ties
-            _time_line(inst.right, ci, pi, i > 0, check, blocks)
+        # the right term along the row; the left term wins ties
+        _time_line(inst.right, ci, pi, i > 0, check, blocks)
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

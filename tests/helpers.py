@@ -23,12 +23,18 @@ time lines with long runs and with many routes, count_time_block_fills
 lists the time kernel's blocks, and ref_time_line is the time kernel
 as it was before it filled runs, state by state, kept unchanged (apart
 from its name and the window it hands _check_line) as the bitwise
-reference for the block fills.
+reference for the block fills.  ref_distance_2d_heap is the 2-D
+distance solver as it was before its column step moved into the line
+kernel: an inline column step per row, then ref_distance_merge_line,
+the kernel of then, merging the row's right term into the left terms.
+Both are kept unchanged apart from their names, with ref_run_values,
+as the bitwise reference for the fused kernel.
 """
 
 import dataclasses
 import json
 import math
+from bisect import bisect_left
 
 import pytest
 
@@ -48,9 +54,9 @@ from collections import deque
 import numpy as np
 
 from pathrd import distance_general, time_extremity, time_general
-from pathrd.distance_general import RUN
+from pathrd.distance_general import RUN, DistDpTrace, _check_top
 from pathrd.instance import MAX_MAGNITUDE, table_dtype
-from pathrd.solution import LEFT
+from pathrd.solution import LEFT, distance_solution
 from pathrd.time_general import _check_line
 
 EX1_DOC = {
@@ -495,17 +501,18 @@ def ref_distance_line(r, tau, deadline, ext=None, ext_pred=None):
 
 def assert_matches_baseline(fast, baseline, *args):
     """fast(*args, check=True) gives baseline(*args)'s table and plan,
-    or raises Infeasible with the same table."""
+    or raises Infeasible with the same table; returns fast's trace."""
     try:
         want, plan = baseline(*args)
     except Infeasible as exc:
         with pytest.raises(Infeasible) as raised:
             fast(*args, check=True)
         assert raised.value.trace == exc.trace
-        return
+        return raised.value.trace
     got, got_plan = fast(*args, check=True)
     assert got == want
     assert got_plan == plan
+    return got
 
 
 def ref_time_line(r, tau, c, pred, merge=False, check=False):
@@ -640,3 +647,165 @@ def dense_time_sides():
         random_canonical_side(n, seed=seed, max_wait=50, max_step=2)
         for n, seed in ((2500, 801), (4000, 802))
     ]
+
+
+def ref_run_values(top, side, lo, hi):
+    """[top - 2 * t for t in side.tau[lo:hi]], over tau nonincreasing.
+
+    An int top over int64 arrays within MAX_MAGNITUDE gives those exact
+    values and types by one int64 operation over the side's arrays;
+    any other top or arrays take the comprehension.
+    """
+    tau = side.tau
+    tv = side.arrays[1]
+    if (
+        top.__class__ is int
+        and tv.dtype == np.int64
+        and max(abs(top), tau[lo], -tau[hi - 1]) <= MAX_MAGNITUDE
+    ):
+        return (top - 2 * tv[lo:hi]).tolist()
+    return [top - 2 * t for t in tau[lo:hi]]
+
+
+def _ref_minus_two(t):
+    return -2 * t
+
+
+def ref_distance_merge_line(side, lam, succ, merge=False, check=False):
+    """Fill lam[0..n-1] and succ[0..n-1] of side's line from the given
+    lam[n], n = side.n, which may be 0; None marks an absent state, and
+    succ[p] is the raw q the maximum came from.
+
+    f is the front, -1 when there is none.  With merge, lam[p] and
+    succ[p] already hold the other side's candidate, None when it is
+    absent, which the kernel reads before it overwrites them; the
+    candidate wins ties.  check=True asserts _check_top at every state,
+    the ones a run fills included.
+    """
+    r = side.r
+    tau = side.tau
+    n = len(r)
+    f = -1 if lam[n] is None else n
+    fresh = True
+    p = n - 1
+    while p >= 0:
+        # the scalar loop; a run fill leaves it, to resume below the run
+        for p in range(p, -1, -1):
+            threshold = 2 * tau[p]
+            value = None
+            while f >= 0:
+                top = lam[f]
+                slack = top - r[f - 1]
+                if slack >= threshold:
+                    value = top - threshold
+                    q = f
+                    break
+                # pop: slide to the smallest index of the next lower group
+                fresh = True
+                f -= 1
+                if f == p:
+                    f = -1
+                    break
+                low = lam[f]
+                while f - 1 > p and lam[f - 1] == low:
+                    f -= 1
+            if fresh and value is not None:
+                fresh = False
+                # a run: every state from p down to the lowest whose
+                # threshold slack meets takes top - 2 tau from f; as
+                # lam[p] < top, none of them joins f's group
+                if (
+                    p >= RUN
+                    and slack >= 2 * tau[p - RUN]
+                    and value < top
+                    and (not merge or lam[p] is None or lam[p] < top)
+                ):
+                    a = bisect_left(tau, -slack, 0, p - RUN, key=_ref_minus_two)
+                    vals = ref_run_values(top, side, a, p + 1)
+                    if merge:
+                        others = lam[a : p + 1]
+                        preds = succ[a : p + 1]
+                        succ[a : p + 1] = [
+                            f if o is None or o < v else w
+                            for o, v, w in zip(others, vals, preds)
+                        ]
+                        lam[a : p + 1] = [
+                            v if o is None or o < v else o for o, v in zip(others, vals)
+                        ]
+                    else:
+                        lam[a : p + 1] = vals
+                        succ[a : p + 1] = [f] * len(vals)
+                    if check:
+                        for s in range(p, a - 1, -1):
+                            _check_top(lam, r, tau, s, f)
+                    p = a - 1
+                    break
+            if check:
+                _check_top(lam, r, tau, p, f)
+            if merge:
+                other = lam[p]
+                if other is not None and (value is None or other >= value):
+                    value = other
+                    q = succ[p]
+            if value is not None:
+                lam[p] = value
+                succ[p] = q
+                # an equal value joins the front's group, which p now leads
+                if f < 0 or value == top:
+                    f = p
+                    fresh = True
+        else:
+            break
+
+
+def ref_distance_2d_heap(inst, deadline, check=False):
+    """Front-index solver in O(n_l n_r); lam matches
+    solve_distance_2d_cubic.  check=True asserts _check_top for every
+    column and row front at every state."""
+    nl = inst.left.n
+    nr = inst.right.n
+    rl, taul = inst.left.r, inst.left.tau
+    # shared left moves for the column step; the row kernel's bare w is a right move
+    left_of = [(LEFT, w) for w in range(nl + 1)]
+    lam = [[None] * (nr + 1) for _ in range(nl + 1)]
+    succ = [[None] * (nr + 1) for _ in range(nl + 1)]
+    lam[nl][nr] = deadline
+    # column fronts serve the left term and live for the whole sweep; an
+    # empty left side steps no column
+    fronts = [-1] * (nr + 1) if nl else []
+    for p in range(nl, -1, -1):
+        lp = lam[p]
+        sp = succ[p]
+        if p < nl:
+            # column step: each column's line gains state p + 1 and
+            # yields its left term at row p
+            threshold = 2 * taul[p]
+            below = lam[p + 1]
+            for q in range(nr + 1):
+                f = fronts[q]
+                v = below[q]
+                if v is not None and (f < 0 or lam[f][q] == v):
+                    f = p + 1
+                while f >= 0:
+                    top = lam[f][q]
+                    if top - rl[f - 1] >= threshold:
+                        lp[q] = top - threshold
+                        sp[q] = left_of[f]
+                        break
+                    f -= 1
+                    if f == p:
+                        f = -1
+                        break
+                    low = lam[f][q]
+                    while f - 1 > p and lam[f - 1][q] == low:
+                        f -= 1
+                fronts[q] = f
+                if check:
+                    _check_top([row[q] for row in lam], rl, taul, p, f)
+        if nr:
+            # the right term along the row; the left term wins ties
+            ref_distance_merge_line(inst.right, lp, sp, p < nl, check)
+    trace = DistDpTrace(lam, succ)
+    if deadline < 0 or lam[0][0] is None:
+        raise Infeasible(f"no plan finishes by {deadline}", trace)
+    return trace, distance_solution(inst.left, inst.right, lam, succ)

@@ -20,11 +20,13 @@ from pathrd import (
 )
 from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import (
+    _NO_SLACK,
     _check_top,
     _distance_line,
     solve_distance_2d_cubic,
     solve_distance_2d_heap,
 )
+from pathrd.solution import LEFT
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (
@@ -277,14 +279,30 @@ def _plateau_candidates(rng, n, deadline, spread):
     ext = [None] * start
     for value, stop in zip(values, cuts + [n]):
         ext += [value] * (stop - len(ext))
-    return ext, [("other", p) for p in range(n)]
+    return ext, [(LEFT, 1)] * n
+
+
+def _candidate_row(side, lam, succ, ext):
+    """Run _distance_line on row 0 of a two-row table whose left side is
+    one customer at the depot, released no later than any candidate:
+    column q's left term is then row 1's entry itself, ext[q] below
+    the line's states and lam[n] at state n, and its move (LEFT, 1)."""
+    n = side.n
+    low = min((v for v in ext if v is not None), default=0)
+    below = ext + [lam[n]]
+    table = [lam, below]
+    fronts = [-1] * (n + 1)
+    tops = [None] * (n + 1)
+    slacks = [_NO_SLACK] * (n + 1)
+    cols = (line_side([min(low, 0)], [0]), table, 0, fronts, tops, slacks, [(LEFT, 0), (LEFT, 1)])
+    _distance_line(side, lam, succ, check=True, cols=cols)
 
 
 def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
     # lines outside the canonical form's strict order, with and without
     # another side's candidate: they reach the front's slide past a group
-    # of equal lam, and runs that start just below a candidate equal to
-    # the front's lam
+    # of equal lam, and states just below a candidate equal to the
+    # front's lam
     fills = count_run_fills(monkeypatch)
     rng = random.Random(2024)
     for trial in range(200):
@@ -296,10 +314,14 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
         lam = [None] * n + [deadline]
         succ = [None] * (n + 1)
         if trial % 2:
+            # the candidates come in as a column's left terms
             ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
-            lam[:n] = ext
-            succ[:n] = [w if v is not None else None for v, w in zip(ext, ext_pred)]
-        _distance_line(line_side(r, tau), lam, succ, merge=ext is not None, check=True)
+            _candidate_row(line_side(r, tau), lam, succ, ext)
+            # state n takes its column's left term, the deadline itself
+            assert succ[n] == (LEFT, 1)
+            succ[n] = None
+        else:
+            _distance_line(line_side(r, tau), lam, succ, check=True)
         assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)
     assert len(fills) >= 20
 

@@ -11,6 +11,7 @@ from pathrd import (
     canonicalize_side,
     generate_instance,
     oracle_distance,
+    random_canonical_side,
     split_at_depot,
     validate_solution,
 )
@@ -18,7 +19,7 @@ from pathrd import distance_general
 from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import RUN, DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.solution import LEFT
-from pathrd.time_general import solve_time_2d_cubic
+from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 from helpers import (
     EX2_GENERAL,
@@ -27,6 +28,7 @@ from helpers import (
     count_run_fills,
     line_side,
     long_run_sides,
+    ref_distance_2d_heap,
     ref_distance_table,
     rescaled,
     spy_run_values,
@@ -202,21 +204,36 @@ def _near_left(rng, right):
     return CanonicalSide(r=tuple(r), tau=tuple(tau), labels=tuple(range(-n, 0)), riders=((),) * n)
 
 
+def _right_runs(side, row):
+    """(lowest, highest) state of each stretch of more than RUN states of
+    a filled row of lam that take their right term from one successor:
+    the stretches a run fills when the row holds no left term.  The
+    right term at p is the largest row[q] whose slack row[q] - r[q-1]
+    meets 2 tau[p], q > p, at the smallest such q."""
+    runs = []
+    start = last = None
+    for p in range(side.n - 1, -2, -1):
+        best = None
+        if p >= 0:
+            threshold = 2 * side.tau[p]
+            for q in range(p + 1, side.n + 1):
+                v = row[q]
+                if v is not None and v - side.r[q - 1] >= threshold and (best is None or v > row[best]):
+                    best = q
+        if best != last:
+            if last is not None and start - p > RUN:
+                runs.append((p + 1, start))
+            start, last = p, best
+    return runs
+
+
 def test_left_term_wins_inside_right_runs(monkeypatch):
     # the right side's rows hold runs longer than RUN, and the left term
-    # ties or beats them on some of the states a run fills by slice
-    tops = count_run_fills(monkeypatch)
+    # ties or beats them on some of their states; the rows that hold
+    # the left term take those states one by one
+    fills = count_run_fills(monkeypatch)
+    tops = []
     won = []
-    kernel = distance_general._distance_line
-
-    def spied(side, lam, succ, *rest):
-        start = len(tops)
-        kernel(side, lam, succ, *rest)
-        # a run whose top is t fills at least t - RUN..t; a left move
-        # there is still a tuple, a right one a bare index
-        won.extend(t for t in tops[start:] if any(w.__class__ is tuple for w in succ[t - RUN : t + 1]))
-
-    monkeypatch.setattr(distance_general, "_distance_line", spied)
     rng = random.Random(158)
     for scale in (1, 0.37, 0.5):
         for right in long_run_sides():
@@ -224,21 +241,30 @@ def test_left_term_wins_inside_right_runs(monkeypatch):
             inst = GeneralInstance(_near_left(rng, right), right)
             tbest = solve_time_2d_cubic(inst)[1].value
             for deadline in (tbest, tbest + 5 * scale, 2 * tbest + 10):
-                assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
+                trace = assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
+                for row, moves in zip(trace.lam[:-1], trace.succ[:-1]):
+                    for lo, hi in _right_runs(right, row):
+                        tops.append(hi)
+                        # a left move is a tuple, a right one a bare index
+                        if any(w.__class__ is tuple for w in moves[lo : hi + 1]):
+                            won.append(hi)
+    # the bottom rows, which hold no left term, fill their runs by slice
+    assert fills
     assert len(tops) >= 100 and len(won) >= 50
 
 
 def test_merged_row_run_fills_keep_python_values_and_types(monkeypatch):
-    # in rows that hold the left term, a run fill keeps Python's values
-    # and types too, entry for entry against the definition
+    # rows that hold the left term keep Python's values and types too,
+    # entry for entry against the definition; they take their states one
+    # by one, and the bottom rows' run fills reach every branch
     seen = spy_run_values(monkeypatch)
     merged = []
     kernel = distance_general._distance_line
 
-    def spied(side, lam, succ, merge, check):
+    def spied(side, lam, succ, check=False, two=None, cols=None):
         start = len(seen)
-        kernel(side, lam, succ, merge, check)
-        if merge:
+        kernel(side, lam, succ, check, two, cols)
+        if cols is not None:
             merged.extend(seen[start:])
 
     monkeypatch.setattr(distance_general, "_distance_line", spied)
@@ -252,7 +278,8 @@ def test_merged_row_run_fills_keep_python_values_and_types(monkeypatch):
             want_lam, want_succ = ref_distance_table(left, right, deadline)
             assert [typed(row) for row in trace.lam] == [typed(row) for row in want_lam], (name, deadline)
             assert trace.succ == want_succ, (name, deadline)
-    assert set(merged) >= RUN_VALUE_BRANCHES
+    assert merged == []
+    assert set(seen) >= RUN_VALUE_BRANCHES
 
 
 def _flat_side(rng, n):
@@ -273,3 +300,107 @@ def test_heap_matches_cubic_on_flat_sides():
         far = inst.left.tau[0] + inst.right.tau[0]
         for deadline in (tbest - 1, tbest, tbest + far // 2, tbest + 2 * far):
             assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
+
+
+def _frozen_cases():
+    """(name, instance, deadlines) for the bitwise comparison with
+    ref_distance_2d_heap: grid-2d's sides at seeds 1-3, a one-route
+    pair, skinny 30 x 3000 pairs both ways round, the flat sides of
+    test_heap_matches_cubic_on_flat_sides, and smaller pairs rescaled
+    by 0.37 and 0.5 and shifted to near 2**52; each at T* - 1, T* and
+    T* plus slack."""
+    pairs = []
+    for seed in (1, 2, 3):
+        # grid-2d's construction, perfbench/workloads.py
+        left = random_canonical_side(300, 2 * seed, max_wait=50, max_step=2)
+        right = random_canonical_side(300, 2 * seed + 1, max_wait=50, max_step=2)
+        pairs.append((f"grid {seed}", GeneralInstance(left, right)))
+    one, skinny = random_canonical_side(30, 5), random_canonical_side(3000, 6)
+    pairs += [
+        ("one route", GeneralInstance(random_canonical_side(150, 7), random_canonical_side(150, 8))),
+        ("skinny", GeneralInstance(one, skinny)),
+        ("skinny flipped", GeneralInstance(skinny, one)),
+    ]
+    rng = random.Random(2025)
+    for k in range(40):
+        flat = GeneralInstance(_flat_side(rng, rng.randint(1, 30)), _flat_side(rng, rng.randint(1, 30)))
+        pairs.append((f"flat {k}", flat))
+    many = dict(max_wait=50, max_step=2)
+    small = [
+        GeneralInstance(random_canonical_side(60, 9, **many), random_canonical_side(80, 10, **many)),
+        GeneralInstance(random_canonical_side(60, 11), random_canonical_side(80, 12)),
+    ]
+    for scale, shift in ((0.37, 0), (0.5, 0), (1, float(2**52 - 2**20))):
+        for k, inst in enumerate(small):
+            left, right = (rescaled(side, scale, shift) for side in (inst.left, inst.right))
+            pairs.append((f"x{scale} +{shift} {k}", GeneralInstance(left, right)))
+    cases = []
+    for name, inst in pairs:
+        tbest = solve_time_2d_minqueue(inst)[1].value
+        far = inst.left.tau[0] + inst.right.tau[0]
+        cases.append((name, inst, (tbest - 1, tbest, tbest + far)))
+    return cases
+
+
+def _typed_result(solve, inst, deadline, **kwargs):
+    trace, plan = _trace_or_infeasible(solve, inst, deadline, **kwargs)
+    return [typed(row) for row in trace.lam], trace.succ, plan
+
+
+def test_fused_kernel_matches_the_frozen_reference():
+    # the column step inside the line kernel gives the inline column
+    # step's tables, types, moves, Infeasible traces and plans, bit for bit
+    for name, inst, deadlines in _frozen_cases():
+        check = inst.left.n * inst.right.n <= 2000
+        for deadline in deadlines:
+            want = _typed_result(ref_distance_2d_heap, inst, deadline)
+            got = _typed_result(solve_distance_2d_heap, inst, deadline, check=check)
+            assert got == want, (name, deadline)
+
+
+def test_left_only_solve_is_one_kernel_call(monkeypatch):
+    # an empty right side leaves one line, which the kernel fills in one
+    # call on the left side, its moves left ones
+    calls = []
+    kernel = distance_general._distance_line
+
+    def spied(side, *args):
+        calls.append(side)
+        return kernel(side, *args)
+
+    monkeypatch.setattr(distance_general, "_distance_line", spied)
+    side = random_canonical_side(500, 3, max_wait=50, max_step=2)
+    inst = GeneralInstance(side, EMPTY_SIDE)
+    deadline = solve_time_2d_minqueue(inst)[1].value + 7
+    trace, plan = solve_distance_2d_heap(inst, deadline)
+    assert calls == [side]
+    one, one_plan = solve_distance_heap(side, deadline, label=LEFT)
+    assert trace == DistDpTrace([[v] for v in one.lam], [[q if q is None else (LEFT, q)] for q in one.succ])
+    assert plan == one_plan
+
+
+def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
+    # check=True asserts each column's front once per row above the
+    # bottom, and each row state once, the states of a run fill included
+    seen = []
+    check_top = distance_general._check_top
+
+    def spied(line, r, tau, p, f):
+        seen.append((r, p))
+        check_top(line, r, tau, p, f)
+
+    monkeypatch.setattr(distance_general, "_check_top", spied)
+    fills = count_run_fills(monkeypatch)
+    right = long_run_sides()[0]
+    left = line_side([right.r[-1], right.r[-1] + 3], [2, 1])
+    nl, nr = left.n, right.n
+    tbest = solve_time_2d_minqueue(GeneralInstance(left, right))[1].value
+    for deadline in (tbest - 1, tbest, 2 * tbest):
+        seen.clear()
+        _trace_or_infeasible(solve_distance_2d_heap, GeneralInstance(left, right), deadline, check=True)
+        columns = [p for r, p in seen if r is left.r]
+        rows = [p for r, p in seen if r is right.r]
+        assert len(columns) + len(rows) == len(seen)
+        assert columns == [p for p in range(nl - 1, -1, -1) for _ in range(nr + 1)]
+        assert sorted(rows) == sorted(list(range(nr)) * (nl + 1))
+    assert fills

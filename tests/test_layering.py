@@ -5,7 +5,9 @@ ever imports.  The 1-D modules, time_extremity and distance_extremity,
 are views over the 2-D modules that hold each objective's DP, so within
 pathrd only the package's __init__ imports them.  The two DP modules,
 time_general and distance_general, stand apart: neither imports the
-other.
+other.  Every slide of a distance front lives in the line kernel
+_distance_line: solve_distance_2d_heap holds no while loop, so no
+column step grows back inline.
 """
 
 import ast
@@ -63,3 +65,13 @@ def test_the_dp_modules_import_nothing_from_each_other():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and _imported_modules(node) & (dps - {path.stem}):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_distance_solver_slides_no_front_itself():
+    source = (Path(pathrd.__file__).parent / "distance_general.py").read_text()
+    (solver,) = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_distance_2d_heap"
+    ]
+    assert [node.lineno for node in ast.walk(solver) if isinstance(node, ast.While)] == []

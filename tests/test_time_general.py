@@ -91,6 +91,25 @@ def test_one_sided_reduction_matches_extremity_solver():
             assert s3 == solve_time_linear(side, label=LEFT)[1]
 
 
+def test_left_only_solve_is_one_kernel_call(monkeypatch):
+    # an empty right side leaves one line, which the kernel fills in one
+    # call on the left side, its moves left ones
+    calls = []
+    kernel = time_general._time_line
+
+    def spied(side, *args):
+        calls.append(side)
+        return kernel(side, *args)
+
+    monkeypatch.setattr(time_general, "_time_line", spied)
+    side = random_canonical_side(500, 3, max_wait=50, max_step=2)
+    trace, plan = solve_time_2d_minqueue(GeneralInstance(side, EMPTY_SIDE))
+    assert calls == [side]
+    one, one_plan = solve_time_linear(side, label=LEFT)
+    assert trace == time_general.TimeDpTrace([[v] for v in one.c], [[j if j is None else (LEFT, j)] for j in one.pred])
+    assert plan == one_plan
+
+
 def test_all_releases_zero_one_route_per_side():
     left = canonicalize_side([(1, 0, 9), (2, 0, 4)])
     right = canonicalize_side([(3, 0, 7), (4, 0, 2)])
