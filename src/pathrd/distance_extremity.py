@@ -46,5 +46,7 @@ def solve_distance_heap(side, deadline, label=RIGHT, check=False):
     """Linear-time solver, the one row of
     distance_general.solve_distance_2d_heap; lam matches
     solve_distance_quadratic exactly, the empty side included.
-    check=True asserts distance_general._check_top at every state."""
+    check=True asserts distance_general._check_top at every state of
+    the scalar loop and compares a line filled by runs with its fill
+    (_distance_line)."""
     return _row(solve_distance_2d_heap, side, deadline, label, check)

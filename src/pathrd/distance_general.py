@@ -154,14 +154,21 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     there is none, and its slack slacks[q], _NO_SLACK when there is
     none, so its slack test reads one list; its moves are
     left_of[w] = (LEFT, w).  Only lines without cols fill runs.
-    check=True asserts _check_top at every state, the ones a run fills
-    included, and at every column's front.
+
+    check=True fills a line without cols on a copy, taken at entry, as
+    above, with no checks; then fills the line itself by the scalar
+    loop alone, asserting _check_top at every state and at every
+    column's front; and asserts that the two fills are equal, types and
+    succ included.
     """
     r = side.r
     tau = side.tau
     n = len(r)
     left = None
     if cols is None:
+        if check:
+            filled = lam[:], succ[:]
+            _distance_line(side, *filled, False, two)
         p = n - 1
         f = -1 if lam[n] is None else n
         if f > 0:
@@ -241,6 +248,7 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                         # lam[p] < top, none of them joins f's group
                         if (
                             cols is None
+                            and not check
                             and p >= RUN
                             and slack >= 2 * tau[p - RUN]
                             and value < top
@@ -248,9 +256,6 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                             a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
                             lam[a : p + 1] = _run_values(top, side, a, p + 1)
                             succ[a : p + 1] = [f] * (p + 1 - a)
-                            if check:
-                                for s in range(p, a - 1, -1):
-                                    _check_top(lam, r, tau, s, f)
                             p = a - 1
                             break
             if check and p < n:
@@ -270,6 +275,9 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                     fresh = True
         else:
             break
+    if check and cols is None:
+        assert [(v.__class__, v) for v in lam] == [(v.__class__, v) for v in filled[0]]
+        assert succ == filled[1]
 
 
 def _scan(lam, present, r, threshold):
@@ -333,7 +341,8 @@ def solve_distance_2d_cubic(inst, deadline):
 def solve_distance_2d_heap(inst, deadline, check=False):
     """Front-index solver in O(n_l n_r); lam matches
     solve_distance_2d_cubic.  check=True asserts _check_top for every
-    column and row front at every state."""
+    column and row front at every state, and the bottom row's runs
+    against the scalar loop (_distance_line)."""
     left = inst.left
     right = inst.right
     nl = left.n

@@ -39,5 +39,6 @@ def solve_time_linear(side, label=RIGHT, check=False):
     """One-pass solver, the one row of time_general.solve_time_2d_minqueue;
     output matches solve_time_quadratic exactly, the origin c[0] the
     table dtype's zero included.  check=True asserts
-    time_general._check_line at every state."""
+    time_general._check_line at every state of the scalar loop and
+    compares a line filled by blocks with its fill (_time_line)."""
     return _row(solve_time_2d_minqueue, side, label, check)

@@ -50,7 +50,9 @@ released candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends
 once r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from
 its first state, and a one-route line is one chain of blocks.  Lines
 whose blocks are shorter than _BLOCK, such as grid-2d's rows, and
-column steps stay on the scalar loop.
+column steps stay on the scalar loop.  With check=True, a line's
+blocks are checked against the scalar loop's fill of the same line,
+which asserts _check_line at every state.
 """
 
 from bisect import bisect_left, bisect_right
@@ -129,9 +131,16 @@ def _time_line(side, c, pred, merge=False, check=False, dtype=None):
     With dtype, every number of the table is within MAX_MAGNITUDE, and
     each state with a cursor probes for a block, which _time_block
     fills, deciding in dtype, when it is _BLOCK states long.
-    check=True asserts _check_line at every state, the ones a block
-    fills included.
+
+    check=True fills a copy of the line, taken at entry, as above, with
+    no checks; then fills the line itself by the scalar loop alone,
+    asserting _check_line at every state; and asserts that the two
+    fills are equal, types and pred included.
     """
+    if check:
+        filled = c[:], pred[:]
+        _time_line(side, *filled, merge, False, dtype)
+        dtype = None
     # the window: values[head:] and indices[head:] hold the (a_j, j),
     # a_j = c[j] + 2 tau[j], j in (k, i-1], that no later a undercuts,
     # values nondecreasing front to back; equal values all stay so the
@@ -187,12 +196,15 @@ def _time_line(side, c, pred, merge=False, check=False, dtype=None):
             c[i] = best
             pred[i] = bj
             if i < reach and k >= 0 and r[i + _BLOCK - 1] < best:
-                i, k = _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype)
+                i, k = _time_block(side, c, pred, merge, i, k, values, indices, dtype)
                 head = 1
                 i += 1
                 break
         else:
             break
+    if check:
+        assert [(v.__class__, v) for v in c] == [(v.__class__, v) for v in filled[0]]
+        assert pred == filled[1]
 
 
 def _chain(values):
@@ -205,7 +217,7 @@ def _chain(values):
     return np.append(keep, len(values) - 1)
 
 
-def _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype):
+def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
     """Fill blocks from state i on, where the cursor is k >= 0 and a
     block of _BLOCK states starts, and return the last state filled and
     the cursor there; the window lists then hold the window there, head
@@ -222,11 +234,12 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype)
     first record.  The cursors are a searchsorted over c[k+1..i-1],
     skipped for a chunk whose first and last state's bisects give one
     cursor, and the least a past each a lookup in that range's suffix
-    minima.  Blocks
-    follow each other, the next from state e with e's cursor, while
-    they are _BLOCK states long; each is written into c in chunks of
-    _CHUNK states.  The window left behind, the suffix minima of the a
-    past the last cursor, is rebuilt from c once, at the end.
+    minima.  Blocks follow each other, the next from state e with e's
+    cursor, while they are _BLOCK states long; each is written into c
+    in chunks of _CHUNK states.  The window left behind, the suffix
+    minima of the a past the last cursor, is rebuilt from c once, at
+    the end.  It takes no check: _time_line compares the line it fills
+    with the scalar loop's.
 
     Every comparison is made in dtype, int64 for an int table and
     float64 otherwise: both hold every number of the table exactly, and
@@ -244,9 +257,6 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype)
     n = len(r)
     rv, tv = side.arrays
     ints = dtype.kind == "i"
-    if check:
-        start = _snapshot(c, pred, i, n, k, values, indices, head)
-    first = i
     while True:
         e = bisect_left(r, c[i], i, n)
         if e - i < _BLOCK:
@@ -327,15 +337,13 @@ def _time_block(side, c, pred, merge, check, i, k, values, indices, head, dtype)
             lo = hi
         k = bisect_right(c, r[e - 1], base + 1, i) - 1
         i = e
-    if i == n and not check:
+    if i == n:
         # the scalar loop has no state left to read the window
         return i, k
     a = np.fromiter(c[k + 1 : i], dtype, i - k - 1) + 2 * tv[k + 1 : i]
     js = (_chain(a) + (k + 1)).tolist()
     values[:] = [_DEAD] + [c[j] + 2 * tau[j] for j in js]
     indices[:] = [-1] + js
-    if check:
-        _replay(side, c, pred, merge, first, i, start, k, values[1:], indices[1:])
     return i, k
 
 
@@ -355,42 +363,6 @@ def _suffix_minima(a, j0):
         first[keep] = keep
         at[:n] = np.minimum.accumulate(first[::-1])[::-1] + j0
     return least, at
-
-
-def _snapshot(c, pred, i, end, k, values, indices, head):
-    """What _replay needs of a fill of states i+1..end: the cursor and
-    a copy of the window at state i, and the c and pred it finds there."""
-    return k, values[head:], indices[head:], c[i + 1 : end + 1], pred[i + 1 : end + 1]
-
-
-def _replay(side, c, pred, merge, i, end, start, k, values, indices):
-    """Assert that states i+1..end, filled in numpy, hold what the
-    scalar loop writes there, from start, _snapshot's record at state
-    i, state by state, each passing _check_line; and that the scalar
-    loop ends with the cursor k and window (values, indices) the fill
-    left."""
-    r = side.r
-    tau = side.tau
-    at, window, js, other, other_pred = start
-    for m in range(i + 1, end + 1):
-        ri = r[m - 1]
-        a = c[m - 1] + 2 * tau[m - 1]
-        cut = bisect_right(window, a)
-        del window[cut:], js[cut:]
-        window.append(a)
-        js.append(m - 1)
-        while at < m - 1 and c[at + 1] <= ri:
-            at += 1
-            if js[0] <= at:
-                del window[0], js[0]
-        _check_line(c[:m], tau, ri, at, window, js)
-        best, bj = (ri + 2 * tau[at], at) if at >= 0 else (window[0], js[0])
-        if window and window[0] < best:
-            best, bj = window[0], js[0]
-        if merge and other[m - i - 1] <= best:
-            best, bj = other[m - i - 1], other_pred[m - i - 1]
-        assert (best.__class__, best, bj) == (c[m].__class__, c[m], pred[m]), m
-    assert (at, window, js) == (k, values, indices)
 
 
 def _scan(c, r, two_tau):
@@ -435,10 +407,8 @@ def solve_time_2d_cubic(inst):
 def solve_time_2d_minqueue(inst, check=False):
     """Window-and-cursor solver; output matches solve_time_2d_cubic.
 
-    check=True re-verifies every cursor and window against its
-    definition (the released states really form a prefix of the column
-    or row, and the window front is the minimum over the rest), which
-    is what the amortized updates silently rely on.
+    check=True asserts _check_line on every column and row at every
+    state, and each row's blocks against the scalar loop (_time_line).
     """
     nl = inst.left.n
     nr = inst.right.n

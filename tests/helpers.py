@@ -28,7 +28,9 @@ distance solver as it was before its column step moved into the line
 kernel: an inline column step per row, then ref_distance_merge_line,
 the kernel of then, merging the row's right term into the left terms.
 Both are kept unchanged apart from their names, with ref_run_values,
-as the bitwise reference for the fused kernel.
+as the bitwise reference for the fused kernel.  corrupt_time_blocks
+and corrupt_run_values make the numpy and slice fills write wrong
+values or types, which check=True must catch.
 """
 
 import dataclasses
@@ -630,13 +632,50 @@ def count_time_block_fills(monkeypatch):
     blocks = []
     fill = time_general._time_block
 
-    def counted(side, c, pred, merge, check, i, k, *window):
-        last, k = fill(side, c, pred, merge, check, i, k, *window)
+    def counted(side, c, pred, merge, i, k, *window):
+        last, k = fill(side, c, pred, merge, i, k, *window)
         blocks.append((i + 1, last, merge))
         return last, k
 
     monkeypatch.setattr(time_general, "_time_block", counted)
     return blocks
+
+
+# two ways a fill can go wrong: a value off by one, or an int written
+# as a float, equal in value but not in type
+CORRUPTIONS = {"value": lambda v: v - 1, "type": float}
+
+
+def corrupt_time_blocks(monkeypatch, corrupt, merge):
+    """Make every stretch of blocks the time kernel fills, in a row that
+    holds the left term or not as merge says, write corrupt(c) at its
+    last state; the list returned gains that state at each."""
+    hits = []
+    fill = time_general._time_block
+
+    def corrupted(side, c, pred, merged, i, k, *window):
+        last, k = fill(side, c, pred, merged, i, k, *window)
+        if merged == merge:
+            c[last] = corrupt(c[last])
+            hits.append(last)
+        return last, k
+
+    monkeypatch.setattr(time_general, "_time_block", corrupted)
+    return hits
+
+
+def corrupt_run_values(monkeypatch, corrupt):
+    """Make every distance run fill write corrupt(v) for each value v;
+    the list returned gains each run's top and bottom state."""
+    hits = []
+    fill = distance_general._run_values
+
+    def corrupted(top, side, lo, hi):
+        hits.append((hi - 1, lo))
+        return [corrupt(v) for v in fill(top, side, lo, hi)]
+
+    monkeypatch.setattr(distance_general, "_run_values", corrupted)
+    return hits
 
 
 def dense_time_sides():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathrd.cli as cli
-from pathrd import parse_instance
+from pathrd import Infeasible, parse_instance
 from pathrd.cli import BENCH_HEADER, main
 
 from helpers import EX1_DOC, EX2_DOC
@@ -445,6 +445,28 @@ def test_validate_infeasible_report_passes(x1_path, tmp_path, capsys):
     )
     assert code == 0
     assert "infeasible" in out
+    assert "time optimum 31" in out
+
+
+# two customers and float numbers, whose time plan has makespan 31.08
+FLOAT_DOC = {
+    "vertices": [{"id": 0}, {"id": 1, "release": 21.09}, {"id": 2, "release": 14.06}],
+    "edges": [{"u": 0, "v": 1, "d": 2.96}, {"u": 1, "v": 2, "d": 2.59}],
+    "depot": 0,
+}
+
+
+def test_validate_refutes_infeasible_claim_with_the_time_plan(tmp_path, capsys):
+    # the time plan meets 31.08, so a claim that no plan does is false,
+    # whatever the distance solver makes of the document
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(FLOAT_DOC))
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"status": "infeasible", "objective": "distance", "deadline": 31.08}))
+    code, out, err = run(["validate", "--instance", str(doc_path), "--solution", str(report_path)], capsys)
+    assert code == 1
+    assert "1 violations" in out
+    assert "makespan 31.08 by deadline 31.08" in err
 
 
 def test_validate_refutes_false_infeasible_claim(x1_path, tmp_path, capsys):
@@ -651,6 +673,23 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
     assert code == 3
     assert "0 mismatches" not in out
     assert "disagreement" in err
+
+
+def test_crosscheck_reports_distance_solvers_that_agree_on_no_plan(capsys, monkeypatch):
+    # both distance solvers agree, but every deadline from the time
+    # optimum on has a plan
+    def no_plan(inst, deadline, check=False):
+        raise Infeasible("no plan")
+
+    monkeypatch.setattr(cli, "SOLVERS", tuple(
+        s._replace(op=no_plan) if s.objective == "distance" else s for s in cli.SOLVERS
+    ))
+    code, _, err = run(
+        ["crosscheck", "--count", "3", "--seed", "2", "--objective", "distance"], capsys
+    )
+    assert code == 3
+    assert "disagreement" not in err
+    assert "value None, time optimum" in err
 
 
 @pytest.mark.parametrize(

@@ -30,8 +30,10 @@ from pathrd.solution import LEFT
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (
+    CORRUPTIONS,
     EX1_SIDE,
     assert_matches_baseline,
+    corrupt_run_values,
     count_run_fills,
     line_side,
     long_run_sides,
@@ -341,6 +343,29 @@ def test_run_fills_keep_python_values_and_types(monkeypatch):
             assert succ == want_succ, (name, deadline)
         assert len(seen) > before, name
     assert set(seen) >= RUN_VALUE_BRANCHES
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_check_catches_a_bad_run(how, monkeypatch):
+    # a run fill that writes every value off by one, or every int as a
+    # float, passes unseen without check, and fails the comparison with
+    # the scalar loop's fill with it
+    hits = corrupt_run_values(monkeypatch, CORRUPTIONS[how])
+    caught = 0
+    for side in long_run_sides():
+        t = solve_time_linear(side)[1].value
+        for deadline in (t, 2 * t):
+            del hits[:]
+            try:
+                solve_distance_heap(side, deadline)
+            except Infeasible:
+                # a value off by one can leave no plan
+                pass
+            if hits:
+                caught += 1
+                with pytest.raises(AssertionError):
+                    solve_distance_heap(side, deadline, check=True)
+    assert caught >= 7
 
 
 def test_check_top_rejects_a_front_past_its_groups_smallest_index():

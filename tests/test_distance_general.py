@@ -22,9 +22,11 @@ from pathrd.solution import LEFT
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 from helpers import (
+    CORRUPTIONS,
     EX2_GENERAL,
     RUN_VALUE_BRANCHES,
     assert_matches_baseline,
+    corrupt_run_values,
     count_run_fills,
     line_side,
     long_run_sides,
@@ -404,3 +406,22 @@ def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
         assert columns == [p for p in range(nl - 1, -1, -1) for _ in range(nr + 1)]
         assert sorted(rows) == sorted(list(range(nr)) * (nl + 1))
     assert fills
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_check_catches_a_bad_run_in_the_bottom_row(how, monkeypatch):
+    # the bottom row's run fills are compared with the scalar loop's
+    # fill of the same row
+    hits = corrupt_run_values(monkeypatch, CORRUPTIONS[how])
+    caught = 0
+    for right in long_run_sides():
+        inst = GeneralInstance(line_side([right.r[-1]], [1]), right)
+        t = solve_time_2d_minqueue(inst)[1].value
+        for deadline in (t, 2 * t):
+            del hits[:]
+            _trace_or_infeasible(solve_distance_2d_heap, inst, deadline)
+            if hits:
+                caught += 1
+                with pytest.raises(AssertionError):
+                    solve_distance_2d_heap(inst, deadline, check=True)
+    assert caught >= 7

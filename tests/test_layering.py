@@ -7,13 +7,18 @@ pathrd only the package's __init__ imports them.  The two DP modules,
 time_general and distance_general, stand apart: neither imports the
 other.  Every slide of a distance front lives in the line kernel
 _distance_line: solve_distance_2d_heap holds no while loop, so no
-column step grows back inline.
+column step grows back inline.  Only the scalar loops assert the
+invariants, _check_line and _check_top; a numpy or slice fill is
+checked against the scalar loop's fill of the same line, so it takes
+no check of its own.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pathrd
+from pathrd import distance_general, time_general
 
 SOURCES = sorted(Path(pathrd.__file__).parent.glob("*.py"))
 VIEWS = {"time_extremity", "distance_extremity"}
@@ -75,3 +80,24 @@ def test_the_distance_solver_slides_no_front_itself():
         if isinstance(node, ast.FunctionDef) and node.name == "solve_distance_2d_heap"
     ]
     assert [node.lineno for node in ast.walk(solver) if isinstance(node, ast.While)] == []
+
+
+def test_only_the_scalar_loops_assert_the_invariants():
+    callers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                callers |= {
+                    (path.stem, node.name, sub.func.id)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id in ("_check_line", "_check_top")
+                }
+    assert callers == {
+        ("time_general", "_time_line", "_check_line"),
+        ("time_general", "solve_time_2d_minqueue", "_check_line"),
+        ("distance_general", "_distance_line", "_check_top"),
+    }
+    for fill in (time_general._time_block, distance_general._run_values):
+        assert "check" not in inspect.signature(fill).parameters

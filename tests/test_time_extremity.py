@@ -19,8 +19,10 @@ from pathrd import (
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 
 from helpers import (
+    CORRUPTIONS,
     EX1_SIDE,
     SHORT_BLOCK,
+    corrupt_time_blocks,
     count_time_block_fills,
     dense_time_sides,
     long_time_run_sides,
@@ -340,6 +342,19 @@ def test_check_asserts_every_state_a_block_fills(monkeypatch):
     solve_time_linear(side, check=True)
     assert _filled(blocks) > 500
     assert sorted(states) == list(range(1, side.n + 1))
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_check_catches_a_bad_block(how, monkeypatch):
+    # a block that writes one value wrong, or one int as a float, passes
+    # unseen without check, and fails the comparison with the scalar
+    # loop's fill with it
+    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how], merge=False)
+    side = dense_time_sides()[0]
+    solve_time_linear(side)
+    assert hits
+    with pytest.raises(AssertionError):
+        solve_time_linear(side, check=True)
 
 
 def test_near_2_53_sweep_matches_reference(monkeypatch):

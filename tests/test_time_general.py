@@ -18,11 +18,13 @@ from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 from helpers import (
+    CORRUPTIONS,
     EX1_SIDE,
     EX2_GENERAL,
     EX2_LEFT,
     LEFT_CUT_CUSTOMER,
     SHORT_BLOCK,
+    corrupt_time_blocks,
     count_time_block_fills,
     dense_time_sides,
     line_side,
@@ -249,6 +251,18 @@ def test_merged_row_blocks_match_cubic(chunk, monkeypatch):
     assert len(merged) == 2
     first, last = merged[1]
     assert {type(tm.pred[2][j]) for j in range(first, last + 1)} == {int, tuple}
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_check_catches_a_bad_block_in_a_merged_row(how, monkeypatch):
+    # the blocks of the rows that hold the left term are compared with
+    # the scalar loop's fill of the same row, the left term included
+    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how], merge=True)
+    inst = GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])
+    solve_time_2d_minqueue(inst)
+    assert hits
+    with pytest.raises(AssertionError):
+        solve_time_2d_minqueue(inst, check=True)
 
 
 def test_left_term_inside_a_one_cursor_chunk(monkeypatch):
