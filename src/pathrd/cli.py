@@ -317,19 +317,17 @@ def cmd_generate(args):
     return 0
 
 
-def _crosscheck(inst, objective, deadline=None):
+def _crosscheck(inst, objective, deadline=None, optimum=None):
     """Run the objective's baseline and fast solver once each, None
     standing for a solver that finds no plan, and validate each plan;
     returns the baseline's value and one message per fault: a plan that
     fails validation, solvers that disagree, a distance solver that
-    finds a plan when the time optimum misses the deadline or none when
-    it meets it, or, on instances small enough, a value other than the
-    oracle's."""
+    finds a plan when the time optimum, optimum, misses the deadline or
+    none when it meets it, or, on instances small enough, a value other
+    than the oracle's."""
     values = {}
     problems = []
     where = objective if deadline is None else f"deadline {deadline}"
-    if objective == DISTANCE:
-        optimum = _run(_pick_solver(TIME, FAST), inst)[1].value
     for solver in SOLVERS:
         if solver.objective != objective:
             continue
@@ -376,9 +374,12 @@ def cmd_crosscheck(args):
         if args.objective in ("distance", "both"):
             if makespan is None:
                 makespan = _run(_pick_solver(TIME, BASELINE), inst)[1].value
+            # the fast time optimum, once per instance, decides which
+            # deadlines have a plan
+            optimum = _run(_pick_solver(TIME, FAST), inst)[1].value
             # span infeasible through slack around the optimal makespan
             for deadline in (makespan - 1, makespan, rng.randint(*_slack_deadlines(makespan))):
-                problems.extend(_crosscheck(inst, DISTANCE, deadline)[1])
+                problems.extend(_crosscheck(inst, DISTANCE, deadline, optimum)[1])
         if problems:
             mismatches += 1
             print(f"mismatch on instance seed {seed}:", file=sys.stderr)

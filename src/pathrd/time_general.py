@@ -24,15 +24,21 @@ a = c[w] + 2 tau[w+1], kept monotone, its back popped while larger than
 a new entry and its front popped once the cursor passes it.  Each entry
 is pushed and popped at most once, so a state costs O(1) amortized.
 The kernel _time_line runs one line that way, its window two flat
-lists, values and indices, read from a head index.  The fast solver is
-that kernel plus a column step.  Row by row, the column step first
-advances every column's cursor and window, a deque of (a, w), by one
-row and writes the left term into the row; then one call of _time_line
-merges the row's right term into it in place: O(n_l * n_r) in all.
-The column step advances n_r + 1 lines by one state each, so it is
-written inline rather than as a per-state call of the kernel.  A
-left-only instance is one line, the left side's: one call of the
-kernel.
+lists, values and indices, read from a head index.  The fast solver
+runs it once per line: column 0, the left side's line, then each row,
+the right side's, from row 0 on, in one sweep per row.  Above row 0,
+each state j first advances column j's line by one state, the row
+below, and takes the left term, then takes the right term from the
+row's own cursor and window, the left term winning ties: O(n_l * n_r)
+in all.
+Each column's cursor, head and window lists live in lists the solver
+passes in, so every cursor and window rule is written once, in the
+kernel, and each side's doubled taus are computed once per solve.  Row
+0 never decreases, so past a column whose first state is not released
+at a row no column's is, and the kernel skips those cursors.  A state
+not yet filled holds _UNSET, above every release, so the cursors stop
+at it without a bound test.  A left-only instance is one line, the left
+side's: one call of the kernel.
 
 A line of a table whose numbers are all within MAX_MAGNITUDE takes
 blocks.  The states i+1..e with r[e-1] < c[i] are all released before
@@ -48,15 +54,18 @@ they are _BLOCK states long; the window lists are rebuilt once, when
 the scalar loop resumes.  A stretch where the cursor k holds and its
 released candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends
 once r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from
-its first state, and a one-route line is one chain of blocks.  Lines
-whose blocks are shorter than _BLOCK, such as grid-2d's rows, and
-column steps stay on the scalar loop.  With check=True, a line's
-blocks are checked against the scalar loop's fill of the same line,
-which asserts _check_line at every state.
+its first state, and a one-route line is one chain of blocks.  In a
+row above row 0, the state that probes a block first takes the column
+steps of the rest of the row, writing their left terms into the row,
+and the block merges them as the other side's candidates.  Lines whose
+blocks are shorter than _BLOCK, such as grid-2d's rows, stay on the
+scalar loop.  With check=True, each line is filled twice, once as
+above on a copy, its columns' lines copied too, and once by the scalar
+loop, which asserts _check_line at every state and every column, and
+the two fills must be equal.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +92,10 @@ _NONE = 2**62
 
 # the value of a dead window entry, below every a
 _DEAD = float("-inf")
+
+# the value of a state not yet filled, above every release: it stops the
+# cursors
+_UNSET = float("inf")
 
 # the window lists drop their dead entries once these outnumber the
 # live ones, and there are more than this many
@@ -120,27 +133,62 @@ def _check_line(line, tau, release, k, values, indices):
     assert list(zip(values, indices)) == chain[::-1]
 
 
-def _time_line(side, c, pred, merge=False, check=False, dtype=None):
+def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     """Fill c[1..n] and pred[1..n] of side's line from the given c[0],
-    n = side.n; pred[i] is the raw j the minimum was taken at.
-
-    With merge, c[i] and pred[i] already hold the other side's
-    candidate, which the kernel reads before it overwrites them; the
-    candidate wins ties.  c[0] may exceed the first releases, so the
+    n = side.n; pred[i] is the raw j the minimum was taken at.  c[1..n]
+    hold _UNSET on entry.  c[0] may exceed the first releases, so the
     cursor starts at -1 and state 0 enters the window like any other.
-    With dtype, every number of the table is within MAX_MAGNITUDE, and
-    each state with a cursor probes for a block, which _time_block
-    fills, deciding in dtype, when it is _BLOCK states long.
+    two, when given, is [2 * t for t in side.tau], doubled once for the
+    many rows of a 2-D solve.  With dtype, every number of the table is
+    within MAX_MAGNITUDE, and each state with a cursor probes for a
+    block, which _time_block fills, deciding in dtype, when it is
+    _BLOCK states long.
+
+    With cols, the line is row `row` >= 1 of a 2-D table whose column 0
+    is filled, cols = (left_side, table, row, left_two, left_of,
+    cursors, heads, values, indices): each state i first advances
+    column i's line by one state, row - 1, and takes its left term, then
+    takes the right term from the row's own cursor and window, the left
+    term winning ties.  Column i's cursor is cursors[i] and its window
+    values[i][heads[i]:] and indices[i][heads[i]:], kept as the row's
+    own; left_two doubles left_side.tau, and the left moves are
+    left_of[w] = (LEFT, w).  A state that probes a block first takes
+    the column steps of the rest of the row, writing their left terms
+    into c and pred, where _time_block reads them as the other side's
+    candidates, and the states past the block read them there too.
 
     check=True fills a copy of the line, taken at entry, as above, with
-    no checks; then fills the line itself by the scalar loop alone,
-    asserting _check_line at every state; and asserts that the two
-    fills are equal, types and pred included.
+    no checks, its columns' lines copied too; then fills the line itself
+    by the scalar loop alone, asserting _check_line at every state and
+    every column; and asserts that the two fills are equal, types and
+    pred included.
     """
     if check:
         filled = c[:], pred[:]
-        _time_line(side, *filled, merge, False, dtype)
+        # the copy steps copies of the columns' lines; their cursors stop
+        # at this row's states, _UNSET until the copy is done
+        copied = None
+        if cols is not None:
+            *shared, ks, heads, vs, ws = cols
+            copied = (*shared, ks[:], heads[:], [v[:] for v in vs], [w[:] for w in ws])
+        _time_line(side, *filled, False, dtype, two, copied)
         dtype = None
+    r = side.r
+    tau = side.tau
+    n = len(r)
+    # merged: the line holds the left term; stepping: each state takes
+    # its column step before the right term, until a block is probed;
+    # only: the rest of the row takes its column steps alone, for the
+    # block; released: no column so far lacks a released state
+    merged = stepping = cols is not None
+    only = False
+    released = True
+    if stepping:
+        left_side, table, row, left_two, left_of, cursors, heads, cvalues, cindices = cols
+        lrow = row - 1
+        lr = left_side.r[lrow]
+        up = table[lrow]
+        la = left_two[lrow]
     # the window: values[head:] and indices[head:] hold the (a_j, j),
     # a_j = c[j] + 2 tau[j], j in (k, i-1], that no later a undercuts,
     # values nondecreasing front to back; equal values all stay so the
@@ -150,26 +198,74 @@ def _time_line(side, c, pred, merge=False, check=False, dtype=None):
     indices = [-1]
     head = 1
     k = -1
-    r = side.r
-    tau = side.tau
-    n = len(r)
     # blocks start before state reach
     reach = n + 1 - _BLOCK if dtype is not None and n >= _BLOCK else 0
     i = 1
     while i <= n:
         # the scalar loop; a block leaves it, to resume past the block
         for i in range(i, n + 1):
+            if stepping:
+                # column i's line gains state lrow and gives the left term
+                cv = cvalues[i]
+                cw = cindices[i]
+                a = up[i] + la
+                while cv[-1] > a:
+                    cv.pop()
+                    cw.pop()
+                cv.append(a)
+                cw.append(lrow)
+                if released:
+                    ck = cursors[i]
+                    ch = heads[i]
+                    while table[ck + 1][i] <= lr:
+                        ck += 1
+                        if cw[ch] <= ck:
+                            cv[ch] = _DEAD
+                            ch += 1
+                            if ch > _COMPACT and ch + ch > len(cv):
+                                del cv[: ch - 1]
+                                del cw[: ch - 1]
+                                ch = 1
+                    cursors[i] = ck
+                    heads[i] = ch
+                    if ck >= 0:
+                        left = lr + left_two[ck]
+                        lw = ck
+                        if ck < lrow and cv[ch] < left:
+                            left = cv[ch]
+                            lw = cw[ch]
+                    else:
+                        released = False
+                        left = cv[ch]
+                        lw = cw[ch]
+                else:
+                    # row 0 never decreases, so past a column whose
+                    # first state is not released no column's is: its
+                    # cursor is -1 and its window whole, from head 1
+                    left = cv[1]
+                    lw = cw[1]
+                if only:
+                    c[i] = left
+                    pred[i] = left_of[lw]
+                    continue
+            elif merged:
+                # the column step was taken before the block
+                left = c[i]
+                lw = pred[i][1]
+                c[i] = _UNSET
             last = i - 1
             ri = r[last]
-            a = c[last] + 2 * tau[last]
+            a = c[last] + (2 * tau[last] if two is None else two[last])
             while values[-1] > a:
                 values.pop()
                 indices.pop()
             values.append(a)
             indices.append(last)
             # grow the released region; its best candidate is always j = k
-            # because tau strictly decreases
-            while k < last and c[k + 1] <= ri:
+            # because tau strictly decreases.  c[i] is _UNSET, which ends
+            # the loop at k = last at the latest, as table[row][i] ends
+            # the column's
+            while c[k + 1] <= ri:
                 k += 1
                 if indices[head] <= k:
                     values[head] = _DEAD
@@ -179,10 +275,13 @@ def _time_line(side, c, pred, merge=False, check=False, dtype=None):
                         del indices[: head - 1]
                         head = 1
             if check:
+                if stepping:
+                    ch = heads[i]
+                    _check_line([line[i] for line in table[:row]], left_side.tau, lr, cursors[i], cv[ch:], cw[ch:])
                 _check_line(c[:i], tau, ri, k, values[head:], indices[head:])
             # the window holds state last until the cursor reaches it
             if k >= 0:
-                best = ri + 2 * tau[k]
+                best = ri + (2 * tau[k] if two is None else two[k])
                 bj = k
                 if k < last and values[head] < best:
                     best = values[head]
@@ -190,18 +289,30 @@ def _time_line(side, c, pred, merge=False, check=False, dtype=None):
             else:
                 best = values[head]
                 bj = indices[head]
-            if merge and c[i] <= best:
-                best = c[i]
-                bj = pred[i]
+            if merged and left <= best:
+                best = left
+                bj = left_of[lw]
             c[i] = best
             pred[i] = bj
             if i < reach and k >= 0 and r[i + _BLOCK - 1] < best:
-                i, k = _time_block(side, c, pred, merge, i, k, values, indices, dtype)
+                if stepping:
+                    # the block reads its states' left terms from the
+                    # line: take the rest of the row's column steps first
+                    probe = i
+                    only = True
+                    continue
+                i, k = _time_block(side, c, pred, merged, i, k, values, indices, dtype)
                 head = 1
                 i += 1
                 break
         else:
-            break
+            if not only:
+                break
+            # every state past the probe holds its left term
+            stepping = only = False
+            i, k = _time_block(side, c, pred, True, probe, k, values, indices, dtype)
+            head = 1
+            i += 1
     if check:
         assert [(v.__class__, v) for v in c] == [(v.__class__, v) for v in filled[0]]
         assert pred == filled[1]
@@ -407,77 +518,55 @@ def solve_time_2d_cubic(inst):
 def solve_time_2d_minqueue(inst, check=False):
     """Window-and-cursor solver; output matches solve_time_2d_cubic.
 
-    check=True asserts _check_line on every column and row at every
-    state, and each row's blocks against the scalar loop (_time_line).
+    One call of _time_line fills column 0, the left side's line, and one
+    per row the row's other states, each above row 0 taking its column's
+    step too.  check=True asserts _check_line on every column and row at
+    every state, and each line's blocks against the scalar loop.
     """
-    nl = inst.left.n
-    nr = inst.right.n
-    rl = inst.left.r
-    taul = inst.left.tau
+    left = inst.left
+    right = inst.right
+    nl = left.n
+    nr = right.n
     # the origin is the table dtype's zero, as in the cubic baseline
-    dt = table_dtype(inst.left, inst.right)
+    dt = table_dtype(left, right)
     origin = np.zeros((), dt).item()
     # every entry is at most the last release plus one round trip to
     # each side's far end, and every sum a block makes one more such
     # trip: within MAX_MAGNITUDE, int64 and float64 hold them all
-    # exactly, so the rows take blocks, in the table's dtype
-    sides = [side for side in (inst.left, inst.right) if side.n]
+    # exactly, so the lines take blocks, in the table's dtype
+    sides = [side for side in (left, right) if side.n]
     bound = max((side.r[-1] for side in sides), default=0) + 4 * sum(side.tau[0] for side in sides)
     blocks = dt if bound <= MAX_MAGNITUDE else None
+    # each side's doubled taus, once per solve, when the table has more
+    # than one line
+    left_two = [2 * t for t in left.tau] if nr else None
+    right_two = [2 * t for t in right.tau] if nl else None
+    # column 0, the left side's line: the whole table when the right
+    # side is empty
+    line = [origin] + [_UNSET] * nl
+    moves = [None] * (nl + 1)
+    _time_line(left, line, moves, check, blocks, left_two)
     if not nr:
-        # an empty right side leaves one line, the left side's
-        line = [origin] + [0] * nl
-        moves = [None] * (nl + 1)
-        _time_line(inst.left, line, moves, False, check, blocks)
         left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
         c = [[v] for v in line]
         pred = [[left_of[w]] for w in moves]
         return TimeDpTrace(c, pred), _build_solution(inst, c, pred)
-    # shared left moves for the column step; the row kernel's bare w is a right move
+    # the left moves, shared; the row kernel's bare w is a right move
     left_of = [(LEFT, w) for w in range(nl + 1)]
-    c = [[0] * (nr + 1) for _ in range(nl + 1)]
-    c[0][0] = origin
-    pred = [[None] * (nr + 1) for _ in range(nl + 1)]
-    # per column, for the left term: a cursor over the released rows
-    # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
-    # _time_line; an empty left side steps no column
-    cols = range(nr + 1) if nl else ()
-    kl = [-1 for _ in cols]
-    wl = [deque() for _ in cols]
+    c = [[_UNSET] * (nr + 1) for _ in line]
+    pred = [[None] * (nr + 1) for _ in line]
     for i in range(nl + 1):
-        ci = c[i]
-        pi = pred[i]
-        if i:
-            # column step: each column's line gains state i - 1 and
-            # yields its left term at row i
-            last = i - 1
-            ri = rl[last]
-            up = c[last]
-            two = 2 * taul[last]
-            for j in range(nr + 1):
-                win = wl[j]
-                a = up[j] + two
-                while win and win[-1][0] > a:
-                    win.pop()
-                win.append((a, last))
-                k = kl[j]
-                while k < last and c[k + 1][j] <= ri:
-                    k += 1
-                    if win[0][1] <= k:
-                        win.popleft()
-                kl[j] = k
-                if check:
-                    line = [c[w][j] for w in range(i)]
-                    _check_line(line, taul, ri, k, [v for v, _ in win], [w for _, w in win])
-                if k >= 0:
-                    best = ri + 2 * taul[k]
-                    w = k
-                    if win and win[0][0] < best:
-                        best, w = win[0]
-                else:
-                    best, w = win[0]
-                ci[j] = best
-                pi[j] = left_of[w]
-        # the right term along the row; the left term wins ties
-        _time_line(inst.right, ci, pi, i > 0, check, blocks)
+        c[i][0] = line[i]
+        pred[i][0] = left_of[moves[i]] if i else None
+    _time_line(right, c[0], pred[0], check, blocks, right_two)
+    if nl:
+        # columns 1..nr serve the left term and live for the whole
+        # sweep: a cursor and a window each, kept as in _time_line
+        cursors = [-1] * (nr + 1)
+        heads = [1] * (nr + 1)
+        values = [[_DEAD] for _ in range(nr + 1)]
+        indices = [[-1] for _ in range(nr + 1)]
+        for i in range(1, nl + 1):
+            cols = (left, c, i, left_two, left_of, cursors, heads, values, indices)
+            _time_line(right, c[i], pred[i], check, blocks, right_two, cols)
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

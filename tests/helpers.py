@@ -23,12 +23,19 @@ time lines with long runs and with many routes, count_time_block_fills
 lists the time kernel's blocks, and ref_time_line is the time kernel
 as it was before it filled runs, state by state, kept unchanged (apart
 from its name and the window it hands _check_line) as the bitwise
-reference for the block fills.  ref_distance_2d_heap is the 2-D
-distance solver as it was before its column step moved into the line
-kernel: an inline column step per row, then ref_distance_merge_line,
-the kernel of then, merging the row's right term into the left terms.
-Both are kept unchanged apart from their names, with ref_run_values,
-as the bitwise reference for the fused kernel.  corrupt_time_blocks
+reference for the block fills.  ref_time_2d_minqueue is the 2-D time
+solver as it was before its column step moved into the line kernel:
+an inline column step per row, each column's window a deque of (a, w),
+then the row kernel merging the row's right term into the left terms,
+here ref_time_line, which the block fills matched bit for bit.  It is
+kept unchanged apart from its name and that kernel call, as the
+bitwise reference for the fused time kernel.  ref_distance_2d_heap is
+the 2-D distance solver as it was before its column step moved into
+the line kernel: an inline column step per row, then
+ref_distance_merge_line, the kernel of then, merging the row's right
+term into the left terms.  Both are kept unchanged apart from their
+names, with ref_run_values, as the bitwise reference for the fused
+kernel.  corrupt_time_blocks
 and corrupt_run_values make the numpy and slice fills write wrong
 values or types, which check=True must catch.
 """
@@ -58,8 +65,8 @@ import numpy as np
 from pathrd import distance_general, time_extremity, time_general
 from pathrd.distance_general import RUN, DistDpTrace, _check_top
 from pathrd.instance import MAX_MAGNITUDE, table_dtype
-from pathrd.solution import LEFT, distance_solution
-from pathrd.time_general import _check_line
+from pathrd.solution import LEFT, distance_solution, time_solution
+from pathrd.time_general import TimeDpTrace, _check_line
 
 EX1_DOC = {
     "vertices": [
@@ -569,6 +576,78 @@ def ref_time_tables(side):
     pred = [None] * (side.n + 1)
     ref_time_line(side.r, side.tau, c, pred)
     return c, pred
+
+
+def ref_time_2d_minqueue(inst, check=False):
+    """Window-and-cursor solver; output matches solve_time_2d_cubic.
+
+    check=True asserts _check_line on every column and row at every
+    state.
+    """
+    nl = inst.left.n
+    nr = inst.right.n
+    rl = inst.left.r
+    taul = inst.left.tau
+    # the origin is the table dtype's zero, as in the cubic baseline
+    dt = table_dtype(inst.left, inst.right)
+    origin = np.zeros((), dt).item()
+    if not nr:
+        # an empty right side leaves one line, the left side's
+        line = [origin] + [0] * nl
+        moves = [None] * (nl + 1)
+        ref_time_line(rl, taul, line, moves, False, check)
+        left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
+        c = [[v] for v in line]
+        pred = [[left_of[w]] for w in moves]
+        return TimeDpTrace(c, pred), time_solution(inst.left, inst.right, c, pred)
+    # shared left moves for the column step; the row kernel's bare w is a right move
+    left_of = [(LEFT, w) for w in range(nl + 1)]
+    c = [[0] * (nr + 1) for _ in range(nl + 1)]
+    c[0][0] = origin
+    pred = [[None] * (nr + 1) for _ in range(nl + 1)]
+    # per column, for the left term: a cursor over the released rows
+    # and a window of (a, w), a = c[w][j] + 2 taul[w], kept as in
+    # _time_line; an empty left side steps no column
+    cols = range(nr + 1) if nl else ()
+    kl = [-1 for _ in cols]
+    wl = [deque() for _ in cols]
+    for i in range(nl + 1):
+        ci = c[i]
+        pi = pred[i]
+        if i:
+            # column step: each column's line gains state i - 1 and
+            # yields its left term at row i
+            last = i - 1
+            ri = rl[last]
+            up = c[last]
+            two = 2 * taul[last]
+            for j in range(nr + 1):
+                win = wl[j]
+                a = up[j] + two
+                while win and win[-1][0] > a:
+                    win.pop()
+                win.append((a, last))
+                k = kl[j]
+                while k < last and c[k + 1][j] <= ri:
+                    k += 1
+                    if win[0][1] <= k:
+                        win.popleft()
+                kl[j] = k
+                if check:
+                    line = [c[w][j] for w in range(i)]
+                    _check_line(line, taul, ri, k, [v for v, _ in win], [w for _, w in win])
+                if k >= 0:
+                    best = ri + 2 * taul[k]
+                    w = k
+                    if win and win[0][0] < best:
+                        best, w = win[0]
+                else:
+                    best, w = win[0]
+                ci[j] = best
+                pi[j] = left_of[w]
+        # the right term along the row; the left term wins ties
+        ref_time_line(inst.right.r, inst.right.tau, ci, pi, i > 0, check)
+    return TimeDpTrace(c, pred), time_solution(inst.left, inst.right, c, pred)
 
 
 def line_side(r, tau):

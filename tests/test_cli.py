@@ -675,6 +675,26 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+def test_crosscheck_solves_the_fast_time_optimum_once_per_instance(capsys, monkeypatch):
+    # the three distance deadlines of an instance share one fast time
+    # solve; the makespan comes from the time baseline
+    solved = []
+
+    def counted(op):
+        def solve(inst, check=False):
+            solved.append(inst)
+            return op(inst, check=check)
+        return solve
+
+    _break_fast(monkeypatch, "time", counted)
+    code, out, _ = run(
+        ["crosscheck", "--count", "4", "--seed", "2", "--objective", "distance"], capsys
+    )
+    assert code == 0
+    assert "0 mismatches" in out
+    assert len(solved) == len({id(inst) for inst in solved}) == 4
+
+
 def test_crosscheck_reports_distance_solvers_that_agree_on_no_plan(capsys, monkeypatch):
     # both distance solvers agree, but every deadline from the time
     # optimum on has a plan

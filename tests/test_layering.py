@@ -5,12 +5,13 @@ ever imports.  The 1-D modules, time_extremity and distance_extremity,
 are views over the 2-D modules that hold each objective's DP, so within
 pathrd only the package's __init__ imports them.  The two DP modules,
 time_general and distance_general, stand apart: neither imports the
-other.  Every slide of a distance front lives in the line kernel
-_distance_line: solve_distance_2d_heap holds no while loop, so no
-column step grows back inline.  Only the scalar loops assert the
-invariants, _check_line and _check_top; a numpy or slice fill is
-checked against the scalar loop's fill of the same line, so it takes
-no check of its own.
+other.  Every move of a time cursor or window and every slide of a
+distance front lives in the line kernels, _time_line and
+_distance_line: neither solve_time_2d_minqueue nor
+solve_distance_2d_heap holds a while loop, so no column step grows
+back inline.  Only the scalar loops assert the invariants, _check_line
+and _check_top; a numpy or slice fill is checked against the scalar
+loop's fill of the same line, so it takes no check of its own.
 """
 
 import ast
@@ -72,14 +73,17 @@ def test_the_dp_modules_import_nothing_from_each_other():
     assert found == []
 
 
-def test_the_distance_solver_slides_no_front_itself():
-    source = (Path(pathrd.__file__).parent / "distance_general.py").read_text()
-    (solver,) = [
-        node
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "solve_distance_2d_heap"
-    ]
-    assert [node.lineno for node in ast.walk(solver) if isinstance(node, ast.While)] == []
+def test_the_2d_solvers_move_no_cursor_window_or_front_themselves():
+    found = {}
+    for module, name in (("time_general", "solve_time_2d_minqueue"), ("distance_general", "solve_distance_2d_heap")):
+        source = (Path(pathrd.__file__).parent / f"{module}.py").read_text()
+        (solver,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        found[name] = [node.lineno for node in ast.walk(solver) if isinstance(node, ast.While)]
+    assert found == {"solve_time_2d_minqueue": [], "solve_distance_2d_heap": []}
 
 
 def test_only_the_scalar_loops_assert_the_invariants():
@@ -96,7 +100,6 @@ def test_only_the_scalar_loops_assert_the_invariants():
                 }
     assert callers == {
         ("time_general", "_time_line", "_check_line"),
-        ("time_general", "solve_time_2d_minqueue", "_check_line"),
         ("distance_general", "_distance_line", "_check_top"),
     }
     for fill in (time_general._time_block, distance_general._run_values):

@@ -29,6 +29,7 @@ from helpers import (
     dense_time_sides,
     line_side,
     long_time_run_sides,
+    ref_time_2d_minqueue,
     rescaled,
     typed,
 )
@@ -295,3 +296,78 @@ def test_float_tables_take_blocks(monkeypatch):
     assert sm == sc
     assert any(merge for *_, merge in blocks)
     assert {type(v) for row in tm.c for v in row} == {int, float}
+
+
+def _frozen_cases():
+    """(name, instance) for the bitwise comparison with
+    ref_time_2d_minqueue: grid-2d's sides at seeds 1-3, a one-route
+    pair, skinny 30 x 3000 pairs both ways round, BLOCK_LEFT beside
+    dense_time_sides(), whose rows take merged-row blocks, smaller
+    pairs rescaled by 0.37 and 0.5 and shifted to near 2**52, and
+    left-only and right-only sides."""
+    many = dict(max_wait=50, max_step=2)
+    cases = []
+    for seed in (1, 2, 3):
+        # grid-2d's construction, perfbench/workloads.py
+        left = random_canonical_side(300, 2 * seed, **many)
+        right = random_canonical_side(300, 2 * seed + 1, **many)
+        cases.append((f"grid {seed}", GeneralInstance(left, right)))
+    one, skinny = random_canonical_side(30, 5), random_canonical_side(3000, 6)
+    cases += [
+        ("one route", GeneralInstance(random_canonical_side(150, 7), random_canonical_side(150, 8))),
+        ("skinny", GeneralInstance(one, skinny)),
+        ("skinny flipped", GeneralInstance(skinny, one)),
+    ]
+    cases += [(f"block left {k}", GeneralInstance(BLOCK_LEFT, side)) for k, side in enumerate(dense_time_sides())]
+    small = [
+        GeneralInstance(random_canonical_side(60, 9, **many), random_canonical_side(80, 10, **many)),
+        GeneralInstance(random_canonical_side(60, 11), random_canonical_side(80, 12)),
+    ]
+    for scale, shift in ((0.37, 0), (0.5, 0), (1, float(2**52 - 2**20))):
+        for k, inst in enumerate(small):
+            left, right = (rescaled(side, scale, shift) for side in (inst.left, inst.right))
+            cases.append((f"x{scale} +{shift} {k}", GeneralInstance(left, right)))
+    for k, side in enumerate((skinny, dense_time_sides()[0], rescaled(small[0].right, 0.37))):
+        cases.append((f"left only {k}", GeneralInstance(side, EMPTY_SIDE)))
+        cases.append((f"right only {k}", GeneralInstance(EMPTY_SIDE, side)))
+    return cases
+
+
+def _typed_result(solve, inst, **kwargs):
+    trace, plan = solve(inst, **kwargs)
+    return _typed_table(trace.c), trace.pred, plan
+
+
+def test_fused_time_kernel_matches_the_frozen_reference():
+    # the column step inside the line kernel gives the inline column
+    # step's tables, types, moves and plans, bit for bit
+    for name, inst in _frozen_cases():
+        check = inst.left.n * inst.right.n <= 5000
+        want = _typed_result(ref_time_2d_minqueue, inst)
+        assert _typed_result(solve_time_2d_minqueue, inst, check=check) == want, name
+
+
+def test_check_runs_once_per_column_and_row_state(monkeypatch):
+    # check=True asserts each column's line once per row above row 0,
+    # and each row state once, the states of merged-row blocks included
+    seen = []
+    check_line = time_general._check_line
+
+    def spied(line, tau, release, k, values, indices):
+        seen.append((tau, len(line)))
+        check_line(line, tau, release, k, values, indices)
+
+    monkeypatch.setattr(time_general, "_check_line", spied)
+    blocks = count_time_block_fills(monkeypatch)
+    left, right = BLOCK_LEFT, dense_time_sides()[0]
+    nl, nr = left.n, right.n
+    solve_time_2d_minqueue(GeneralInstance(left, right), check=True)
+    columns = [i for tau, i in seen if tau is left.tau]
+    rows = [j for tau, j in seen if tau is right.tau]
+    assert len(columns) + len(rows) == len(seen)
+    # column j's line at row i holds states 0..i-1; column 0 is the left
+    # side's own line
+    assert sorted(columns) == sorted(list(range(1, nl + 1)) * (nr + 1))
+    # row i's line at state j holds states 0..j-1
+    assert sorted(rows) == sorted(list(range(1, nr + 1)) * (nl + 1))
+    assert [(first, last) for first, last, merge in blocks if merge]
