@@ -320,11 +320,11 @@ def cmd_generate(args):
 def _crosscheck(inst, objective, deadline=None, optimum=None):
     """Run the objective's baseline and fast solver once each, None
     standing for a solver that finds no plan, and validate each plan;
-    returns the baseline's value and one message per fault: a plan that
-    fails validation, solvers that disagree, a distance solver that
-    finds a plan when the time optimum, optimum, misses the deadline or
-    none when it meets it, or, on instances small enough, a value other
-    than the oracle's."""
+    returns each solver's value by name and one message per fault: a
+    plan that fails validation, solvers that disagree, a distance solver
+    that finds a plan when the time optimum, optimum, misses the
+    deadline or none when it meets it, or, on instances small enough, a
+    value other than the oracle's."""
     values = {}
     problems = []
     where = objective if deadline is None else f"deadline {deadline}"
@@ -354,7 +354,7 @@ def _crosscheck(inst, objective, deadline=None, optimum=None):
         oracle = oracle_time(inst) if objective == TIME else oracle_distance(inst, deadline)
         if reference != oracle.value:
             problems.append(f"{where}: value {reference} != oracle {oracle.value}")
-    return reference, problems
+    return values, problems
 
 
 def cmd_crosscheck(args):
@@ -367,16 +367,17 @@ def cmd_crosscheck(args):
         seed = rng.randrange(2**32)
         raw = generate_instance(n_left, total - n_left, args.max_edge, args.max_release, seed)
         inst = split_at_depot(raw)
-        problems = []
-        makespan = None
-        if args.objective in ("time", "both"):
-            makespan, problems = _crosscheck(inst, TIME)
-        if args.objective in ("distance", "both"):
-            if makespan is None:
-                makespan = _run(_pick_solver(TIME, BASELINE), inst)[1].value
-            # the fast time optimum, once per instance, decides which
+        if args.objective == "distance":
+            # each time solver's value, unchecked
+            problems = []
+            values = {s.name_for(inst): _run(s, inst)[1].value for s in SOLVERS if s.objective == TIME}
+        else:
+            values, problems = _crosscheck(inst, TIME)
+        if args.objective != "time":
+            # the baseline's makespan and the fast time optimum, each
+            # solved once per instance: the optimum decides which
             # deadlines have a plan
-            optimum = _run(_pick_solver(TIME, FAST), inst)[1].value
+            makespan, optimum = (values[_pick_solver(TIME, f).name_for(inst)] for f in (BASELINE, FAST))
             # span infeasible through slack around the optimal makespan
             for deadline in (makespan - 1, makespan, rng.randint(*_slack_deadlines(makespan))):
                 problems.extend(_crosscheck(inst, DISTANCE, deadline, optimum)[1])

@@ -40,29 +40,29 @@ not yet filled holds _UNSET, above every release, so the cursors stop
 at it without a bound test.  A left-only instance is one line, the left
 side's: one call of the kernel.
 
-A line of a table whose numbers are all within MAX_MAGNITUDE takes
-blocks.  The states i+1..e with r[e-1] < c[i] are all released before
-c[i], so each one's cursor lies among the states up to i, whose c are
-known, and states i on all stay in its window: numpy fills the block,
-the cursors by a searchsorted over the known c, the window's least a
-past each cursor from those states' suffix minima, and the block's own
-a by a running minimum.  It decides in int64 on an int table and in
-float64 otherwise, both exact there, so each state takes the scalar
-loop's winner, and it writes each entry with the scalar loop's type.
-Blocks follow each other from the last state of the one before while
-they are _BLOCK states long; the window lists are rebuilt once, when
-the scalar loop resumes.  A stretch where the cursor k holds and its
-released candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends
-once r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from
-its first state, and a one-route line is one chain of blocks.  In a
-row above row 0, the state that probes a block first takes the column
-steps of the rest of the row, writing their left terms into the row,
-and the block merges them as the other side's candidates.  Lines whose
-blocks are shorter than _BLOCK, such as grid-2d's rows, stay on the
-scalar loop.  With check=True, each line is filled twice, once as
-above on a copy, its columns' lines copied too, and once by the scalar
-loop, which asserts _check_line at every state and every column, and
-the two fills must be equal.
+Only lines without column work take blocks: column 0 and row 0, and so
+every 1-D line, when the table's numbers are all within MAX_MAGNITUDE.
+The states i+1..e with r[e-1] < c[i] are all released before c[i], so
+each one's cursor lies among the states up to i, whose c are known, and
+states i on all stay in its window: numpy fills the block, the cursors
+by a searchsorted over the known c, the window's least a past each
+cursor from those states' suffix minima, and the block's own a by a
+running minimum.  It decides in int64 on an int table and in float64
+otherwise, both exact there, so each state takes the scalar loop's
+winner, and it writes each entry with the scalar loop's type.  Blocks
+follow each other from the last state of the one before while they are
+_BLOCK states long; the window lists are rebuilt once, when the scalar
+loop resumes.  A stretch where the cursor k holds and its released
+candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends once
+r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from its
+first state, and a one-route line is one chain of blocks.  A row above
+row 0 takes every state's column step anyway, and stays on the scalar
+loop; so do lines whose blocks are shorter than _BLOCK, such as
+grid-2d's rows.  With check=True, a line without column work is filled
+twice, once as above on a copy and once by the scalar loop, which
+asserts _check_line at every state, and the two fills must be equal; a
+row with column work is filled once, by the scalar loop, which asserts
+_check_line at every state and every column.
 """
 
 from bisect import bisect_left, bisect_right
@@ -140,9 +140,9 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     cursor starts at -1 and state 0 enters the window like any other.
     two, when given, is [2 * t for t in side.tau], doubled once for the
     many rows of a 2-D solve.  With dtype, every number of the table is
-    within MAX_MAGNITUDE, and each state with a cursor probes for a
-    block, which _time_block fills, deciding in dtype, when it is
-    _BLOCK states long.
+    within MAX_MAGNITUDE, and on a line without cols each state with a
+    cursor probes for a block, which _time_block fills, deciding in
+    dtype, when it is _BLOCK states long.
 
     With cols, the line is row `row` >= 1 of a 2-D table whose column 0
     is filled, cols = (left_side, table, row, left_two, left_of,
@@ -152,36 +152,23 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     term winning ties.  Column i's cursor is cursors[i] and its window
     values[i][heads[i]:] and indices[i][heads[i]:], kept as the row's
     own; left_two doubles left_side.tau, and the left moves are
-    left_of[w] = (LEFT, w).  A state that probes a block first takes
-    the column steps of the rest of the row, writing their left terms
-    into c and pred, where _time_block reads them as the other side's
-    candidates, and the states past the block read them there too.
+    left_of[w] = (LEFT, w).  Only lines without cols take blocks.
 
-    check=True fills a copy of the line, taken at entry, as above, with
-    no checks, its columns' lines copied too; then fills the line itself
-    by the scalar loop alone, asserting _check_line at every state and
-    every column; and asserts that the two fills are equal, types and
-    pred included.
+    check=True fills a line without cols on a copy, taken at entry, as
+    above, with no checks; then fills the line itself by the scalar
+    loop alone, asserting _check_line at every state and at every
+    column; and asserts that the two fills are equal, types and pred
+    included.
     """
-    if check:
+    if check and cols is None:
         filled = c[:], pred[:]
-        # the copy steps copies of the columns' lines; their cursors stop
-        # at this row's states, _UNSET until the copy is done
-        copied = None
-        if cols is not None:
-            *shared, ks, heads, vs, ws = cols
-            copied = (*shared, ks[:], heads[:], [v[:] for v in vs], [w[:] for w in ws])
-        _time_line(side, *filled, False, dtype, two, copied)
-        dtype = None
+        _time_line(side, *filled, False, dtype, two)
     r = side.r
     tau = side.tau
     n = len(r)
-    # merged: the line holds the left term; stepping: each state takes
-    # its column step before the right term, until a block is probed;
-    # only: the rest of the row takes its column steps alone, for the
-    # block; released: no column so far lacks a released state
-    merged = stepping = cols is not None
-    only = False
+    # stepping: each state takes its column step before the right term;
+    # released: no column so far lacks a released state
+    stepping = cols is not None
     released = True
     if stepping:
         left_side, table, row, left_two, left_of, cursors, heads, cvalues, cindices = cols
@@ -199,7 +186,7 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     head = 1
     k = -1
     # blocks start before state reach
-    reach = n + 1 - _BLOCK if dtype is not None and n >= _BLOCK else 0
+    reach = n + 1 - _BLOCK if dtype is not None and not stepping and not check and n >= _BLOCK else 0
     i = 1
     while i <= n:
         # the scalar loop; a block leaves it, to resume past the block
@@ -244,15 +231,6 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
                     # cursor is -1 and its window whole, from head 1
                     left = cv[1]
                     lw = cw[1]
-                if only:
-                    c[i] = left
-                    pred[i] = left_of[lw]
-                    continue
-            elif merged:
-                # the column step was taken before the block
-                left = c[i]
-                lw = pred[i][1]
-                c[i] = _UNSET
             last = i - 1
             ri = r[last]
             a = c[last] + (2 * tau[last] if two is None else two[last])
@@ -289,31 +267,19 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
             else:
                 best = values[head]
                 bj = indices[head]
-            if merged and left <= best:
+            if stepping and left <= best:
                 best = left
                 bj = left_of[lw]
             c[i] = best
             pred[i] = bj
             if i < reach and k >= 0 and r[i + _BLOCK - 1] < best:
-                if stepping:
-                    # the block reads its states' left terms from the
-                    # line: take the rest of the row's column steps first
-                    probe = i
-                    only = True
-                    continue
-                i, k = _time_block(side, c, pred, merged, i, k, values, indices, dtype)
+                i, k = _time_block(side, c, pred, i, k, values, indices, dtype)
                 head = 1
                 i += 1
                 break
         else:
-            if not only:
-                break
-            # every state past the probe holds its left term
-            stepping = only = False
-            i, k = _time_block(side, c, pred, True, probe, k, values, indices, dtype)
-            head = 1
-            i += 1
-    if check:
+            break
+    if check and cols is None:
         assert [(v.__class__, v) for v in c] == [(v.__class__, v) for v in filled[0]]
         assert pred == filled[1]
 
@@ -328,7 +294,7 @@ def _chain(values):
     return np.append(keep, len(values) - 1)
 
 
-def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
+def _time_block(side, c, pred, i, k, values, indices, dtype):
     """Fill blocks from state i on, where the cursor is k >= 0 and a
     block of _BLOCK states starts, and return the last state filled and
     the cursor there; the window lists then hold the window there, head
@@ -338,11 +304,10 @@ def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
     released before c[i], so its cursor k_m lies among k..i-1, whose c
     are known, and states i..m-1 all stay in its window.  So c[m] is
     X_m = min(r[m-1] + 2 tau[k_m], the least a_j, j in (k_m, i-1]), the
-    released candidate winning ties and, with merge, the other side's
-    candidate winning first, unless Y_m = min(a_i..a_{m-1}) undercuts
-    it.  A state that takes Y pushes an a above Y, so Y is also the
-    running minimum of a_i and the X_j + 2 tau[j], j < m, and pred its
-    first record.  The cursors are a searchsorted over c[k+1..i-1],
+    released candidate winning ties, unless Y_m = min(a_i..a_{m-1})
+    undercuts it.  A state that takes Y pushes an a above Y, so Y is
+    also the running minimum of a_i and the X_j + 2 tau[j], j < m, and
+    pred its first record.  The cursors are a searchsorted over c[k+1..i-1],
     skipped for a chunk whose first and last state's bisects give one
     cursor, and the least a past each a lookup in that range's suffix
     minima.  Blocks follow each other, the next from state e with e's
@@ -360,8 +325,8 @@ def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
     candidate, r[m-1] + 2 tau[k], when 2 tau[k] is a float; when it is
     an int, the chunk adds it to each release in Python.  Every other
     chunk of a float table writes each value from its source,
-    r[m-1] + 2 tau[j], c[j] + 2 tau[j] or the other side's candidate,
-    so each keeps the scalar loop's type.
+    r[m-1] + 2 tau[j] or c[j] + 2 tau[j], so each keeps the scalar
+    loop's type.
     """
     r = side.r
     tau = side.tau
@@ -394,10 +359,6 @@ def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
             # the window's front beats the released candidate
             won = front < x
             x = np.minimum(x, front)
-            if merge:
-                other = np.fromiter(c[lo:hi], dtype, hi - lo)
-                took = other <= x
-                x = np.minimum(x, other)
             # state m pushes Z_m = X_m + 2 tau[m] for the states after it
             z = x[:-1] + 2 * tv[lo : hi - 1]
             seen = np.concatenate(((low,), z))
@@ -407,11 +368,7 @@ def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
             lose = y < x
             # an a wins, from before the block or in it
             won |= lose
-            lost = won
-            if merge:
-                kept = took & ~lose
-                lost = won | kept
-            if cur.__class__ is int and not lost.any():
+            if cur.__class__ is int and not won.any():
                 # one cursor's released candidate takes every state
                 w = cur + base
                 two = 2 * tau[w]
@@ -425,20 +382,14 @@ def _time_block(side, c, pred, merge, i, k, values, indices, dtype):
                 (at_y,) = lose.nonzero()
                 xj[at_y] = records[np.searchsorted(records[1:], at_y + lo)]
                 js = xj.tolist()
-                if merge:
-                    js = [q if t else j for q, j, t in zip(pred[lo:hi], js, kept.tolist())]
                 pred[lo:hi] = js
                 if ints:
                     c[lo:hi] = np.minimum(x, y).tolist()
                 else:
-                    # each value from its source: 0 the other side's
-                    # candidate, kept, 1 the released one, 2 an a
-                    how = np.where(won, 2, 1)
-                    if merge:
-                        how[kept] = 0
-                    for m, j, h in zip(range(lo, hi), js, how.tolist()):
-                        if h:
-                            c[m] = (c[j] if h == 2 else r[m - 1]) + 2 * tau[j]
+                    # each value from its source: an a or the released
+                    # candidate
+                    for m, j, w in zip(range(lo, hi), js, won.tolist()):
+                        c[m] = (c[j] if w else r[m - 1]) + 2 * tau[j]
             low, low_j = y[-1], int(records[-1])
             if hi <= e:
                 # the next chunk's states see this one's last Z too
@@ -521,7 +472,8 @@ def solve_time_2d_minqueue(inst, check=False):
     One call of _time_line fills column 0, the left side's line, and one
     per row the row's other states, each above row 0 taking its column's
     step too.  check=True asserts _check_line on every column and row at
-    every state, and each line's blocks against the scalar loop.
+    every state, and the blocks of column 0 and row 0 against the scalar
+    loop.
     """
     left = inst.left
     right = inst.right

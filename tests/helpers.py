@@ -20,27 +20,29 @@ assert_matches_baseline compares a fast distance solver with its
 baseline, and ref_distance_line fills one line of the distance table
 from its definition.  long_time_run_sides and dense_time_sides hold
 time lines with long runs and with many routes, count_time_block_fills
-lists the time kernel's blocks, and ref_time_line is the time kernel
-as it was before it filled runs, state by state, kept unchanged (apart
-from its name and the window it hands _check_line) as the bitwise
-reference for the block fills.  ref_time_2d_minqueue is the 2-D time
-solver as it was before its column step moved into the line kernel:
-an inline column step per row, each column's window a deque of (a, w),
-then the row kernel merging the row's right term into the left terms,
-here ref_time_line, which the block fills matched bit for bit.  It is
-kept unchanged apart from its name and that kernel call, as the
-bitwise reference for the fused time kernel.  ref_distance_2d_heap is
+lists the time kernel's blocks, spy_fills_by_column_work tells each
+fill of either kernel by whether its line has column work, and
+ref_time_line is the time kernel as it was before it filled runs, state
+by state, kept unchanged (apart from its name and the window it hands
+_check_line) as the bitwise reference for the block fills.
+ref_time_2d_minqueue is the 2-D time solver as it was before its
+column step moved into the line kernel: an inline column step per row,
+each column's window a deque of (a, w), then the row kernel merging
+the row's right term into the left terms, here ref_time_line, which
+the block fills matched bit for bit.  It is kept unchanged apart from
+its name and that kernel call, as the bitwise reference for the fused
+time kernel.  ref_distance_2d_heap is
 the 2-D distance solver as it was before its column step moved into
 the line kernel: an inline column step per row, then
 ref_distance_merge_line, the kernel of then, merging the row's right
 term into the left terms.  Both are kept unchanged apart from their
 names, with ref_run_values, as the bitwise reference for the fused
-kernel.  corrupt_time_blocks
-and corrupt_run_values make the numpy and slice fills write wrong
-values or types, which check=True must catch.
+kernel.  corrupt_time_blocks and corrupt_run_values make the numpy and
+slice fills write wrong values or types, which check=True must catch.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 from bisect import bisect_left
@@ -663,6 +665,12 @@ def line_side(r, tau):
 LEFT_CUT_CUSTOMER = line_side([5], [1])
 
 
+# two left customers, the second released at 4000 one unit out: beside
+# dense_time_sides()[0], its term wins some states of row 2 and loses
+# the others
+BLOCK_LEFT = line_side([0, 4000], [3, 1])
+
+
 # A block length that the lines of long_time_run_sides(), 60 to 240
 # states long, reach: tests monkeypatch time_general._BLOCK to it.
 SHORT_BLOCK = 32
@@ -704,20 +712,49 @@ def long_time_run_sides():
 
 
 def count_time_block_fills(monkeypatch):
-    """(first state, last state, merge) of every stretch of blocks the
-    time kernel fills, 1-D or in a 2-D row, in the order they are
-    filled; merge tells a 2-D row that holds the left term from one
-    that does not."""
+    """(first state, last state) of every stretch of blocks the time
+    kernel fills, 1-D or in a 2-D line, in the order they are filled."""
     blocks = []
     fill = time_general._time_block
 
-    def counted(side, c, pred, merge, i, k, *window):
-        last, k = fill(side, c, pred, merge, i, k, *window)
-        blocks.append((i + 1, last, merge))
+    def counted(side, c, pred, i, k, *window):
+        last, k = fill(side, c, pred, i, k, *window)
+        blocks.append((i + 1, last))
         return last, k
 
     monkeypatch.setattr(time_general, "_time_block", counted)
     return blocks
+
+
+def spy_fills_by_column_work(monkeypatch):
+    """Spy on both line kernels and their fills, time's _time_block and
+    distance's _run_values: the list returned gains, at each fill, its
+    name and whether the kernel call it runs in was given cols, a row
+    with column work."""
+    fills = []
+    # whether each kernel call under way was given cols, innermost last
+    calls = []
+    for module, kernel, fill in (
+        (time_general, "_time_line", "_time_block"),
+        (distance_general, "_distance_line", "_run_values"),
+    ):
+        line = getattr(module, kernel)
+        params = inspect.signature(line)
+
+        def spied_line(*args, line=line, params=params):
+            calls.append(params.bind(*args).arguments.get("cols") is not None)
+            try:
+                return line(*args)
+            finally:
+                calls.pop()
+
+        def spied_fill(*args, name=fill, filler=getattr(module, fill)):
+            fills.append((name, calls[-1]))
+            return filler(*args)
+
+        monkeypatch.setattr(module, kernel, spied_line)
+        monkeypatch.setattr(module, fill, spied_fill)
+    return fills
 
 
 # two ways a fill can go wrong: a value off by one, or an int written
@@ -725,18 +762,17 @@ def count_time_block_fills(monkeypatch):
 CORRUPTIONS = {"value": lambda v: v - 1, "type": float}
 
 
-def corrupt_time_blocks(monkeypatch, corrupt, merge):
-    """Make every stretch of blocks the time kernel fills, in a row that
-    holds the left term or not as merge says, write corrupt(c) at its
-    last state; the list returned gains that state at each."""
+def corrupt_time_blocks(monkeypatch, corrupt):
+    """Make every stretch of blocks the time kernel fills write
+    corrupt(c) at its last state; the list returned gains that state at
+    each."""
     hits = []
     fill = time_general._time_block
 
-    def corrupted(side, c, pred, merged, i, k, *window):
-        last, k = fill(side, c, pred, merged, i, k, *window)
-        if merged == merge:
-            c[last] = corrupt(c[last])
-            hits.append(last)
+    def corrupted(side, c, pred, i, k, *window):
+        last, k = fill(side, c, pred, i, k, *window)
+        c[last] = corrupt(c[last])
+        hits.append(last)
         return last, k
 
     monkeypatch.setattr(time_general, "_time_block", corrupted)

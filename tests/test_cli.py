@@ -675,9 +675,11 @@ def test_crosscheck_reports_distance_mismatch(capsys, monkeypatch):
     assert "disagreement" in err
 
 
-def test_crosscheck_solves_the_fast_time_optimum_once_per_instance(capsys, monkeypatch):
+@pytest.mark.parametrize("objective", ["distance", "both"])
+def test_crosscheck_solves_the_fast_time_optimum_once_per_instance(objective, capsys, monkeypatch):
     # the three distance deadlines of an instance share one fast time
-    # solve; the makespan comes from the time baseline
+    # solve, with both the time crosscheck's own; the makespan comes
+    # from the time baseline
     solved = []
 
     def counted(op):
@@ -688,7 +690,7 @@ def test_crosscheck_solves_the_fast_time_optimum_once_per_instance(capsys, monke
 
     _break_fast(monkeypatch, "time", counted)
     code, out, _ = run(
-        ["crosscheck", "--count", "4", "--seed", "2", "--objective", "distance"], capsys
+        ["crosscheck", "--count", "4", "--seed", "2", "--objective", objective], capsys
     )
     assert code == 0
     assert "0 mismatches" in out

@@ -9,9 +9,14 @@ other.  Every move of a time cursor or window and every slide of a
 distance front lives in the line kernels, _time_line and
 _distance_line: neither solve_time_2d_minqueue nor
 solve_distance_2d_heap holds a while loop, so no column step grows
-back inline.  Only the scalar loops assert the invariants, _check_line
-and _check_top; a numpy or slice fill is checked against the scalar
-loop's fill of the same line, so it takes no check of its own.
+back inline.  Both kernels keep one fill rule: a numpy block of time
+states or a slice run of distance states is filled only on a line
+without column work, a 1-D line, column 0 or a 2-D solve's first row
+(row 0 for time, the bottom row for distance); a row with column work
+takes every state on the scalar loop.  Only the scalar loops assert the
+invariants, _check_line and _check_top; a numpy or slice fill is
+checked against the scalar loop's fill of the same line, so it takes
+no check of its own.
 """
 
 import ast
@@ -19,7 +24,11 @@ import inspect
 from pathlib import Path
 
 import pathrd
-from pathrd import distance_general, time_general
+from pathrd import GeneralInstance, distance_general, random_canonical_side, time_general
+from pathrd.distance_general import solve_distance_2d_heap
+from pathrd.time_general import solve_time_2d_minqueue
+
+from helpers import BLOCK_LEFT, dense_time_sides, spy_fills_by_column_work
 
 SOURCES = sorted(Path(pathrd.__file__).parent.glob("*.py"))
 VIEWS = {"time_extremity", "distance_extremity"}
@@ -104,3 +113,16 @@ def test_only_the_scalar_loops_assert_the_invariants():
     }
     for fill in (time_general._time_block, distance_general._run_values):
         assert "check" not in inspect.signature(fill).parameters
+
+
+def test_fills_run_only_on_lines_without_column_work(monkeypatch):
+    # a skinny one-route pair and a many-route pair whose rows above the
+    # first are long: both kernels fill their first lines, and no row
+    # with column work
+    fills = spy_fills_by_column_work(monkeypatch)
+    skinny = GeneralInstance(random_canonical_side(30, 5), random_canonical_side(3000, 6))
+    for inst in (skinny, GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])):
+        _, plan = solve_time_2d_minqueue(inst)
+        solve_distance_2d_heap(inst, plan.value)
+    assert {name for name, _ in fills} == {"_time_block", "_run_values"}
+    assert not any(cols for _, cols in fills)

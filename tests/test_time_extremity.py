@@ -227,9 +227,9 @@ def test_each_way_a_run_ends(monkeypatch):
         # name: (the first stretch of blocks, the state where the run
         # ends, its pred there): the front is a state from before the
         # run, the own a one of the run's, and both win inside a block
-        "cursor": ((2, 60, False), 61, 60),
-        "front": ((12, 80, False), 61, 11),
-        "own a": ((2, 120, False), 94, 41),
+        "cursor": ((2, 60), 61, 60),
+        "front": ((12, 80), 61, 11),
+        "own a": ((2, 120), 94, 41),
     }
     for name, (block, end, winner) in ends.items():
         side = sides[name]
@@ -249,7 +249,7 @@ def test_each_way_a_run_ends(monkeypatch):
     short = dataclasses.replace(front, r=front.r[:40] + (2029,) * 40)
     del blocks[:]
     _assert_matches_reference(short, check=True)
-    assert blocks == [(12, 80, False)]
+    assert blocks == [(12, 80)]
     assert solve_time_linear(short)[0].pred[40:42] == [10, 11]
 
 
@@ -267,12 +267,12 @@ def test_check_asserts_every_state_a_run_fills(monkeypatch):
     side = long_time_run_sides()["stairs"]
     solve_time_linear(side, check=True)
     # one chain of blocks fills every state past the first
-    assert blocks == [(2, side.n, False)]
+    assert blocks == [(2, side.n)]
     assert sorted(states) == list(range(1, side.n + 1))
 
 
 def _filled(fills):
-    return sum(last - first + 1 for first, last, _ in fills)
+    return sum(last - first + 1 for first, last in fills)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -349,7 +349,7 @@ def test_check_catches_a_bad_block(how, monkeypatch):
     # a block that writes one value wrong, or one int as a float, passes
     # unseen without check, and fails the comparison with the scalar
     # loop's fill with it
-    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how], merge=False)
+    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how])
     side = dense_time_sides()[0]
     solve_time_linear(side)
     assert hits

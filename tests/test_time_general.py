@@ -18,6 +18,7 @@ from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 from helpers import (
+    BLOCK_LEFT,
     CORRUPTIONS,
     EX1_SIDE,
     EX2_GENERAL,
@@ -31,6 +32,7 @@ from helpers import (
     long_time_run_sides,
     ref_time_2d_minqueue,
     rescaled,
+    spy_fills_by_column_work,
     typed,
 )
 
@@ -150,13 +152,14 @@ def test_minqueue_matches_cubic_everywhere():
 
 def test_blocks_of_any_length_match_cubic(monkeypatch):
     # blocks one state long or more, in chunks of 3: small tables take
-    # blocks in merged rows too, where a block's own least a can beat a
-    # left term that beats the released candidate
+    # blocks in column 0 and row 0, and none in a row with column work
     monkeypatch.setattr(time_general, "_BLOCK", 1)
     monkeypatch.setattr(time_general, "_CHUNK", 3)
     blocks = count_time_block_fills(monkeypatch)
+    fills = spy_fills_by_column_work(monkeypatch)
     _assert_minqueue_matches_cubic(random.Random(15), 250)
-    assert any(merge for *_, merge in blocks)
+    assert blocks
+    assert not any(cols for _, cols in fills)
 
 
 def _assert_minqueue_matches_cubic(rng, count):
@@ -193,11 +196,13 @@ def _typed_table(c):
 @pytest.mark.parametrize("chunk", [time_general._CHUNK, 5], ids=["default", "5"])
 @pytest.mark.parametrize("scale", [(1, 0), (0.37, 0)], ids=["int", "x0.37"])
 def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
-    # the right side holds the runs; each pair fills blocks in rows that
-    # merge the left term, in numpy chunks of the kernel's length or 5
+    # the right side holds the runs; each pair fills blocks in row 0, in
+    # numpy chunks of the kernel's length or 5, and the rows that take
+    # the left term on the scalar loop
     monkeypatch.setattr(time_general, "_CHUNK", chunk)
     monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
     blocks = count_time_block_fills(monkeypatch)
+    fills = spy_fills_by_column_work(monkeypatch)
     sides = long_time_run_sides()
     sides["left cut"] = LEFT_CUT_CUSTOMER
     pairs = [
@@ -215,7 +220,8 @@ def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
         assert _typed_table(tm.c) == _typed_table(tc.c)
         assert tm.pred == tc.pred
         assert sm == sc
-        assert any(merge for _, _, merge in blocks), (left, right)
+        assert blocks, (left, right)
+    assert not any(cols for _, cols in fills)
 
 
 def test_left_term_ends_a_row_run(monkeypatch):
@@ -223,42 +229,39 @@ def test_left_term_ends_a_row_run(monkeypatch):
     blocks = count_time_block_fills(monkeypatch)
     inst = GeneralInstance(LEFT_CUT_CUSTOMER, long_time_run_sides()["left"])
     trace, _ = solve_time_2d_minqueue(inst, check=True)
-    # row 0 is one block; in row 1 a block fills states 5 to 60, where
-    # the released candidate beats the left term up to state 40 and the
-    # left term wins from state 41
-    assert blocks == [(2, 60, False), (5, 60, True)]
+    # row 0 is one block; row 1, which takes the left term, takes no
+    # block: the released candidate beats the left term up to state 40
+    # and the left term wins from state 41
+    assert blocks == [(2, 60)]
     assert trace.pred[1][40] == 0
     assert trace.pred[1][41] == (LEFT, 0)
     assert trace.c == solve_time_2d_cubic(inst)[0].c
 
 
-# two left customers, the second released at 4000 one unit out: beside
-# dense_time_sides()[0], its term wins some states inside row 2's
-# blocks and loses the others
-BLOCK_LEFT = line_side([0, 4000], [3, 1])
-
-
 @pytest.mark.parametrize("chunk", [time_general._CHUNK, 23], ids=["default", "23"])
 def test_merged_row_blocks_match_cubic(chunk, monkeypatch):
+    # row 0 takes blocks; rows 1 and 2, which take the left term, take
+    # none, and row 2 mixes left and right moves
     monkeypatch.setattr(time_general, "_CHUNK", chunk)
     blocks = count_time_block_fills(monkeypatch)
+    fills = spy_fills_by_column_work(monkeypatch)
     inst = GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])
     tc, sc = solve_time_2d_cubic(inst)
     tm, sm = solve_time_2d_minqueue(inst, check=True)
     assert _typed_table(tm.c) == _typed_table(tc.c)
     assert tm.pred == tc.pred
     assert sm == sc
-    merged = [(first, last) for first, last, merge in blocks if merge]
-    assert len(merged) == 2
-    first, last = merged[1]
-    assert {type(tm.pred[2][j]) for j in range(first, last + 1)} == {int, tuple}
+    assert blocks
+    assert not any(cols for _, cols in fills)
+    assert {type(w) for w in tm.pred[2][1:]} == {int, tuple}
 
 
 @pytest.mark.parametrize("how", CORRUPTIONS)
 def test_check_catches_a_bad_block_in_a_merged_row(how, monkeypatch):
-    # the blocks of the rows that hold the left term are compared with
-    # the scalar loop's fill of the same row, the left term included
-    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how], merge=True)
+    # the blocks of a 2-D solve's row 0 are compared with the scalar
+    # loop's fill of the same row, before the rows that hold the left
+    # term read it
+    hits = corrupt_time_blocks(monkeypatch, CORRUPTIONS[how])
     inst = GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])
     solve_time_2d_minqueue(inst)
     assert hits
@@ -267,12 +270,14 @@ def test_check_catches_a_bad_block_in_a_merged_row(how, monkeypatch):
 
 
 def test_left_term_inside_a_one_cursor_chunk(monkeypatch):
-    # in row 1, with blocks from 8 states and chunks of 16, state 82 is
-    # a chunk of its own that keeps one cursor and where no a wins, but
-    # the left term does: such a chunk is no run, and keeps the left pred
+    # in row 1, with blocks from 8 states and chunks of 16, state 82
+    # keeps one cursor and no a wins there, but the left term does: the
+    # row takes the left term, so it takes no block, and state 82 keeps
+    # the left pred
     monkeypatch.setattr(time_general, "_BLOCK", 8)
     monkeypatch.setattr(time_general, "_CHUNK", 16)
     blocks = count_time_block_fills(monkeypatch)
+    fills = spy_fills_by_column_work(monkeypatch)
     inst = GeneralInstance(line_side([100], [1]), random_canonical_side(120, seed=3, max_wait=20, max_step=2))
     tm, sm = solve_time_2d_minqueue(inst, check=True)
     tc, sc = solve_time_2d_cubic(inst)
@@ -280,21 +285,24 @@ def test_left_term_inside_a_one_cursor_chunk(monkeypatch):
     assert tm.pred == tc.pred
     assert sm == sc
     assert tm.pred[1][82] == (LEFT, 0)
-    assert any(merge and first <= 82 <= last for first, last, merge in blocks)
+    assert blocks
+    assert not any(cols for _, cols in fills)
 
 
 def test_float_tables_take_blocks(monkeypatch):
-    # one float side makes the table float, so its rows' blocks decide
-    # in float64; the right side's int releases and depot distances keep
+    # one float side makes the table float, so row 0's blocks decide in
+    # float64; the right side's int releases and depot distances keep
     # the entries they make ints, as the scalar loop does
     blocks = count_time_block_fills(monkeypatch)
+    fills = spy_fills_by_column_work(monkeypatch)
     inst = GeneralInstance(rescaled(BLOCK_LEFT, 0.5), dense_time_sides()[0])
     tm, sm = solve_time_2d_minqueue(inst, check=True)
     tc, sc = solve_time_2d_cubic(inst)
     assert tm.c == tc.c
     assert tm.pred == tc.pred
     assert sm == sc
-    assert any(merge for *_, merge in blocks)
+    assert blocks
+    assert not any(cols for _, cols in fills)
     assert {type(v) for row in tm.c for v in row} == {int, float}
 
 
@@ -302,7 +310,7 @@ def _frozen_cases():
     """(name, instance) for the bitwise comparison with
     ref_time_2d_minqueue: grid-2d's sides at seeds 1-3, a one-route
     pair, skinny 30 x 3000 pairs both ways round, BLOCK_LEFT beside
-    dense_time_sides(), whose rows take merged-row blocks, smaller
+    dense_time_sides(), whose row 0 takes blocks, smaller
     pairs rescaled by 0.37 and 0.5 and shifted to near 2**52, and
     left-only and right-only sides."""
     many = dict(max_wait=50, max_step=2)
@@ -349,7 +357,8 @@ def test_fused_time_kernel_matches_the_frozen_reference():
 
 def test_check_runs_once_per_column_and_row_state(monkeypatch):
     # check=True asserts each column's line once per row above row 0,
-    # and each row state once, the states of merged-row blocks included
+    # and each row state once; column 0 and row 0 are filled twice, once
+    # on a copy with their blocks, and a row with column work once
     seen = []
     check_line = time_general._check_line
 
@@ -358,6 +367,14 @@ def test_check_runs_once_per_column_and_row_state(monkeypatch):
         check_line(line, tau, release, k, values, indices)
 
     monkeypatch.setattr(time_general, "_check_line", spied)
+    calls = []
+    kernel = time_general._time_line
+
+    def spied_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
+        calls.append((side, check, cols is not None))
+        kernel(side, c, pred, check, dtype, two, cols)
+
+    monkeypatch.setattr(time_general, "_time_line", spied_line)
     blocks = count_time_block_fills(monkeypatch)
     left, right = BLOCK_LEFT, dense_time_sides()[0]
     nl, nr = left.n, right.n
@@ -370,4 +387,10 @@ def test_check_runs_once_per_column_and_row_state(monkeypatch):
     assert sorted(columns) == sorted(list(range(1, nl + 1)) * (nr + 1))
     # row i's line at state j holds states 0..j-1
     assert sorted(rows) == sorted(list(range(1, nr + 1)) * (nl + 1))
-    assert [(first, last) for first, last, merge in blocks if merge]
+    assert blocks
+    assert calls == [
+        (left, True, False),
+        (left, False, False),
+        (right, True, False),
+        (right, False, False),
+    ] + [(right, True, True)] * nl
