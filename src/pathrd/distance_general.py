@@ -33,14 +33,16 @@ the front f, which only moves down.  A front that misses the threshold
 slides to the smallest index of the next group below it, and a new
 state whose lam equals lam[f] becomes the front.  Each state is passed
 over once: O(n) per line.  The fast solver runs that kernel once per
-row, from the bottom, in one sweep: above the bottom row, each state q
-of the row first moves column q's front down one row, the column's
-line gaining the state below, and takes the left term, then takes the
-right term from the row's front, the left term winning ties:
-O(n_l n_r) in all.  A front's slack stays fixed while it holds, so the
-row's front keeps its lam and slack in locals and each column's in
-lists beside its index, read once per move.  A left-only instance is
-one line, the left side's: one call of the kernel.
+line: column n_r, which has no right term and so is the left side's
+line, then each row, the right side's, from the bottom, in one sweep
+per row.  Above the bottom row, each state q < n_r of the row first
+moves column q's front down one row, the column's line gaining the
+state below, and takes the left term, then takes the right term from
+the row's front, which starts at the row's state n_r, the left term
+winning ties: O(n_l n_r) in all.  A front's slack stays fixed while it
+holds, so the row's front keeps its lam and slack in locals and each
+column's in lists beside its index, read once per move.  A left-only
+instance is one line, the left side's: one call of the kernel.
 
 While f holds, lam[p] = lam[f] - 2 tau[p] on every state whose
 threshold f's slack meets, and as tau grows those states run down to a
@@ -48,7 +50,7 @@ bound one bisect finds.  A run longer than RUN is filled by slice
 assignment, its values top - 2 tau computed by one int64 operation over
 the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
 list comprehension elsewhere (_run_values).  Only lines without column
-work fill runs: 1-D lines and a 2-D solve's bottom row.  A row above it
+work fill runs: 1-D lines, column n_r and the bottom row.  A row above
 takes every state's column step anyway, and a run there would spare
 only the right term's slack test; taking a run's left terms first and
 merging them by slice made one-route pairs slower than the scalar loop.
@@ -147,13 +149,15 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     f is the front, -1 when there is none; top and slack, its lam and
     slack, are read once each time f moves.  With cols, the line is row
     `row` of a 2-D table above its bottom row, cols = (left_side, table,
-    row, fronts, tops, slacks, left_of): each state q, n included, first
-    moves column q's front down one row and takes its left term, then
-    takes the right term from the row's front, and the left term wins
-    ties.  Column q's front row is fronts[q], its lam tops[q], None when
-    there is none, and its slack slacks[q], _NO_SLACK when there is
-    none, so its slack test reads one list; its moves are
-    left_of[w] = (LEFT, w).  Only lines without cols fill runs.
+    row, fronts, tops, slacks, left_of), and lam[n] is column n's entry,
+    the left side's line: each state q < n first moves column q's front
+    down one row and takes its left term, then takes the right term from
+    the row's front, and the left term wins ties.  Column q's front row
+    is fronts[q], its lam tops[q], None when there is none, and its
+    slack slacks[q], _NO_SLACK when there is none, so its slack test
+    reads one list; its moves are left_of[w] = (LEFT, w).  Every line
+    starts at state n - 1, its front at n when lam[n] is present.  Only
+    lines without cols fill runs.
 
     check=True fills a line without cols on a copy, taken at entry, as
     above, with no checks; then fills the line itself by the scalar
@@ -169,19 +173,16 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
         if check:
             filled = lam[:], succ[:]
             _distance_line(side, *filled, False, two)
-        p = n - 1
-        f = -1 if lam[n] is None else n
-        if f > 0:
-            top = lam[f]
-            slack = top - r[f - 1]
     else:
         left_side, table, row, fronts, tops, slacks, left_of = cols
         rl = left_side.r
         lthreshold = 2 * left_side.tau[row]
         below = table[row + 1]
-        # state n has no right term: it takes the left term alone
-        p = n
-        f = -1
+    p = n - 1
+    f = -1 if lam[n] is None else n
+    if f > 0:
+        top = lam[f]
+        slack = top - r[f - 1]
     fresh = True
     while p >= 0:
         # the scalar loop; a run fill leaves it, to resume below the run
@@ -258,7 +259,7 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                             succ[a : p + 1] = [f] * (p + 1 - a)
                             p = a - 1
                             break
-            if check and p < n:
+            if check:
                 _check_top(lam, r, tau, p, f)
             if left is not None and (value is None or left >= value):
                 value = left
@@ -340,36 +341,40 @@ def solve_distance_2d_cubic(inst, deadline):
 
 def solve_distance_2d_heap(inst, deadline, check=False):
     """Front-index solver in O(n_l n_r); lam matches
-    solve_distance_2d_cubic.  check=True asserts _check_top for every
-    column and row front at every state, and the bottom row's runs
-    against the scalar loop (_distance_line)."""
+    solve_distance_2d_cubic.  One _distance_line call fills column n_r,
+    the left side's line, one the bottom row, and one each row above it,
+    with its column steps.  check=True asserts _check_top for every
+    column and row front at every state, and the runs of column n_r and
+    the bottom row against the scalar loop."""
     left = inst.left
     right = inst.right
     nl = left.n
     nr = right.n
+    # column n_r, the left side's line: the whole table when the right
+    # side is empty
+    line = [None] * nl + [deadline]
+    moves = [None] * (nl + 1)
+    _distance_line(left, line, moves, check)
     if not nr:
-        # an empty right side leaves one line, the left side's
-        line = [None] * nl + [deadline]
-        moves = [None] * (nl + 1)
-        _distance_line(left, line, moves, check)
         left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
         lam = [[v] for v in line]
         succ = [[left_of[w]] for w in moves]
     else:
-        lam = [[None] * (nr + 1) for _ in range(nl + 1)]
-        succ = [[None] * (nr + 1) for _ in range(nl + 1)]
-        lam[nl][nr] = deadline
-        if not nl:
-            _distance_line(right, lam[0], succ[0], check)
-        else:
-            two = [2 * t for t in right.tau]
-            _distance_line(right, lam[nl], succ[nl], check, two)
-            # the left moves, shared; the row kernel's bare w is a right move
-            left_of = [(LEFT, w) for w in range(nl + 1)]
+        # the left moves, shared; the row kernel's bare w is a right move
+        left_of = [(LEFT, w) for w in range(nl + 1)]
+        lam = [[None] * (nr + 1) for _ in line]
+        succ = [[None] * (nr + 1) for _ in line]
+        for p, w in enumerate(moves):
+            lam[p][nr] = line[p]
+            if w is not None:
+                succ[p][nr] = left_of[w]
+        two = [2 * t for t in right.tau] if nl else None
+        _distance_line(right, lam[nl], succ[nl], check, two)
+        if nl:
             # column fronts serve the left term and live for the whole sweep
-            fronts = [-1] * (nr + 1)
-            tops = [None] * (nr + 1)
-            slacks = [_NO_SLACK] * (nr + 1)
+            fronts = [-1] * nr
+            tops = [None] * nr
+            slacks = [_NO_SLACK] * nr
             for p in range(nl - 1, -1, -1):
                 cols = (left, lam, p, fronts, tops, slacks, left_of)
                 _distance_line(right, lam[p], succ[p], check, two, cols)

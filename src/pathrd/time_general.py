@@ -97,10 +97,6 @@ _DEAD = float("-inf")
 # cursors
 _UNSET = float("inf")
 
-# the window lists drop their dead entries once these outnumber the
-# live ones, and there are more than this many
-_COMPACT = 64
-
 
 @dataclass(frozen=True)
 class TimeDpTrace:
@@ -179,8 +175,9 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     # the window: values[head:] and indices[head:] hold the (a_j, j),
     # a_j = c[j] + 2 tau[j], j in (k, i-1], that no later a undercuts,
     # values nondecreasing front to back; equal values all stay so the
-    # front is always the smallest j among minima.  The entry before
-    # head is a dead one, whose value _DEAD stops the back pops.
+    # front is always the smallest j among minima.  The entries before
+    # head are dead ones, whose value _DEAD stops the back pops; each
+    # state pushes one entry, so the lists stay within the line's length.
     values = [_DEAD]
     indices = [-1]
     head = 1
@@ -209,10 +206,6 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
                         if cw[ch] <= ck:
                             cv[ch] = _DEAD
                             ch += 1
-                            if ch > _COMPACT and ch + ch > len(cv):
-                                del cv[: ch - 1]
-                                del cw[: ch - 1]
-                                ch = 1
                     cursors[i] = ck
                     heads[i] = ch
                     if ck >= 0:
@@ -248,10 +241,6 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
                 if indices[head] <= k:
                     values[head] = _DEAD
                     head += 1
-                    if head > _COMPACT and head + head > len(values):
-                        del values[: head - 1]
-                        del indices[: head - 1]
-                        head = 1
             if check:
                 if stepping:
                     ch = heads[i]

@@ -287,15 +287,16 @@ def _plateau_candidates(rng, n, deadline, spread):
 def _candidate_row(side, lam, succ, ext):
     """Run _distance_line on row 0 of a two-row table whose left side is
     one customer at the depot, released no later than any candidate:
-    column q's left term is then row 1's entry itself, ext[q] below
-    the line's states and lam[n] at state n, and its move (LEFT, 1)."""
+    column q < n's left term is then row 1's entry itself, ext[q], and
+    its move (LEFT, 1).  Column n, the left side's line, holds lam[n] in
+    both rows, as a 2-D solve fills it before the rows."""
     n = side.n
     low = min((v for v in ext if v is not None), default=0)
     below = ext + [lam[n]]
     table = [lam, below]
-    fronts = [-1] * (n + 1)
-    tops = [None] * (n + 1)
-    slacks = [_NO_SLACK] * (n + 1)
+    fronts = [-1] * n
+    tops = [None] * n
+    slacks = [_NO_SLACK] * n
     cols = (line_side([min(low, 0)], [0]), table, 0, fronts, tops, slacks, [(LEFT, 0), (LEFT, 1)])
     _distance_line(side, lam, succ, check=True, cols=cols)
 
@@ -319,9 +320,6 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
             # the candidates come in as a column's left terms
             ext, ext_pred = _plateau_candidates(rng, n, deadline, 2 * far + 3)
             _candidate_row(line_side(r, tau), lam, succ, ext)
-            # state n takes its column's left term, the deadline itself
-            assert succ[n] == (LEFT, 1)
-            succ[n] = None
         else:
             _distance_line(line_side(r, tau), lam, succ, check=True)
         assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)

@@ -382,8 +382,10 @@ def test_left_only_solve_is_one_kernel_call(monkeypatch):
 
 
 def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
-    # check=True asserts each column's front once per row above the
-    # bottom, and each row state once, the states of a run fill included
+    # check=True asserts each left-line state once, in the left side's
+    # own line, column n_r; then each other column's front once per row
+    # above the bottom, and each row state once, the states of a run
+    # fill included
     seen = []
     check_top = distance_general._check_top
 
@@ -403,7 +405,7 @@ def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
         columns = [p for r, p in seen if r is left.r]
         rows = [p for r, p in seen if r is right.r]
         assert len(columns) + len(rows) == len(seen)
-        assert columns == [p for p in range(nl - 1, -1, -1) for _ in range(nr + 1)]
+        assert columns == list(range(nl - 1, -1, -1)) + [p for p in range(nl - 1, -1, -1) for _ in range(nr)]
         assert sorted(rows) == sorted(list(range(nr)) * (nl + 1))
     assert fills
 

@@ -9,10 +9,14 @@ other.  Every move of a time cursor or window and every slide of a
 distance front lives in the line kernels, _time_line and
 _distance_line: neither solve_time_2d_minqueue nor
 solve_distance_2d_heap holds a while loop, so no column step grows
-back inline.  Both kernels keep one fill rule: a numpy block of time
-states or a slice run of distance states is filled only on a line
-without column work, a 1-D line, column 0 or a 2-D solve's first row
-(row 0 for time, the bottom row for distance); a row with column work
+back inline.  Both 2-D solvers fill one table shape, in the same kernel
+calls: the left side's line in one call, the column with no right term
+(column 0 for time, column n_r for distance), then, with a right side,
+its first row in one call (row 0 for time, the bottom row for distance)
+and each other row in one call with column work.  Both kernels keep one
+fill rule: a numpy block of time states or a slice run of distance
+states is filled only on a line without column work, a 1-D line, the
+left side's line or a 2-D solve's first row; a row with column work
 takes every state on the scalar loop.  Only the scalar loops assert the
 invariants, _check_line and _check_top; a numpy or slice fill is
 checked against the scalar loop's fill of the same line, so it takes
@@ -21,10 +25,11 @@ no check of its own.
 
 import ast
 import inspect
+import itertools
 from pathlib import Path
 
 import pathrd
-from pathrd import GeneralInstance, distance_general, random_canonical_side, time_general
+from pathrd import GeneralInstance, Infeasible, distance_general, random_canonical_side, time_general
 from pathrd.distance_general import solve_distance_2d_heap
 from pathrd.time_general import solve_time_2d_minqueue
 
@@ -115,14 +120,62 @@ def test_only_the_scalar_loops_assert_the_invariants():
         assert "check" not in inspect.signature(fill).parameters
 
 
+def test_both_2d_solvers_fill_one_table_shape(monkeypatch):
+    # in every shape, either objective fills the left side's line in one
+    # kernel call without cols, then, with a right side, its first row in
+    # one more and each other row with column work
+    calls = []
+    for module, kernel in ((time_general, "_time_line"), (distance_general, "_distance_line")):
+        line = getattr(module, kernel)
+        params = inspect.signature(line)
+
+        def spied(*args, line=line, params=params):
+            calls.append((args[0], params.bind(*args).arguments.get("cols") is not None))
+            return line(*args)
+
+        monkeypatch.setattr(module, kernel, spied)
+    for nl, nr in itertools.product((0, 1, 7, 40), repeat=2):
+        left = random_canonical_side(nl, 2 * nl + 1)
+        right = random_canonical_side(nr, 2 * nr + 2)
+        inst = GeneralInstance(left, right)
+        want = [(left, False)]
+        if nr:
+            want += [(right, False)] + [(right, True)] * nl
+        del calls[:]
+        _, plan = solve_time_2d_minqueue(inst)
+        assert calls == want, ("time", nl, nr)
+        for deadline in (plan.value - 1, plan.value, 2 * plan.value + 3):
+            del calls[:]
+            try:
+                solve_distance_2d_heap(inst, deadline)
+            except Infeasible:
+                pass
+            assert calls == want, ("distance", nl, nr, deadline)
+
+
 def test_fills_run_only_on_lines_without_column_work(monkeypatch):
-    # a skinny one-route pair and a many-route pair whose rows above the
-    # first are long: both kernels fill their first lines, and no row
-    # with column work
+    # skinny one-route pairs both ways round and a many-route pair whose
+    # rows above the first are long: both kernels fill their first
+    # lines, and no row with column work; the long left line of the
+    # flipped pair takes a distance run
     fills = spy_fills_by_column_work(monkeypatch)
+    runs = []
+    run_values = distance_general._run_values
+
+    def spied(top, side, lo, hi):
+        runs.append(side)
+        return run_values(top, side, lo, hi)
+
+    monkeypatch.setattr(distance_general, "_run_values", spied)
     skinny = GeneralInstance(random_canonical_side(30, 5), random_canonical_side(3000, 6))
+    flipped = GeneralInstance(random_canonical_side(3000, 5), random_canonical_side(30, 6))
     for inst in (skinny, GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])):
         _, plan = solve_time_2d_minqueue(inst)
         solve_distance_2d_heap(inst, plan.value)
     assert {name for name, _ in fills} == {"_time_block", "_run_values"}
+    _, plan = solve_time_2d_minqueue(flipped)
+    for deadline in (plan.value, 2 * plan.value):
+        del runs[:]
+        solve_distance_2d_heap(flipped, deadline)
+        assert any(side is flipped.left for side in runs), deadline
     assert not any(cols for _, cols in fills)
