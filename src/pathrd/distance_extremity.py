@@ -8,7 +8,7 @@ solve_distance_heap and solve_distance_quadratic are the one row of
 solve_distance_2d_heap and solve_distance_2d_cubic on
 GeneralInstance(EMPTY_SIDE, side), an Infeasible's trace included, their
 routes named for the side they serve; distance_general states the
-recurrence, the line kernel and its runs.
+recurrence, the line kernel and its blocks.
 """
 
 from .distance_general import DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
@@ -47,6 +47,6 @@ def solve_distance_heap(side, deadline, label=RIGHT, check=False):
     distance_general.solve_distance_2d_heap; lam matches
     solve_distance_quadratic exactly, the empty side included.
     check=True asserts distance_general._check_top at every state of
-    the scalar loop and compares a line filled by runs with its fill
+    the scalar loop and compares a line filled by blocks with its fill
     (_distance_line)."""
     return _row(solve_distance_2d_heap, side, deadline, label, check)

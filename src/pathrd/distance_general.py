@@ -44,20 +44,23 @@ holds, so the row's front keeps its lam and slack in locals and each
 column's in lists beside its index, read once per move.  A left-only
 instance is one line, the left side's: one call of the kernel.
 
-While f holds, lam[p] = lam[f] - 2 tau[p] on every state whose
-threshold f's slack meets, and as tau grows those states run down to a
-bound one bisect finds.  A run longer than RUN is filled by slice
-assignment, its values top - 2 tau computed by one int64 operation over
-the side's arrays on an all-int line within MAX_MAGNITUDE, and by a
-list comprehension elsewhere (_run_values).  Only lines without column
-work fill runs: 1-D lines, column n_r and the bottom row.  A row above
-takes every state's column step anyway, and a run there would spare
-only the right term's slack test; taking a run's left terms first and
-merging them by slice made one-route pairs slower than the scalar loop.
+Blocks fill int lines without column work, 1-D lines, column n_r and
+the bottom row, when tau strictly decreases, as on a canonical side,
+and the numbers are int64 within MAX_MAGNITUDE.  lam then strictly
+increases over the present states below n - 1, so once states p..f are
+known, f being p's front, each state x < p takes as its front the
+largest known w whose slack meets 2 tau[x], and the states whose
+threshold the known states' largest slack meets form a block.  The
+scalar loop probes for one at each state it fills with the largest
+slack of any filled state, which meets a threshold below p only if a
+known state's does.  A row with column work would spare only the
+right term's slack test: merging a run's left terms by slice made
+one-route pairs slower than the scalar loop.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
@@ -67,12 +70,8 @@ from .solution import LEFT, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
 
-# A run is filled by slice only when its front has just changed and the
-# state RUN below still meets the front's slack.  Lines cut into many
-# routes hold runs of 1-20 states: filling at every front made their
-# distance solves 1.5-1.9x slower than the scalar loop alone, RUN = 16
-# left a two-sided grid 1.05-1.12x slower, and 32 or 64 no slower.
-RUN = 32
+# the shortest block worth its numpy calls, the same length as time_general's
+_BLOCK = 256
 
 # the slack of a column with no front, which meets no threshold
 _NO_SLACK = float("-inf")
@@ -92,12 +91,6 @@ class DistDpTrace:
 
 def _build_solution(inst, lam, succ):
     return distance_solution(inst.left, inst.right, lam, succ)
-
-
-def _minus_two(t):
-    # a bisect key: -2 t >= -slack exactly when slack >= 2 t, the test
-    # the scalar loop makes, so a run's bound needs no correcting
-    return -2 * t
 
 
 def _check_top(line, r, tau, p, f):
@@ -121,24 +114,6 @@ def _check_top(line, r, tau, p, f):
     assert (None if f < 0 else (-line[f], f)) == best
 
 
-def _run_values(top, side, lo, hi):
-    """[top - 2 * t for t in side.tau[lo:hi]], over tau nonincreasing.
-
-    An int top over int64 arrays within MAX_MAGNITUDE gives those exact
-    values and types by one int64 operation over the side's arrays;
-    any other top or arrays take the comprehension.
-    """
-    tau = side.tau
-    tv = side.arrays[1]
-    if (
-        top.__class__ is int
-        and tv.dtype == np.int64
-        and max(abs(top), tau[lo], -tau[hi - 1]) <= MAX_MAGNITUDE
-    ):
-        return (top - 2 * tv[lo:hi]).tolist()
-    return [top - 2 * t for t in tau[lo:hi]]
-
-
 def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     """Fill lam[0..n-1] and succ[0..n-1] of side's line from the given
     lam[n], n = side.n, which may be 0; None marks an absent state, and
@@ -156,8 +131,7 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     is fronts[q], its lam tops[q], None when there is none, and its
     slack slacks[q], _NO_SLACK when there is none, so its slack test
     reads one list; its moves are left_of[w] = (LEFT, w).  Every line
-    starts at state n - 1, its front at n when lam[n] is present.  Only
-    lines without cols fill runs.
+    starts at state n - 1, its front at n when lam[n] is present.
 
     check=True fills a line without cols on a copy, taken at entry, as
     above, with no checks; then fills the line itself by the scalar
@@ -169,10 +143,16 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     tau = side.tau
     n = len(r)
     left = None
+    # the states from reach up probe for a block, none unless it is a block line
+    reach = n
     if cols is None:
         if check:
             filled = lam[:], succ[:]
             _distance_line(side, *filled, False, two)
+        elif n > _BLOCK and lam[n].__class__ is int and max(lam[n], r[-1], tau[0]) <= MAX_MAGNITUDE:
+            rv, tv = side.arrays
+            if rv.dtype == tv.dtype == np.int64 and (tv[:-1] > tv[1:]).all():
+                reach = _BLOCK
     else:
         left_side, table, row, fronts, tops, slacks, left_of = cols
         rl = left_side.r
@@ -182,10 +162,10 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
     f = -1 if lam[n] is None else n
     if f > 0:
         top = lam[f]
-        slack = top - r[f - 1]
-    fresh = True
+        # most: the largest slack of any filled state, read by the block probe
+        slack = most = top - r[f - 1]
     while p >= 0:
-        # the scalar loop; a run fill leaves it, to resume below the run
+        # the scalar loop; a block leaves it, to resume below the block
         for p in range(p, -1, -1):
             if cols is not None:
                 # column p gains state row + 1, which leads its front's
@@ -230,7 +210,6 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                 threshold = 2 * tau[p] if two is None else two[p]
                 while slack < threshold:
                     # pop: slide to the smallest index of the next lower group
-                    fresh = True
                     f -= 1
                     if f == p:
                         f = -1
@@ -242,23 +221,6 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                 else:
                     value = top - threshold
                     q = f
-                    if fresh:
-                        fresh = False
-                        # a run: every state from p down to the lowest whose
-                        # threshold slack meets takes top - 2 tau from f; as
-                        # lam[p] < top, none of them joins f's group
-                        if (
-                            cols is None
-                            and not check
-                            and p >= RUN
-                            and slack >= 2 * tau[p - RUN]
-                            and value < top
-                        ):
-                            a = bisect_left(tau, -slack, 0, p - RUN, key=_minus_two)
-                            lam[a : p + 1] = _run_values(top, side, a, p + 1)
-                            succ[a : p + 1] = [f] * (p + 1 - a)
-                            p = a - 1
-                            break
             if check:
                 _check_top(lam, r, tau, p, f)
             if left is not None and (value is None or left >= value):
@@ -273,12 +235,60 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
                     top = value
                     if p:
                         slack = value - r[p - 1]
-                    fresh = True
+                if p >= reach:
+                    most = max(most, value - r[p - 1])
+                    if most >= 2 * tau[p - _BLOCK]:
+                        p, f = _distance_block(side, lam, succ, p, f)
+                        if f >= 0:
+                            top = lam[f]
+                            slack = top - r[f - 1]
+                        break
         else:
             break
     if check and cols is None:
         assert [(v.__class__, v) for v in lam] == [(v.__class__, v) for v in filled[0]]
         assert succ == filled[1]
+
+
+def _distance_block(side, lam, succ, p, f):
+    """Fill blocks from state p - 1 down, where p is filled, f is its
+    front and a block starts, while they are _BLOCK states long; return
+    the state below the last filled and its front, -1 when none.  One
+    searchsorted over the suffix maxima of the known slacks gives the
+    fronts, unless the first and last state's agree: a run, one front.
+    Below a block only its states can meet a threshold, so the next
+    block knows them alone.  _distance_line checks it against the
+    scalar loop."""
+    tau = side.tau
+    rv, tv = side.arrays
+    hi = f
+    known = np.fromiter(lam[p : hi + 1], np.int64, hi + 1 - p)
+    while p:
+        # most[j]: the largest slack of states hi - j..hi
+        most = np.subtract(known[::-1], rv[p - 1 : hi][::-1])
+        np.maximum.accumulate(most, out=most)
+        # the block: states a..p-1, 2 tau <= most[-1], for an int tau <= most[-1] // 2
+        a = bisect_left(tau, -(int(most[-1]) // 2), 0, p, key=neg)
+        # the fronts of the block's first and last states, p - 1 and a
+        f = hi - int(most.searchsorted(2 * tau[p - 1])) if a < p else -1
+        if p - a < _BLOCK:
+            break
+        low = hi - int(most.searchsorted(2 * tau[a]))
+        values = 2 * tv[a:p]
+        if low == f:
+            fronts = None
+            np.subtract(lam[f], values, out=values)
+        else:
+            fronts = most.searchsorted(values)
+            np.subtract(known[hi - p - fronts], values, out=values)
+        # the next block knows this one's states; no array outlives a write
+        known = values if a else None
+        values = values.tolist()
+        lam[a:p] = values
+        del values
+        succ[a:p] = [f] * (p - a) if fronts is None else (hi - fronts).tolist()
+        hi, p, f = p - 1, a, low
+    return p - 1, f
 
 
 def _scan(lam, present, r, threshold):
@@ -344,8 +354,8 @@ def solve_distance_2d_heap(inst, deadline, check=False):
     solve_distance_2d_cubic.  One _distance_line call fills column n_r,
     the left side's line, one the bottom row, and one each row above it,
     with its column steps.  check=True asserts _check_top for every
-    column and row front at every state, and the runs of column n_r and
-    the bottom row against the scalar loop."""
+    column and row front at every state, and the blocks of column n_r
+    and the bottom row against the scalar loop."""
     left = inst.left
     right = inst.right
     nl = left.n

@@ -14,17 +14,20 @@ per-position loop CanonicalSide.deliveries ran before it sliced.
 ref_raw_optimum is an oracle that shares none of the solvers' model:
 brute force over set partitions of a parsed instance's customers.
 
-long_run_sides and count_run_fills serve the tests of the distance
-kernel's runs, the stretches of a line it fills by slice,
-assert_matches_baseline compares a fast distance solver with its
-baseline, and ref_distance_line fills one line of the distance table
-from its definition.  long_time_run_sides and dense_time_sides hold
-time lines with long runs and with many routes, count_time_block_fills
-lists the time kernel's blocks, spy_fills_by_column_work tells each
-fill of either kernel by whether its line has column work, and
-ref_time_line is the time kernel as it was before it filled runs, state
-by state, kept unchanged (apart from its name and the window it hands
-_check_line) as the bitwise reference for the block fills.
+long_run_sides and long_block_sides hold distance lines with long
+runs, stretches over which one front holds, shorter and longer than a
+block; count_distance_block_fills lists the distance kernel's blocks,
+typed_run_lines and spy_block_lines serve the tests that only int
+lines take them, assert_matches_baseline compares a fast distance
+solver with its baseline, and ref_distance_line fills one line of the
+distance table from its definition.  long_time_run_sides and
+dense_time_sides hold time lines with long runs and with many routes,
+count_time_block_fills lists the time kernel's blocks,
+spy_fills_by_column_work tells each fill of either kernel by whether
+its line has column work, and ref_time_line is the time kernel as it
+was before it filled runs, state by state, kept unchanged (apart from
+its name and the window it hands _check_line) as the bitwise reference
+for the block fills.
 ref_time_2d_minqueue is the 2-D time solver as it was before its
 column step moved into the line kernel: an inline column step per row,
 each column's window a deque of (a, w), then the row kernel merging
@@ -36,9 +39,10 @@ the 2-D distance solver as it was before its column step moved into
 the line kernel: an inline column step per row, then
 ref_distance_merge_line, the kernel of then, merging the row's right
 term into the left terms.  Both are kept unchanged apart from their
-names, with ref_run_values, as the bitwise reference for the fused
-kernel.  corrupt_time_blocks and corrupt_run_values make the numpy and
-slice fills write wrong values or types, which check=True must catch.
+names, with ref_run_values and its own RUN, as the bitwise reference
+for the fused kernel.  corrupt_time_blocks and corrupt_distance_blocks
+make the numpy fills write wrong values or types, which check=True
+must catch.
 """
 
 import dataclasses
@@ -65,7 +69,7 @@ from collections import deque
 import numpy as np
 
 from pathrd import distance_general, time_extremity, time_general
-from pathrd.distance_general import RUN, DistDpTrace, _check_top
+from pathrd.distance_general import DistDpTrace, _check_top
 from pathrd.instance import MAX_MAGNITUDE, table_dtype
 from pathrd.solution import LEFT, distance_solution, time_solution
 from pathrd.time_general import TimeDpTrace, _check_line
@@ -370,9 +374,11 @@ def mixed(side, which):
 
 
 def long_run_sides():
-    """Sides whose distance lines hold runs far longer than RUN: a
+    """Sides whose distance lines hold runs, stretches over which one
+    front holds, 200 to 240 states long, shorter than _BLOCK: a
     one-route side, a side with one long run only under a loose
-    deadline, and staircases."""
+    deadline, and staircases.  long_block_sides() holds longer
+    versions, whose lines take blocks."""
     return [
         random_canonical_side(200, seed=71),
         random_canonical_side(200, seed=72, max_wait=20, max_step=2),
@@ -381,29 +387,46 @@ def long_run_sides():
     ]
 
 
-def count_run_fills(monkeypatch):
-    """The top state of every run the 1-D kernel fills by slice, listed
-    as each bisects for its lowest state below top - RUN."""
-    tops = []
-    bisect_left = distance_general.bisect_left
+def long_block_sides():
+    """long_run_sides() at 600 to 720 states, long enough that their
+    int distance lines take blocks of distance_general._BLOCK states,
+    and a side whose releases jump halfway, so that at its time optimum
+    a block's own states reach the next: two blocks in one chain."""
+    return [
+        random_canonical_side(600, seed=71),
+        random_canonical_side(600, seed=72, max_wait=20, max_step=2),
+        stairs_side(720, 200),
+        stairs_side(720, 200, at_depot=True),
+        line_side([0] * 300 + [2500] * 300, range(600, 0, -1)),
+    ]
 
-    def counted(tau, x, lo, hi, **kwargs):
-        tops.append(hi + RUN)
-        return bisect_left(tau, x, lo, hi, **kwargs)
 
-    monkeypatch.setattr(distance_general, "bisect_left", counted)
-    return tops
+def count_distance_block_fills(monkeypatch):
+    """(first state, last state) of every stretch of blocks the distance
+    kernel fills, from the top down, 1-D or in a 2-D line, in the order
+    they are filled; a block call that fills nothing adds nothing."""
+    blocks = []
+    fill = distance_general._distance_block
+
+    def counted(side, lam, succ, p, f):
+        below, f = fill(side, lam, succ, p, f)
+        if below < p - 1:
+            blocks.append((p - 1, below + 1))
+        return below, f
+
+    monkeypatch.setattr(distance_general, "_distance_block", counted)
+    return blocks
 
 
 def typed_run_lines():
-    """(name, side, deadlines): long_run_sides() as ints, times 0.37,
-    mixed, and with releases shifted to within 2**20 of 2**53, as ints
-    and as floats, each at int and float deadlines from T* to 2 T* + 10,
-    which passes MAX_MAGNITUDE near 2**53; and two sides whose
-    farthest customer is 2**70 out, which gives them object arrays, or
-    2**62, int64 arrays whose int deadline 2**64 numpy cannot take.
-    Their distance runs reach every branch of
-    distance_general._run_values."""
+    """(name, side, deadlines): long_run_sides() and the first of
+    long_block_sides() as ints, times 0.37, mixed, and with releases shifted to within
+    2**20 of 2**53, as ints and as floats, each at int and float
+    deadlines from T* to 2 T* + 10, which passes MAX_MAGNITUDE near
+    2**53; and sides of 100 and 300 customers whose farthest is 2**70
+    out, which gives them object arrays, or 2**62, int64 arrays whose
+    int deadline 2**64 numpy cannot take.  Of these only the int lines
+    within MAX_MAGNITUDE may take distance blocks (BLOCK_LINE)."""
     kinds = {
         "int": lambda s: s,
         "x0.37": lambda s: rescaled(s, 0.37),
@@ -413,45 +436,39 @@ def typed_run_lines():
     }
     lines = []
     for name, kind in kinds.items():
-        for base in long_run_sides():
+        for base in long_run_sides() + long_block_sides()[:1]:
             side = kind(base)
             t = time_extremity.solve_time_linear(side)[1].value
             deadlines = [t, t + side.tau[0], 2 * t + 10]
             deadlines += [d + 0.5 if d.__class__ is int else math.floor(d) for d in deadlines]
             lines.append((name, side, deadlines))
-    for far, deadline in ((2**70, 2**72), (2**62, 2**64)):
-        side = line_side([0] * 100, [far] + [k * 2**52 for k in range(99, 0, -1)])
-        lines.append((f"far {far}", side, [deadline, float(deadline)]))
+    for n in (100, 300):
+        for far, deadline in ((2**70, 2**72), (2**62, 2**64)):
+            side = line_side([0] * n, [far] + [k * 2**52 for k in range(n - 1, 0, -1)])
+            lines.append((f"far {far}", side, [deadline, float(deadline)]))
     return lines
 
 
-def spy_run_values(monkeypatch):
-    """The branch of every distance run fill, in order, as (top's type,
-    the tau array's dtype, |top| within MAX_MAGNITUDE)."""
+def spy_block_lines(monkeypatch):
+    """The line of every distance block call, in order, as (lam[n]'s
+    type, the side's two array dtypes, whether lam[n], r[-1] and tau[0]
+    are all within MAX_MAGNITUDE)."""
     seen = []
-    fill = distance_general._run_values
+    fill = distance_general._distance_block
 
-    def spied(top, side, lo, hi):
-        seen.append((top.__class__, side.arrays[1].dtype.name, abs(top) <= MAX_MAGNITUDE))
-        return fill(top, side, lo, hi)
+    def spied(side, lam, succ, p, f):
+        rv, tv = side.arrays
+        top = lam[-1]
+        seen.append((top.__class__, rv.dtype.name, tv.dtype.name, max(top, side.r[-1], side.tau[0]) <= MAX_MAGNITUDE))
+        return fill(side, lam, succ, p, f)
 
-    monkeypatch.setattr(distance_general, "_run_values", spied)
+    monkeypatch.setattr(distance_general, "_distance_block", spied)
     return seen
 
 
-# what reaches _run_values: its int64 arithmetic, an int top over int64
-# arrays within MAX_MAGNITUDE; and its comprehension, for that top past
-# MAX_MAGNITUDE, a float top over int64, float64 and object arrays, and
-# an int top over a mixed line's float64 and over object arrays
-RUN_VALUE_BRANCHES = {
-    (int, "int64", True),
-    (int, "int64", False),
-    (float, "int64", True),
-    (float, "float64", True),
-    (int, "float64", True),
-    (int, "object", False),
-    (float, "object", False),
-}
+# the one kind of line that takes distance blocks: an int lam[n] over
+# int64 arrays, its numbers within MAX_MAGNITUDE
+BLOCK_LINE = (int, "int64", "int64", True)
 
 
 def typed(values):
@@ -728,7 +745,7 @@ def count_time_block_fills(monkeypatch):
 
 def spy_fills_by_column_work(monkeypatch):
     """Spy on both line kernels and their fills, time's _time_block and
-    distance's _run_values: the list returned gains, at each fill, its
+    distance's _distance_block: the list returned gains, at each fill, its
     name and whether the kernel call it runs in was given cols, a row
     with column work."""
     fills = []
@@ -736,7 +753,7 @@ def spy_fills_by_column_work(monkeypatch):
     calls = []
     for module, kernel, fill in (
         (time_general, "_time_line", "_time_block"),
-        (distance_general, "_distance_line", "_run_values"),
+        (distance_general, "_distance_line", "_distance_block"),
     ):
         line = getattr(module, kernel)
         params = inspect.signature(line)
@@ -779,17 +796,21 @@ def corrupt_time_blocks(monkeypatch, corrupt):
     return hits
 
 
-def corrupt_run_values(monkeypatch, corrupt):
-    """Make every distance run fill write corrupt(v) for each value v;
-    the list returned gains each run's top and bottom state."""
+def corrupt_distance_blocks(monkeypatch, corrupt):
+    """Make every stretch of blocks the distance kernel fills write
+    corrupt(lam) at its last state; the list returned gains that state
+    at each."""
     hits = []
-    fill = distance_general._run_values
+    fill = distance_general._distance_block
 
-    def corrupted(top, side, lo, hi):
-        hits.append((hi - 1, lo))
-        return [corrupt(v) for v in fill(top, side, lo, hi)]
+    def corrupted(side, lam, succ, p, f):
+        below, f = fill(side, lam, succ, p, f)
+        if below < p - 1:
+            lam[below + 1] = corrupt(lam[below + 1])
+            hits.append(below + 1)
+        return below, f
 
-    monkeypatch.setattr(distance_general, "_run_values", corrupted)
+    monkeypatch.setattr(distance_general, "_distance_block", corrupted)
     return hits
 
 
@@ -801,6 +822,11 @@ def dense_time_sides():
         random_canonical_side(n, seed=seed, max_wait=50, max_step=2)
         for n, seed in ((2500, 801), (4000, 802))
     ]
+
+
+# the run length of the frozen kernel below: a run longer than this was
+# filled by slice
+RUN = 32
 
 
 def ref_run_values(top, side, lo, hi):

@@ -18,8 +18,10 @@ from pathrd import (
     split_at_depot,
     validate_solution,
 )
+from pathrd import distance_general
 from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
 from pathrd.distance_general import (
+    _BLOCK,
     _NO_SLACK,
     _check_top,
     _distance_line,
@@ -30,17 +32,19 @@ from pathrd.solution import LEFT
 from pathrd.time_extremity import solve_time_linear
 
 from helpers import (
+    BLOCK_LINE,
     CORRUPTIONS,
     EX1_SIDE,
     assert_matches_baseline,
-    corrupt_run_values,
-    count_run_fills,
+    corrupt_distance_blocks,
+    count_distance_block_fills,
     line_side,
+    long_block_sides,
     long_run_sides,
-    RUN_VALUE_BRANCHES,
     ref_distance_line,
     rescaled,
-    spy_run_values,
+    spy_block_lines,
+    stairs_side,
     typed,
     typed_run_lines,
 )
@@ -252,13 +256,17 @@ SCALES = {
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_long_runs_match_quadratic(scale, monkeypatch):
-    fills = count_run_fills(monkeypatch)
-    for base in long_run_sides():
+    # runs shorter than a block, and at int scale longer ones too, whose
+    # blocks check=True compares with the scalar loop's fill; no float
+    # line takes one (test_run_fills_keep_python_values_and_types)
+    fills = count_distance_block_fills(monkeypatch)
+    for base in long_run_sides() + (long_block_sides() if scale == "int" else []):
         side = rescaled(base, *SCALES[scale])
         t = solve_time_linear(side)[1].value
         for deadline in (t - 1, t, t + 7 * SCALES[scale][0], t + side.tau[0], 2 * t + 10):
             assert_matches_baseline(solve_distance_heap, solve_distance_quadratic, side, deadline)
-    assert len(fills) >= 8
+    if scale == "int":
+        assert len(fills) >= 20
 
 
 def _flat_line(rng, n):
@@ -305,8 +313,8 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
     # lines outside the canonical form's strict order, with and without
     # another side's candidate: they reach the front's slide past a group
     # of equal lam, and states just below a candidate equal to the
-    # front's lam
-    fills = count_run_fills(monkeypatch)
+    # front's lam.  None is longer than a block, so none takes one
+    fills = count_distance_block_fills(monkeypatch)
     rng = random.Random(2024)
     for trial in range(200):
         n = rng.choice((rng.randint(0, 12), rng.randint(30, 150)))
@@ -323,34 +331,118 @@ def test_kernel_matches_its_definition_on_flat_lines(monkeypatch):
         else:
             _distance_line(line_side(r, tau), lam, succ, check=True)
         assert (lam, succ) == ref_distance_line(r, tau, deadline, ext, ext_pred)
-    assert len(fills) >= 20
+    assert fills == []
+
+
+def _zero_last_tau(side):
+    """side with every depot distance less its last, which becomes 0:
+    the last state's lam ties lam[n]."""
+    return line_side(side.r, [t - side.tau[-1] for t in side.tau])
+
+
+def test_blocks_on_lines_with_groups_of_equal_lam(monkeypatch):
+    # canonical lines whose last tau is 0, where lam[n - 1] = lam[n],
+    # take blocks, which start on no zero tau; flat lines of at least two
+    # blocks' length, equal and trailing zero taus among them, take none.
+    # Each line equals the definition, its blocks compared with the
+    # scalar loop's fill
+    fills = count_distance_block_fills(monkeypatch)
+    rng = random.Random(2026)
+    one_route, _, _, stairs, _ = long_block_sides()
+    dense = random_canonical_side(600, 5, max_wait=50, max_step=2)
+    canonical = [_zero_last_tau(one_route), stairs, _zero_last_tau(dense)]
+    flat = [line_side(*_flat_line(rng, rng.randint(2 * _BLOCK, 2 * _BLOCK + 100))) for _ in range(6)]
+    taken = 0
+    for side in canonical + flat:
+        t = solve_time_linear(side)[1].value
+        for deadline in (t, t + 7, 2 * t + 10):
+            del fills[:]
+            lam = [None] * side.n + [deadline]
+            succ = [None] * (side.n + 1)
+            _distance_line(side, lam, succ, check=True)
+            assert (lam, succ) == ref_distance_line(side.r, side.tau, deadline)
+            if side in flat:
+                assert fills == []
+            assert all(side.tau[first] > 0 for first, _ in fills)
+            taken += len(fills)
+    assert all(side.tau[-1] == 0 for side in canonical)
+    assert any(len(set(side.tau[-2 * _BLOCK :])) < 2 * _BLOCK for side in flat)
+    assert taken >= 9
+
+
+def test_blocks_fill_a_dense_line_at_its_time_optimum(monkeypatch):
+    # raw-dense's many-route line at T*: the front's own slack meets the
+    # threshold _BLOCK states below on no state, but the largest slack of
+    # the filled states does, and blocks fill nearly the whole line.
+    # check=True compares the line with the scalar loop's fill; its
+    # _check_top at every state, quadratic in the line, is left out
+    fills = count_distance_block_fills(monkeypatch)
+    monkeypatch.setattr(distance_general, "_check_top", lambda *args: None)
+    side = random_canonical_side(10**5, 1, max_wait=50, max_step=2)
+    deadline = solve_time_linear(side)[1].value
+    solve_distance_heap(side, deadline, check=True)
+    assert sum(first + 1 - last for first, last in fills) >= 0.99 * side.n
+
+
+def test_blocks_take_one_front_or_many(monkeypatch):
+    # a one-route line's block takes one front for every state, a
+    # many-route line's one front per state, and the line whose releases
+    # jump chains a second block whose front is one of the first block's
+    # states; each line equals the definition, and check=True compares
+    # its blocks with the scalar loop's fill
+    fills = count_distance_block_fills(monkeypatch)
+    one_route, _, _, _, jump = long_block_sides()
+    many = random_canonical_side(600, 5, max_wait=50, max_step=2)
+    fronts = {}
+    for name, side in (("one", one_route), ("many", many), ("jump", jump)):
+        t = solve_time_linear(side)[1].value
+        # the one-route line's slack at T* is largest at state n - 1
+        deadline = 2 * t if name == "one" else t
+        del fills[:]
+        lam = [None] * side.n + [deadline]
+        succ = [None] * (side.n + 1)
+        _distance_line(side, lam, succ, check=True)
+        assert (lam, succ) == ref_distance_line(side.r, side.tau, deadline)
+        ((first, last),) = fills
+        assert first - last >= _BLOCK
+        fronts[name] = succ[last : first + 1]
+    assert len(set(fronts["one"])) == 1
+    assert len(set(fronts["many"])) > 1
+    # the first block's states take front n, the second's the first
+    # block's last state, n / 2
+    assert set(fronts["jump"]) == {jump.n // 2, jump.n}
 
 
 def test_run_fills_keep_python_values_and_types(monkeypatch):
-    # each run is filled by numpy only where that gives the values and
-    # types of Python's top - 2 * t, entry for entry
-    seen = spy_run_values(monkeypatch)
+    # only an int line within MAX_MAGNITUDE takes blocks, whose int64
+    # arithmetic gives Python's values and types there; float, mixed,
+    # object and out-of-range lines stay on the scalar loop, and every
+    # line equals the definition entry for entry
+    seen = spy_block_lines(monkeypatch)
+    blocked = set()
     for name, side, deadlines in typed_run_lines():
-        before = len(seen)
         for deadline in deadlines:
+            before = len(seen)
             lam = [None] * side.n + [deadline]
             succ = [None] * (side.n + 1)
             _distance_line(side, lam, succ, check=side.n < 150)
             want_lam, want_succ = ref_distance_line(side.r, side.tau, deadline)
             assert typed(lam) == typed(want_lam), (name, deadline)
             assert succ == want_succ, (name, deadline)
-        assert len(seen) > before, name
-    assert set(seen) >= RUN_VALUE_BRANCHES
+            if len(seen) > before:
+                blocked.add(name)
+    assert set(seen) == {BLOCK_LINE}
+    assert blocked == {"int", "near 2**53 int"}
 
 
 @pytest.mark.parametrize("how", CORRUPTIONS)
 def test_check_catches_a_bad_run(how, monkeypatch):
-    # a run fill that writes every value off by one, or every int as a
-    # float, passes unseen without check, and fails the comparison with
-    # the scalar loop's fill with it
-    hits = corrupt_run_values(monkeypatch, CORRUPTIONS[how])
+    # a block fill that writes its last value off by one, or as a float,
+    # passes unseen without check, and fails the comparison with the
+    # scalar loop's fill with it
+    hits = corrupt_distance_blocks(monkeypatch, CORRUPTIONS[how])
     caught = 0
-    for side in long_run_sides():
+    for side in long_block_sides():
         t = solve_time_linear(side)[1].value
         for deadline in (t, 2 * t):
             del hits[:]
@@ -363,7 +455,7 @@ def test_check_catches_a_bad_run(how, monkeypatch):
                 caught += 1
                 with pytest.raises(AssertionError):
                     solve_distance_heap(side, deadline, check=True)
-    assert caught >= 7
+    assert caught >= 9
 
 
 def test_check_top_rejects_a_front_past_its_groups_smallest_index():

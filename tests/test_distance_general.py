@@ -17,23 +17,24 @@ from pathrd import (
 )
 from pathrd import distance_general
 from pathrd.distance_extremity import solve_distance_heap, solve_distance_quadratic
-from pathrd.distance_general import RUN, DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
+from pathrd.distance_general import DistDpTrace, solve_distance_2d_cubic, solve_distance_2d_heap
 from pathrd.solution import LEFT
 from pathrd.time_general import solve_time_2d_cubic, solve_time_2d_minqueue
 
 from helpers import (
+    BLOCK_LINE,
     CORRUPTIONS,
     EX2_GENERAL,
-    RUN_VALUE_BRANCHES,
     assert_matches_baseline,
-    corrupt_run_values,
-    count_run_fills,
+    corrupt_distance_blocks,
+    count_distance_block_fills,
     line_side,
+    long_block_sides,
     long_run_sides,
     ref_distance_2d_heap,
     ref_distance_table,
     rescaled,
-    spy_run_values,
+    spy_block_lines,
     typed,
     typed_run_lines,
 )
@@ -206,12 +207,18 @@ def _near_left(rng, right):
     return CanonicalSide(r=tuple(r), tau=tuple(tau), labels=tuple(range(-n, 0)), riders=((),) * n)
 
 
+# a stretch of more states than this that take their right term from one
+# successor is a long run
+LONG_RUN = 32
+
+
 def _right_runs(side, row):
-    """(lowest, highest) state of each stretch of more than RUN states of
-    a filled row of lam that take their right term from one successor:
-    the stretches a run fills when the row holds no left term.  The
-    right term at p is the largest row[q] whose slack row[q] - r[q-1]
-    meets 2 tau[p], q > p, at the smallest such q."""
+    """(lowest, highest) state of each stretch of more than LONG_RUN
+    states of a filled row of lam that take their right term from one
+    successor: the stretches a block fills with one front when the row
+    holds no left term.  The right term at p is the largest row[q] whose
+    slack row[q] - r[q-1] meets 2 tau[p], q > p, at the smallest such
+    q."""
     runs = []
     start = last = None
     for p in range(side.n - 1, -2, -1):
@@ -223,17 +230,17 @@ def _right_runs(side, row):
                 if v is not None and v - side.r[q - 1] >= threshold and (best is None or v > row[best]):
                     best = q
         if best != last:
-            if last is not None and start - p > RUN:
+            if last is not None and start - p > LONG_RUN:
                 runs.append((p + 1, start))
             start, last = p, best
     return runs
 
 
 def test_left_term_wins_inside_right_runs(monkeypatch):
-    # the right side's rows hold runs longer than RUN, and the left term
-    # ties or beats them on some of their states; the rows that hold
-    # the left term take those states one by one
-    fills = count_run_fills(monkeypatch)
+    # the right side's rows hold runs longer than LONG_RUN, and the left
+    # term ties or beats them on some of their states; the rows that
+    # hold the left term take those states one by one
+    fills = count_distance_block_fills(monkeypatch)
     tops = []
     won = []
     rng = random.Random(158)
@@ -250,16 +257,23 @@ def test_left_term_wins_inside_right_runs(monkeypatch):
                         # a left move is a tuple, a right one a bare index
                         if any(w.__class__ is tuple for w in moves[lo : hi + 1]):
                             won.append(hi)
-    # the bottom rows, which hold no left term, fill their runs by slice
-    assert fills
     assert len(tops) >= 100 and len(won) >= 50
+    # the bottom row of an int pair over a long right side, which holds
+    # no left term, takes blocks
+    right = long_block_sides()[0]
+    inst = GeneralInstance(line_side([right.r[-1]], [1]), right)
+    tbest = solve_time_2d_cubic(inst)[1].value
+    for deadline in (tbest, 2 * tbest + 10):
+        assert_matches_baseline(solve_distance_2d_heap, solve_distance_2d_cubic, inst, deadline)
+    assert fills
 
 
 def test_merged_row_run_fills_keep_python_values_and_types(monkeypatch):
     # rows that hold the left term keep Python's values and types too,
     # entry for entry against the definition; they take their states one
-    # by one, and the bottom rows' run fills reach every branch
-    seen = spy_run_values(monkeypatch)
+    # by one, and only the bottom rows of int lines within MAX_MAGNITUDE
+    # take blocks
+    seen = spy_block_lines(monkeypatch)
     merged = []
     kernel = distance_general._distance_line
 
@@ -281,7 +295,7 @@ def test_merged_row_run_fills_keep_python_values_and_types(monkeypatch):
             assert [typed(row) for row in trace.lam] == [typed(row) for row in want_lam], (name, deadline)
             assert trace.succ == want_succ, (name, deadline)
     assert merged == []
-    assert set(seen) >= RUN_VALUE_BRANCHES
+    assert set(seen) == {BLOCK_LINE}
 
 
 def _flat_side(rng, n):
@@ -384,8 +398,8 @@ def test_left_only_solve_is_one_kernel_call(monkeypatch):
 def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
     # check=True asserts each left-line state once, in the left side's
     # own line, column n_r; then each other column's front once per row
-    # above the bottom, and each row state once, the states of a run
-    # fill included
+    # above the bottom, and each row state once, the states of a block
+    # included
     seen = []
     check_top = distance_general._check_top
 
@@ -394,8 +408,8 @@ def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
         check_top(line, r, tau, p, f)
 
     monkeypatch.setattr(distance_general, "_check_top", spied)
-    fills = count_run_fills(monkeypatch)
-    right = long_run_sides()[0]
+    fills = count_distance_block_fills(monkeypatch)
+    right = long_block_sides()[0]
     left = line_side([right.r[-1], right.r[-1] + 3], [2, 1])
     nl, nr = left.n, right.n
     tbest = solve_time_2d_minqueue(GeneralInstance(left, right))[1].value
@@ -412,11 +426,11 @@ def test_check_runs_once_per_column_front_and_row_state(monkeypatch):
 
 @pytest.mark.parametrize("how", CORRUPTIONS)
 def test_check_catches_a_bad_run_in_the_bottom_row(how, monkeypatch):
-    # the bottom row's run fills are compared with the scalar loop's
-    # fill of the same row
-    hits = corrupt_run_values(monkeypatch, CORRUPTIONS[how])
+    # the bottom row's blocks are compared with the scalar loop's fill of
+    # the same row
+    hits = corrupt_distance_blocks(monkeypatch, CORRUPTIONS[how])
     caught = 0
-    for right in long_run_sides():
+    for right in long_block_sides():
         inst = GeneralInstance(line_side([right.r[-1]], [1]), right)
         t = solve_time_2d_minqueue(inst)[1].value
         for deadline in (t, 2 * t):
@@ -426,4 +440,4 @@ def test_check_catches_a_bad_run_in_the_bottom_row(how, monkeypatch):
                 caught += 1
                 with pytest.raises(AssertionError):
                     solve_distance_2d_heap(inst, deadline, check=True)
-    assert caught >= 7
+    assert caught >= 9

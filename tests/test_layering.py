@@ -14,13 +14,13 @@ calls: the left side's line in one call, the column with no right term
 (column 0 for time, column n_r for distance), then, with a right side,
 its first row in one call (row 0 for time, the bottom row for distance)
 and each other row in one call with column work.  Both kernels keep one
-fill rule: a numpy block of time states or a slice run of distance
-states is filled only on a line without column work, a 1-D line, the
-left side's line or a 2-D solve's first row; a row with column work
-takes every state on the scalar loop.  Only the scalar loops assert the
-invariants, _check_line and _check_top; a numpy or slice fill is
-checked against the scalar loop's fill of the same line, so it takes
-no check of its own.
+fill rule: a numpy block of time or distance states, at least _BLOCK
+long, one length stated in each module, is filled only on a line
+without column work, a 1-D line, the left side's line or a 2-D solve's
+first row; a row with column work takes every state on the scalar
+loop.  Only the scalar loops assert the invariants, _check_line and
+_check_top; a block is checked against the scalar loop's fill of the
+same line, so it takes no check of its own.
 """
 
 import ast
@@ -116,7 +116,7 @@ def test_only_the_scalar_loops_assert_the_invariants():
         ("time_general", "_time_line", "_check_line"),
         ("distance_general", "_distance_line", "_check_top"),
     }
-    for fill in (time_general._time_block, distance_general._run_values):
+    for fill in (time_general._time_block, distance_general._distance_block):
         assert "check" not in inspect.signature(fill).parameters
 
 
@@ -156,26 +156,27 @@ def test_both_2d_solvers_fill_one_table_shape(monkeypatch):
 def test_fills_run_only_on_lines_without_column_work(monkeypatch):
     # skinny one-route pairs both ways round and a many-route pair whose
     # rows above the first are long: both kernels fill their first
-    # lines, and no row with column work; the long left line of the
-    # flipped pair takes a distance run
+    # lines by blocks of one length, and no row with column work; the
+    # long left line of the flipped pair takes a distance block
+    assert time_general._BLOCK == distance_general._BLOCK
     fills = spy_fills_by_column_work(monkeypatch)
-    runs = []
-    run_values = distance_general._run_values
+    blocks = []
+    block = distance_general._distance_block
 
-    def spied(top, side, lo, hi):
-        runs.append(side)
-        return run_values(top, side, lo, hi)
+    def spied(side, *args):
+        blocks.append(side)
+        return block(side, *args)
 
-    monkeypatch.setattr(distance_general, "_run_values", spied)
+    monkeypatch.setattr(distance_general, "_distance_block", spied)
     skinny = GeneralInstance(random_canonical_side(30, 5), random_canonical_side(3000, 6))
     flipped = GeneralInstance(random_canonical_side(3000, 5), random_canonical_side(30, 6))
     for inst in (skinny, GeneralInstance(BLOCK_LEFT, dense_time_sides()[0])):
         _, plan = solve_time_2d_minqueue(inst)
         solve_distance_2d_heap(inst, plan.value)
-    assert {name for name, _ in fills} == {"_time_block", "_run_values"}
+    assert {name for name, _ in fills} == {"_time_block", "_distance_block"}
     _, plan = solve_time_2d_minqueue(flipped)
     for deadline in (plan.value, 2 * plan.value):
-        del runs[:]
+        del blocks[:]
         solve_distance_2d_heap(flipped, deadline)
-        assert any(side is flipped.left for side in runs), deadline
+        assert any(side is flipped.left for side in blocks), deadline
     assert not any(cols for _, cols in fills)
