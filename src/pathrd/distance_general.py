@@ -44,9 +44,11 @@ holds, so the row's front keeps its lam and slack in locals and each
 column's in lists beside its index, read once per move.  A left-only
 instance is one line, the left side's: one call of the kernel.
 
-Blocks fill int lines without column work, 1-D lines, column n_r and
-the bottom row, when tau strictly decreases, as on a canonical side,
-and the numbers are int64 within MAX_MAGNITUDE.  lam then strictly
+Blocks fill lines under the one rule time's lines follow, stated in
+instance.block_line: a line without column work, a 1-D line, column
+n_r or the bottom row, that is an exact int line, an int lam[n] over
+int64 arrays within the admissible magnitude, tau strictly decreasing
+as on a canonical side.  lam then strictly
 increases over the present states below n - 1, so once states p..f are
 known, f being p's front, each state x < p takes as its front the
 largest known w whose slack meets 2 tau[x], and the states whose
@@ -65,7 +67,7 @@ from operator import neg
 import numpy as np
 
 from .errors import Infeasible
-from .instance import MAX_MAGNITUDE, table_dtype
+from .instance import block_line, table_dtype
 from .solution import LEFT, distance_solution
 
 __all__ = ["DistDpTrace", "solve_distance_2d_cubic", "solve_distance_2d_heap"]
@@ -149,10 +151,8 @@ def _distance_line(side, lam, succ, check=False, two=None, cols=None):
         if check:
             filled = lam[:], succ[:]
             _distance_line(side, *filled, False, two)
-        elif n > _BLOCK and lam[n].__class__ is int and max(lam[n], r[-1], tau[0]) <= MAX_MAGNITUDE:
-            rv, tv = side.arrays
-            if rv.dtype == tv.dtype == np.int64 and (tv[:-1] > tv[1:]).all():
-                reach = _BLOCK
+        elif n > _BLOCK and block_line(side, lam[n]):
+            reach = _BLOCK
     else:
         left_side, table, row, fronts, tops, slacks, left_of = cols
         rl = left_side.r

@@ -200,6 +200,19 @@ def table_dtype(*sides, deadline=0):
     return np.result_type(np.int64, np.asarray((deadline,)).dtype, *dtypes)
 
 
+def block_line(side, start):
+    """Whether a DP line over side from its given end start, c[0] for
+    time and lam[n] for distance, is an exact int line, which either
+    kernel may fill by numpy blocks: start an int, side nonempty with
+    int64 arrays, tau strictly decreasing, and start, r[-1] and tau[0]
+    within MAX_MAGNITUDE.  A block's sums are then at most
+    max(start, r[-1]) + 4 tau[0], which int64 holds exactly."""
+    if not side.n or start.__class__ is not int or max(start, side.r[-1], side.tau[0]) > MAX_MAGNITUDE:
+        return False
+    rv, tv = side.arrays
+    return rv.dtype == tv.dtype == np.int64 and bool((tv[:-1] > tv[1:]).all())
+
+
 def _require(cond, message):
     if not cond:
         raise MalformedDocument(message)

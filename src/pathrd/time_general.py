@@ -40,29 +40,29 @@ not yet filled holds _UNSET, above every release, so the cursors stop
 at it without a bound test.  A left-only instance is one line, the left
 side's: one call of the kernel.
 
-Only lines without column work take blocks: column 0 and row 0, and so
-every 1-D line, when the table's numbers are all within MAX_MAGNITUDE.
-The states i+1..e with r[e-1] < c[i] are all released before c[i], so
-each one's cursor lies among the states up to i, whose c are known, and
-states i on all stay in its window: numpy fills the block, the cursors
-by a searchsorted over the known c, the window's least a past each
-cursor from those states' suffix minima, and the block's own a by a
-running minimum.  It decides in int64 on an int table and in float64
-otherwise, both exact there, so each state takes the scalar loop's
-winner, and it writes each entry with the scalar loop's type.  Blocks
-follow each other from the last state of the one before while they are
-_BLOCK states long; the window lists are rebuilt once, when the scalar
-loop resumes.  A stretch where the cursor k holds and its released
-candidate wins, c[i] = r[i-1] + 2 tau[k] and pred[i] = k, ends once
-r[i-1] reaches c[k+1] <= c[i], so it lies inside the block from its
-first state, and a one-route line is one chain of blocks.  A row above
-row 0 takes every state's column step anyway, and stays on the scalar
-loop; so do lines whose blocks are shorter than _BLOCK, such as
-grid-2d's rows.  With check=True, a line without column work is filled
-twice, once as above on a copy and once by the scalar loop, which
-asserts _check_line at every state, and the two fills must be equal; a
-row with column work is filled once, by the scalar loop, which asserts
-_check_line at every state and every column.
+A line takes blocks under the one rule distance's lines follow, stated
+in instance.block_line: it has no column work, as column 0, row 0 and
+every 1-D line do, and it is an exact int line.  The states i+1..e with
+r[e-1] < c[i] are all released before c[i], so each one's cursor lies
+among the states up to i, whose c are known, and states i on all stay
+in its window: numpy fills the block, the cursors by a searchsorted
+over the known c, the window's least a past each cursor from those
+states' suffix minima, and the block's own a by a running minimum, all
+in int64, which holds every sum exactly, so each state takes the scalar
+loop's winner and value.  Float, mixed and out-of-range lines stay on
+the scalar loop.  Blocks follow each other from the last state of the
+one before while they are _BLOCK states long; the window lists are
+rebuilt once, when the scalar loop resumes.  A stretch where the cursor
+k holds and its released candidate wins, c[i] = r[i-1] + 2 tau[k] and
+pred[i] = k, ends once r[i-1] reaches c[k+1] <= c[i], so it lies inside
+the block from its first state, and a one-route int line is one chain
+of blocks.  A row above row 0 takes every state's column step anyway,
+and stays on the scalar loop; so do lines whose blocks are shorter than
+_BLOCK, such as grid-2d's rows.  With check=True, a line without column
+work is filled twice, once as above on a copy and once by the scalar
+loop, which asserts _check_line at every state, and the two fills must
+be equal; a row with column work is filled once, by the scalar loop,
+which asserts _check_line at every state and every column.
 """
 
 from bisect import bisect_left, bisect_right
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MAX_MAGNITUDE, table_dtype
+from .instance import block_line, table_dtype
 from .solution import LEFT, time_solution
 
 __all__ = ["TimeDpTrace", "solve_time_2d_cubic", "solve_time_2d_minqueue"]
@@ -87,7 +87,7 @@ _CHUNK = 4096
 _BLOCK = 256
 
 # the known window's sentinel in a block: no entry, never the minimum;
-# a block line's numbers are at most MAX_MAGNITUDE
+# a block line's sums are at most 5 * 2**53 (instance.block_line)
 _NONE = 2**62
 
 # the value of a dead window entry, below every a
@@ -129,16 +129,15 @@ def _check_line(line, tau, release, k, values, indices):
     assert list(zip(values, indices)) == chain[::-1]
 
 
-def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
+def _time_line(side, c, pred, check=False, two=None, cols=None):
     """Fill c[1..n] and pred[1..n] of side's line from the given c[0],
     n = side.n; pred[i] is the raw j the minimum was taken at.  c[1..n]
     hold _UNSET on entry.  c[0] may exceed the first releases, so the
     cursor starts at -1 and state 0 enters the window like any other.
     two, when given, is [2 * t for t in side.tau], doubled once for the
-    many rows of a 2-D solve.  With dtype, every number of the table is
-    within MAX_MAGNITUDE, and on a line without cols each state with a
-    cursor probes for a block, which _time_block fills, deciding in
-    dtype, when it is _BLOCK states long.
+    many rows of a 2-D solve.  On a block line without cols, each
+    state with a cursor probes for a block, which _time_block fills
+    when it is _BLOCK states long.
 
     With cols, the line is row `row` >= 1 of a 2-D table whose column 0
     is filled, cols = (left_side, table, row, left_two, left_of,
@@ -158,7 +157,7 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     """
     if check and cols is None:
         filled = c[:], pred[:]
-        _time_line(side, *filled, False, dtype, two)
+        _time_line(side, *filled, False, two)
     r = side.r
     tau = side.tau
     n = len(r)
@@ -183,7 +182,7 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
     head = 1
     k = -1
     # blocks start before state reach
-    reach = n + 1 - _BLOCK if dtype is not None and not stepping and not check and n >= _BLOCK else 0
+    reach = n + 1 - _BLOCK if not stepping and not check and n >= _BLOCK and block_line(side, c[0]) else 0
     i = 1
     while i <= n:
         # the scalar loop; a block leaves it, to resume past the block
@@ -262,7 +261,7 @@ def _time_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
             c[i] = best
             pred[i] = bj
             if i < reach and k >= 0 and r[i + _BLOCK - 1] < best:
-                i, k = _time_block(side, c, pred, i, k, values, indices, dtype)
+                i, k = _time_block(side, c, pred, i, k, values, indices)
                 head = 1
                 i += 1
                 break
@@ -283,7 +282,7 @@ def _chain(values):
     return np.append(keep, len(values) - 1)
 
 
-def _time_block(side, c, pred, i, k, values, indices, dtype):
+def _time_block(side, c, pred, i, k, values, indices):
     """Fill blocks from state i on, where the cursor is k >= 0 and a
     block of _BLOCK states starts, and return the last state filled and
     the cursor there; the window lists then hold the window there, head
@@ -304,30 +303,19 @@ def _time_block(side, c, pred, i, k, values, indices, dtype):
     in chunks of _CHUNK states.  The window left behind, the suffix
     minima of the a past the last cursor, is rebuilt from c once, at
     the end.  It takes no check: _time_line compares the line it fills
-    with the scalar loop's.
-
-    Every comparison is made in dtype, int64 for an int table and
-    float64 otherwise: both hold every number of the table exactly, and
-    float64 adds as Python's floats do, so each state takes the scalar
-    loop's winner.  An int table writes the chunk's values as they are.
-    So does a chunk whose states all take one cursor's released
-    candidate, r[m-1] + 2 tau[k], when 2 tau[k] is a float; when it is
-    an int, the chunk adds it to each release in Python.  Every other
-    chunk of a float table writes each value from its source,
-    r[m-1] + 2 tau[j] or c[j] + 2 tau[j], so each keeps the scalar
-    loop's type.
+    with the scalar loop's.  The line is a block line, so every number
+    is an int64 and each chunk writes its values as they are.
     """
     r = side.r
     tau = side.tau
     n = len(r)
     rv, tv = side.arrays
-    ints = dtype.kind == "i"
     while True:
         e = bisect_left(r, c[i], i, n)
         if e - i < _BLOCK:
             break
         base = k
-        known = np.fromiter(c[k + 1 : i], dtype, i - k - 1)
+        known = np.fromiter(c[k + 1 : i], np.int64, i - k - 1)
         twos = 2 * tv[k:i]
         least, at = _suffix_minima(known + twos[1:], k + 1)
         # the least a and X + 2 tau pushed since state i, and the first j
@@ -359,26 +347,14 @@ def _time_block(side, c, pred, i, k, values, indices, dtype):
             won |= lose
             if cur.__class__ is int and not won.any():
                 # one cursor's released candidate takes every state
-                w = cur + base
-                two = 2 * tau[w]
-                pred[lo:hi] = [w] * (hi - lo)
-                if ints or two.__class__ is float:
-                    c[lo:hi] = x.tolist()
-                else:
-                    c[lo:hi] = [v + two for v in r[lo - 1 : hi - 1]]
+                pred[lo:hi] = [cur + base] * (hi - lo)
+                c[lo:hi] = x.tolist()
             else:
                 xj = np.where(won, at[cur], cur + base)
                 (at_y,) = lose.nonzero()
                 xj[at_y] = records[np.searchsorted(records[1:], at_y + lo)]
-                js = xj.tolist()
-                pred[lo:hi] = js
-                if ints:
-                    c[lo:hi] = np.minimum(x, y).tolist()
-                else:
-                    # each value from its source: an a or the released
-                    # candidate
-                    for m, j, w in zip(range(lo, hi), js, won.tolist()):
-                        c[m] = (c[j] if w else r[m - 1]) + 2 * tau[j]
+                pred[lo:hi] = xj.tolist()
+                c[lo:hi] = np.minimum(x, y).tolist()
             low, low_j = y[-1], int(records[-1])
             if hi <= e:
                 # the next chunk's states see this one's last Z too
@@ -391,7 +367,7 @@ def _time_block(side, c, pred, i, k, values, indices, dtype):
     if i == n:
         # the scalar loop has no state left to read the window
         return i, k
-    a = np.fromiter(c[k + 1 : i], dtype, i - k - 1) + 2 * tv[k + 1 : i]
+    a = np.fromiter(c[k + 1 : i], np.int64, i - k - 1) + 2 * tv[k + 1 : i]
     js = (_chain(a) + (k + 1)).tolist()
     values[:] = [_DEAD] + [c[j] + 2 * tau[j] for j in js]
     indices[:] = [-1] + js
@@ -471,13 +447,6 @@ def solve_time_2d_minqueue(inst, check=False):
     # the origin is the table dtype's zero, as in the cubic baseline
     dt = table_dtype(left, right)
     origin = np.zeros((), dt).item()
-    # every entry is at most the last release plus one round trip to
-    # each side's far end, and every sum a block makes one more such
-    # trip: within MAX_MAGNITUDE, int64 and float64 hold them all
-    # exactly, so the lines take blocks, in the table's dtype
-    sides = [side for side in (left, right) if side.n]
-    bound = max((side.r[-1] for side in sides), default=0) + 4 * sum(side.tau[0] for side in sides)
-    blocks = dt if bound <= MAX_MAGNITUDE else None
     # each side's doubled taus, once per solve, when the table has more
     # than one line
     left_two = [2 * t for t in left.tau] if nr else None
@@ -486,7 +455,7 @@ def solve_time_2d_minqueue(inst, check=False):
     # side is empty
     line = [origin] + [_UNSET] * nl
     moves = [None] * (nl + 1)
-    _time_line(left, line, moves, check, blocks, left_two)
+    _time_line(left, line, moves, check, left_two)
     if not nr:
         left_of = {w: None if w is None else (LEFT, w) for w in set(moves)}
         c = [[v] for v in line]
@@ -499,7 +468,7 @@ def solve_time_2d_minqueue(inst, check=False):
     for i in range(nl + 1):
         c[i][0] = line[i]
         pred[i][0] = left_of[moves[i]] if i else None
-    _time_line(right, c[0], pred[0], check, blocks, right_two)
+    _time_line(right, c[0], pred[0], check, right_two)
     if nl:
         # columns 1..nr serve the left term and live for the whole
         # sweep: a cursor and a window each, kept as in _time_line
@@ -509,5 +478,5 @@ def solve_time_2d_minqueue(inst, check=False):
         indices = [[-1] for _ in range(nr + 1)]
         for i in range(1, nl + 1):
             cols = (left, c, i, left_two, left_of, cursors, heads, values, indices)
-            _time_line(right, c[i], pred[i], check, blocks, right_two, cols)
+            _time_line(right, c[i], pred[i], check, right_two, cols)
     return TimeDpTrace(c, pred), _build_solution(inst, c, pred)

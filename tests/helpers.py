@@ -18,7 +18,7 @@ long_run_sides and long_block_sides hold distance lines with long
 runs, stretches over which one front holds, shorter and longer than a
 block; count_distance_block_fills lists the distance kernel's blocks,
 typed_run_lines and spy_block_lines serve the tests that only int
-lines take them, assert_matches_baseline compares a fast distance
+lines take blocks, in either kernel, assert_matches_baseline compares a fast distance
 solver with its baseline, and ref_distance_line fills one line of the
 distance table from its definition.  long_time_run_sides and
 dense_time_sides hold time lines with long runs and with many routes,
@@ -426,7 +426,7 @@ def typed_run_lines():
     2**53; and sides of 100 and 300 customers whose farthest is 2**70
     out, which gives them object arrays, or 2**62, int64 arrays whose
     int deadline 2**64 numpy cannot take.  Of these only the int lines
-    within MAX_MAGNITUDE may take distance blocks (BLOCK_LINE)."""
+    within MAX_MAGNITUDE may take blocks, in either kernel (BLOCK_LINE)."""
     kinds = {
         "int": lambda s: s,
         "x0.37": lambda s: rescaled(s, 0.37),
@@ -449,25 +449,32 @@ def typed_run_lines():
     return lines
 
 
-def spy_block_lines(monkeypatch):
-    """The line of every distance block call, in order, as (lam[n]'s
-    type, the side's two array dtypes, whether lam[n], r[-1] and tau[0]
-    are all within MAX_MAGNITUDE)."""
+# each kernel's block fill, and where the line it fills holds the
+# line's given end: lam[n] for distance, c[0] for time
+BLOCK_FILLS = {distance_general: ("_distance_block", -1), time_general: ("_time_block", 0)}
+
+
+def spy_block_lines(monkeypatch, module=distance_general):
+    """The line of every block call of module's kernel, distance's
+    unless time_general is given, in order, as (the type of the line's
+    given end, the side's two array dtypes, whether that end, r[-1] and
+    tau[0] are all within MAX_MAGNITUDE)."""
     seen = []
-    fill = distance_general._distance_block
+    name, end = BLOCK_FILLS[module]
+    fill = getattr(module, name)
 
-    def spied(side, lam, succ, p, f):
+    def spied(side, line, *args):
         rv, tv = side.arrays
-        top = lam[-1]
-        seen.append((top.__class__, rv.dtype.name, tv.dtype.name, max(top, side.r[-1], side.tau[0]) <= MAX_MAGNITUDE))
-        return fill(side, lam, succ, p, f)
+        start = line[end]
+        seen.append((start.__class__, rv.dtype.name, tv.dtype.name, max(start, side.r[-1], side.tau[0]) <= MAX_MAGNITUDE))
+        return fill(side, line, *args)
 
-    monkeypatch.setattr(distance_general, "_distance_block", spied)
+    monkeypatch.setattr(module, name, spied)
     return seen
 
 
-# the one kind of line that takes distance blocks: an int lam[n] over
-# int64 arrays, its numbers within MAX_MAGNITUDE
+# the one kind of line that takes blocks, in either kernel: an int given
+# end over int64 arrays, its numbers within MAX_MAGNITUDE
 BLOCK_LINE = (int, "int64", "int64", True)
 
 

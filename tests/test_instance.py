@@ -26,15 +26,20 @@ from pathrd import (
     split_at_depot,
 )
 
+from pathrd.instance import MAX_MAGNITUDE, block_line
+
 from helpers import (
     EX1_DOC,
     EX1_SIDE,
     EX2_DOC,
     EX2_LEFT,
     EX2_RIGHT,
+    line_side,
+    mixed,
     ref_deliveries,
     ref_distances_from_depot,
     ref_parse_instance,
+    rescaled,
 )
 
 
@@ -455,3 +460,24 @@ def test_int_side_past_int64_solves_as_before():
     c = solve_time_linear(side)[0].c
     assert [(type(v), v) for v in c] == [(int, 0), (int, 2**63)]
     assert solve_time_quadratic(side)[0].c == [0, -(2**63)]
+
+
+def test_block_line_admits_exact_int_lines_only():
+    # the one gate of both kernels' blocks: an int start over a canonical
+    # side of int64 arrays, every number within MAX_MAGNITUDE
+    side = random_canonical_side(300, 5)
+    assert block_line(side, 0)
+    assert block_line(side, MAX_MAGNITUDE)
+    assert not block_line(side, 0.0)
+    assert not block_line(side, MAX_MAGNITUDE + 1)
+    floats = rescaled(side, 0.5)
+    mixed_sides = [mixed(side, which) for which in (1, 2, 3)]
+    huge = rescaled(side, 1, 2**64)
+    assert huge.arrays[0].dtype == object
+    past = [rescaled(side, 1, MAX_MAGNITUDE - side.r[-1] + 1), line_side(side.r, (MAX_MAGNITUDE + 1,) + side.tau[1:])]
+    assert all(s.arrays[1].dtype == np.int64 for s in past)
+    flat = line_side([0, 1, 2, 3], [5, 3, 3, 1])
+    for other in [floats, *mixed_sides, huge, *past, flat, EMPTY_SIDE]:
+        assert not block_line(other, 0), other
+    # the same side with a strictly decreasing tau passes
+    assert block_line(line_side([0, 1, 2, 3], [5, 4, 3, 1]), 0)

@@ -17,8 +17,10 @@ and each other row in one call with column work.  Both kernels keep one
 fill rule: a numpy block of time or distance states, at least _BLOCK
 long, one length stated in each module, is filled only on a line
 without column work, a 1-D line, the left side's line or a 2-D solve's
-first row; a row with column work takes every state on the scalar
-loop.  Only the scalar loops assert the invariants, _check_line and
+first row, and only when the line is an exact int line, which one
+function, instance.block_line, decides for both kernels, so neither DP
+module names MAX_MAGNITUDE; a row with column work takes every state
+on the scalar loop.  Only the scalar loops assert the invariants, _check_line and
 _check_top; a block is checked against the scalar loop's fill of the
 same line, so it takes no check of its own.
 """
@@ -118,6 +120,27 @@ def test_only_the_scalar_loops_assert_the_invariants():
     }
     for fill in (time_general._time_block, distance_general._distance_block):
         assert "check" not in inspect.signature(fill).parameters
+
+
+def test_both_kernels_share_one_block_gate():
+    # one rule decides whether a line takes blocks, instance.block_line:
+    # both kernels call it, and neither DP module names MAX_MAGNITUDE
+    for module, kernel in (("time_general", "_time_line"), ("distance_general", "_distance_line")):
+        tree = ast.parse((Path(pathrd.__file__).parent / f"{module}.py").read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+        assert "MAX_MAGNITUDE" not in names, module
+        (line,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == kernel]
+        calls = {
+            sub.func.id for sub in ast.walk(line) if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        }
+        assert "block_line" in calls, module
 
 
 def test_both_2d_solvers_fill_one_table_shape(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pathrd import (
     EMPTY_SIDE,
     GeneralInstance,
+    Infeasible,
     canonicalize_side,
     generate_instance,
     oracle_time,
@@ -16,9 +17,11 @@ from pathrd import (
     time_general,
     validate_solution,
 )
+from pathrd.distance_extremity import solve_distance_heap
 from pathrd.time_extremity import solve_time_linear, solve_time_quadratic
 
 from helpers import (
+    BLOCK_LINE,
     CORRUPTIONS,
     EX1_SIDE,
     SHORT_BLOCK,
@@ -29,7 +32,9 @@ from helpers import (
     mixed,
     ref_time_tables,
     rescaled,
+    spy_block_lines,
     typed,
+    typed_run_lines,
 )
 
 SOLVERS = (solve_time_quadratic, solve_time_linear)
@@ -216,7 +221,8 @@ def test_long_time_runs_match_reference(scale, chunk, monkeypatch):
     for name, base in long_time_run_sides().items():
         before = len(blocks)
         _assert_matches_reference(rescaled(base, *SCALES[scale]), check=True)
-        assert len(blocks) > before, name
+        # an int line takes blocks; a float one stays on the scalar loop
+        assert (len(blocks) > before) == (scale == "int"), name
 
 
 def test_each_way_a_run_ends(monkeypatch):
@@ -297,13 +303,35 @@ FLOAT_KINDS = {
 
 @pytest.mark.parametrize("kind", FLOAT_KINDS)
 def test_dense_float_and_mixed_lines_take_blocks(kind, monkeypatch):
-    # once a float takes part a block decides in float64 and writes each
-    # value from its source, so the entries keep the scalar loop's types
+    # once a float takes part the line is no block line: the scalar loop
+    # fills every state, so the entries keep its types
     blocks = count_time_block_fills(monkeypatch)
     for base in dense_time_sides():
         del blocks[:]
         _assert_matches_reference(FLOAT_KINDS[kind](base), check=True)
-        assert _filled(blocks) > base.n // 5
+        assert blocks == []
+
+
+def test_one_block_rule_for_both_kernels(monkeypatch):
+    # typed_run_lines() and the dense sides of every float kind, through
+    # both fast 1-D solvers: either kernel takes blocks only on an exact
+    # int line, and the int lines take them in both
+    lines = typed_run_lines()
+    lines += [(kind, FLOAT_KINDS[kind](base), None) for kind in FLOAT_KINDS for base in dense_time_sides()]
+    seen = {"time": spy_block_lines(monkeypatch, time_general), "distance": spy_block_lines(monkeypatch)}
+    blocked = set()
+    for name, side, deadlines in lines:
+        before = {kernel: len(blocks) for kernel, blocks in seen.items()}
+        t = solve_time_linear(side)[1].value
+        for deadline in deadlines or (t, 2 * t):
+            try:
+                solve_distance_heap(side, deadline)
+            except Infeasible:
+                # a float T* rounded down leaves no plan
+                pass
+        blocked |= {(kernel, name) for kernel, blocks in seen.items() if len(blocks) > before[kernel]}
+    assert set(seen["time"]) == set(seen["distance"]) == {BLOCK_LINE}
+    assert blocked == {(kernel, name) for kernel in seen for name in ("int", "near 2**53 int")}
 
 
 def test_blocks_fill_most_of_a_dense_line(monkeypatch):
@@ -360,7 +388,8 @@ def test_check_catches_a_bad_block(how, monkeypatch):
 def test_near_2_53_sweep_matches_reference(monkeypatch):
     # the float corpus of the rounding-tie sweep: there the ulp is 1 or
     # 2, and c and pred must still be the scalar loop's; the lines are
-    # 80 states long, so blocks are let in from SHORT_BLOCK states
+    # 80 states long, so blocks are let in from SHORT_BLOCK states, and
+    # being float lines they take none
     monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
     blocks = count_time_block_fills(monkeypatch)
     for seed in range(100):
@@ -369,10 +398,11 @@ def test_near_2_53_sweep_matches_reference(monkeypatch):
             for scale in (0.2, 0.37, 0.3):
                 for shift in (float(2**52), 1.5 * 2**52):
                     _assert_matches_reference(rescaled(base, scale, shift))
-    assert len(blocks) >= 1000
+    assert blocks == []
 
 
 def test_mixed_int_and_float_entries_keep_their_types(monkeypatch):
+    # a mixed line is no block line: the scalar loop fills it
     monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
     blocks = count_time_block_fills(monkeypatch)
     for name, base in long_time_run_sides().items():
@@ -380,7 +410,7 @@ def test_mixed_int_and_float_entries_keep_their_types(monkeypatch):
             before = len(blocks)
             side = mixed(base, which)
             _assert_matches_reference(side)
-            assert len(blocks) > before, (name, which)
+            assert len(blocks) == before, (name, which)
     # both types do reach the tables
     c = solve_time_linear(mixed(long_time_run_sides()["stairs"], 1))[0].c
     assert {type(v) for v in c} == {int, float}

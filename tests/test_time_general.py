@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -196,9 +197,9 @@ def _typed_table(c):
 @pytest.mark.parametrize("chunk", [time_general._CHUNK, 5], ids=["default", "5"])
 @pytest.mark.parametrize("scale", [(1, 0), (0.37, 0)], ids=["int", "x0.37"])
 def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
-    # the right side holds the runs; each pair fills blocks in row 0, in
-    # numpy chunks of the kernel's length or 5, and the rows that take
-    # the left term on the scalar loop
+    # the right side holds the runs; each int pair fills blocks in row 0,
+    # in numpy chunks of the kernel's length or 5, and the rows that take
+    # the left term on the scalar loop; a float pair takes no block
     monkeypatch.setattr(time_general, "_CHUNK", chunk)
     monkeypatch.setattr(time_general, "_BLOCK", SHORT_BLOCK)
     blocks = count_time_block_fills(monkeypatch)
@@ -220,7 +221,7 @@ def test_long_row_runs_match_cubic(scale, chunk, monkeypatch):
         assert _typed_table(tm.c) == _typed_table(tc.c)
         assert tm.pred == tc.pred
         assert sm == sc
-        assert blocks, (left, right)
+        assert bool(blocks) == (scale == (1, 0)), (left, right)
     assert not any(cols for _, cols in fills)
 
 
@@ -290,9 +291,10 @@ def test_left_term_inside_a_one_cursor_chunk(monkeypatch):
 
 
 def test_float_tables_take_blocks(monkeypatch):
-    # one float side makes the table float, so row 0's blocks decide in
-    # float64; the right side's int releases and depot distances keep
-    # the entries they make ints, as the scalar loop does
+    # one float side makes the table float, so row 0 starts from 0.0
+    # and is no block line: the scalar loop fills it, and the right
+    # side's int releases and depot distances keep the entries they make
+    # ints
     blocks = count_time_block_fills(monkeypatch)
     fills = spy_fills_by_column_work(monkeypatch)
     inst = GeneralInstance(rescaled(BLOCK_LEFT, 0.5), dense_time_sides()[0])
@@ -301,7 +303,7 @@ def test_float_tables_take_blocks(monkeypatch):
     assert tm.c == tc.c
     assert tm.pred == tc.pred
     assert sm == sc
-    assert blocks
+    assert blocks == []
     assert not any(cols for _, cols in fills)
     assert {type(v) for row in tm.c for v in row} == {int, float}
 
@@ -369,10 +371,14 @@ def test_check_runs_once_per_column_and_row_state(monkeypatch):
     monkeypatch.setattr(time_general, "_check_line", spied)
     calls = []
     kernel = time_general._time_line
+    params = inspect.signature(kernel)
 
-    def spied_line(side, c, pred, check=False, dtype=None, two=None, cols=None):
-        calls.append((side, check, cols is not None))
-        kernel(side, c, pred, check, dtype, two, cols)
+    def spied_line(*args):
+        bound = params.bind(*args)
+        bound.apply_defaults()
+        given = bound.arguments
+        calls.append((given["side"], given["check"], given["cols"] is not None))
+        kernel(*args)
 
     monkeypatch.setattr(time_general, "_time_line", spied_line)
     blocks = count_time_block_fills(monkeypatch)
